@@ -10,17 +10,21 @@ so it compiles to additions of table-lookup columns; that compiled form
 backs the bulk hook of the group engine.
 """
 
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
 from .errors import EnumerationCapExceeded, TruncationTooShallow
+from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
     FiniteGroupTable,
     GroupOracle,
+    _log_exact,
     closure,
+    derived_subgroup,
     frattini_quotient_dimension,
+    frattini_subgroup,
 )
 
 
@@ -260,16 +264,18 @@ def sylow_table(m, fq, k, cap=DEFAULT_CAP, group=None):
     return group, closure(gens, oracle, cap=cap, p=fq.p)
 
 
-def verify_generation(m, fq, k, cap=DEFAULT_CAP):
+def verify_generation(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
     """True iff the standard generators produce exactly the matrices passing
     the membership test: the closure has the predicted order and every
-    closure element passes membership."""
+    closure element passes membership.  An order above the cap is refused
+    before anything is enumerated; precomputed is the (group, table) pair
+    of sylow_table, enumerated here when not given."""
     expected = sylow_order(m, fq, k)
     if expected > cap:
         raise EnumerationCapExceeded(
             f"Sylow order {expected} exceeds the cap of {cap}"
         )
-    group, table = sylow_table(m, fq, k, cap=cap)
+    group, table = precomputed or sylow_table(m, fq, k, cap=cap)
     if table.order != expected:
         return False
     return all(
@@ -278,10 +284,57 @@ def verify_generation(m, fq, k, cap=DEFAULT_CAP):
     )
 
 
-def frattini_dimension_affine(m, fq, k, cap=DEFAULT_CAP):
+def frattini_dimension_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
     """Black-box Frattini quotient dimension of the enumerated Sylow."""
-    _, table = sylow_table(m, fq, k, cap=cap)
+    _, table = precomputed or sylow_table(m, fq, k, cap=cap)
     return frattini_quotient_dimension(table, cap=cap)
+
+
+def affine_cartan_matrix(m):
+    """Cartan matrix of A_{m-1}^(1): 2 on the diagonal, minus one for each
+    edge joining i and j in the m-cycle, so m = 2 gives a double bond."""
+    return validate_gcm(
+        [[2 * (i == j) - ((i - j) % m == 1) - ((j - i) % m == 1) for j in range(m)]
+         for i in range(m)]
+    )
+
+
+def predicted_h1(m, fq, k):
+    """Predicted dim H_1 of the Sylow: m*r, or (m-1)*r at k = 1, where the
+    corner generators vanish."""
+    return m * fq.r if k >= 2 else (m - 1) * fq.r
+
+
+def verify_theorem1_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None, generates=None):
+    """Theorem 1 for the Iwahori Sylow subgroup of SL_m(F_q[t]/(t^k)), with
+    the report fields of verify_theorem1 (None where this model has no value,
+    no caveat) plus model, m and k.  The hypothesis p > max |a_ij| of
+    A_{m-1}^(1) is checked before anything is enumerated.  precomputed is the
+    (group, table) pair of sylow_table and generates the verdict of
+    verify_generation on it; each is computed when not given."""
+    check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
+    t0 = time.perf_counter()
+    group, table = precomputed or sylow_table(m, fq, k, cap=cap)
+    phi = frattini_subgroup(table, cap=cap)
+    derived = derived_subgroup(table, cap=cap)
+    if generates is None:
+        generates = verify_generation(m, fq, k, cap=cap, precomputed=(group, table))
+    return {
+        "model": "affine_matrix",
+        "gcm": None,
+        "m": m,
+        "k": k,
+        "q": fq.q,
+        "H": None,
+        "h1_blackbox": _log_exact(table.order // phi.order, fq.p),
+        "h1_linear": None,
+        "h1_predicted": predicted_h1(m, fq, k),
+        "frattini_eq_derived": phi.element_set == derived.element_set,
+        "thm_ii_lhs_order": None,
+        "thm_ii_rhs_order": None,
+        "generators_generate": generates,
+        "elapsed_ms": int(round((time.perf_counter() - t0) * 1000)),
+    }
 
 
 def commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
@@ -318,22 +371,15 @@ def commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class SubgroupDescription:
-    predicate: object  # matrix -> bool
-    table: FiniteGroupTable
-
-
 def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
-    """Matrices of the Sylow congruent to the identity mod t^i, together
-    with the membership predicate.  The chain K_1 > ... > K_k = 1 refines
-    the Sylow."""
+    """Matrices of the Sylow congruent to the identity mod t^i.  The chain
+    K_1 > ... > K_k = 1 refines the Sylow."""
     if not 1 <= i <= k:
         raise ValueError("congruence level must satisfy 1 <= i <= k")
     group, table = precomputed or sylow_table(m, fq, k, cap=cap)
     identity = group.identity
 
-    def predicate(A):
+    def congruent(A):
         for a in range(m):
             for b in range(m):
                 if A[a][b][:i] != identity[a][b][:i]:
@@ -341,10 +387,9 @@ def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
         return True
 
     members = tuple(
-        key for key in table.elements if predicate(group.element(key))
+        key for key in table.elements if congruent(group.element(key))
     )
-    sub = FiniteGroupTable(table.oracle, (), members, p=fq.p)
-    return SubgroupDescription(predicate=predicate, table=sub)
+    return FiniteGroupTable(table.oracle, (), members, p=fq.p)
 
 
 def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):

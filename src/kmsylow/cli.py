@@ -3,21 +3,23 @@ campaigns with JSON reports."""
 
 import argparse
 import json
+import random
 import sys
-import time
 
 from .affine import (
-    AffineMatrixGroup,
+    affine_cartan_matrix,
+    borel_subgroup,
     commutator_identity_check,
     congruence_subgroup,
-    borel_subgroup,
     enumerate_special_linear,
     frattini_dimension_affine,
     monomial_subgroup,
+    predicted_h1,
     sylow_generators,
     sylow_order,
     sylow_table,
     verify_generation,
+    verify_theorem1_affine,
     weyl_representatives,
 )
 from .errors import (
@@ -25,18 +27,16 @@ from .errors import (
     EnumerationCapExceeded,
     GcmError,
     HypothesisViolated,
-    KmError,
     TruncationTooShallow,
 )
-from .fields import FqConfig, is_prime
-from .gcm import classify, validate_gcm
-from .lie import build_positive_part
+from .fields import FqConfig
+from .gcm import check_off_diagonal_hypothesis, classify, validate_gcm
+from .lie import bracket, build_positive_part
 from .pgroup import (
     DEFAULT_CAP,
     check_filtration_lemma,
     closure,
     derived_subgroup,
-    frattini_subgroup,
     verify_tits_axioms,
 )
 from .roots import (
@@ -65,7 +65,7 @@ SKIP_ERRORS = (
 
 
 class CampaignError(Exception):
-    pass
+    """A campaign that cannot run; its args are the problems found."""
 
 
 DEFAULT_CAMPAIGN = {
@@ -112,31 +112,19 @@ DEFAULT_CAMPAIGN = {
 }
 
 
-def _fq_from_q(q):
-    if not isinstance(q, int) or q < 2:
-        raise CampaignError(f"q must be an integer prime power, got {q!r}")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p == 0:
-            r = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                r += 1
-            if n != 1:
-                raise CampaignError(f"q = {q} is not a prime power")
-            return FqConfig(p, r)
-    raise CampaignError(f"q = {q} is not a prime power")
-
-
-def _require(inst, *names):
-    out = []
-    for name in names:
-        if name not in inst:
-            raise CampaignError(f"instance is missing the field {name!r}")
-        out.append(inst[name])
-    return out[0] if len(out) == 1 else out
+# fields each check reads, with the least value of each integer field;
+# gcm and q are parsed instead
+CHECK_FIELDS = {
+    ("bch", "roots"): {"gcm": None, "H": 1},
+    ("bch", "lie"): {"gcm": None, "H": 1},
+    ("bch", "theorem1"): {"gcm": None, "q": None, "H": 1},
+    ("affine", "theorem1"): {"m": 2, "q": None, "k": 1},
+    ("affine", "cor_linear"): {"m": 2, "q": None, "k": 1},
+    ("affine", "generation"): {"m": 2, "q": None, "k": 1},
+    ("affine", "commutator"): {"q": None, "K": 1, "max_exp": 1},
+    ("affine", "filtration"): {"m": 2, "q": None, "k": 2},
+    ("affine", "tits"): {"m": 2, "q": None},
+}
 
 
 def _load_gcm_value(value):
@@ -145,11 +133,91 @@ def _load_gcm_value(value):
     return validate_gcm(value)
 
 
-def _check_roots(inst, seed, cap):
-    import random
+def _parse_instance(inst):
+    """(problems, F_q, GCM) of one campaign instance."""
+    if not isinstance(inst, dict):
+        return ["an instance must be an object"], None, None
+    model, checks = inst.get("model"), inst.get("checks")
+    if model not in ("bch", "affine"):
+        return [f"unknown model {model!r}"], None, None
+    if not isinstance(checks, list) or not checks:
+        return ["checks must be a nonempty list"], None, None
+    problems, least = [], {}
+    for name in checks:
+        fields = CHECK_FIELDS.get((model, name)) if isinstance(name, str) else None
+        if fields is None:
+            problems.append(f"check {name!r} is not defined for model {model!r}")
+        for field, low in (fields or {}).items():
+            least[field] = max(least.get(field) or 0, low or 0)
+    fq = gcm = None
+    for field, low in least.items():
+        value = inst.get(field)
+        if field not in inst:
+            problems.append(f"missing the field {field!r}")
+        elif field == "gcm":
+            try:
+                gcm = _load_gcm_value(value)
+            except (TypeError, ValueError, KeyError, GcmError) as err:
+                problems.append(f"invalid gcm: {err}")
+        elif field == "q":
+            try:
+                fq = FqConfig.from_q(value)
+            except ValueError as err:
+                problems.append(str(err))
+        elif type(value) is not int:
+            problems.append(f"{field} must be an integer, got {value!r}")
+        elif value < low:
+            problems.append(f"{field} must be at least {low}, got {value}")
+    return problems, fq, gcm
 
-    gcm = _load_gcm_value(_require(inst, "gcm"))
-    cutoff = _require(inst, "H")
+
+def _parse_campaign(campaign, seed):
+    """(fields, F_q, GCM) of every instance; raises CampaignError listing
+    every problem with the campaign."""
+    if not isinstance(campaign, dict) or not isinstance(
+        campaign.get("instances"), list
+    ):
+        raise CampaignError("campaign must be an object with an instances list")
+    problems = []
+    if seed is None and type(campaign.get("seed", 0)) is not int:
+        problems.append(f"seed must be an integer, got {campaign['seed']!r}")
+    parsed = []
+    for index, inst in enumerate(campaign["instances"]):
+        found, fq, gcm = _parse_instance(inst)
+        problems += [f"instance {index}: {problem}" for problem in found]
+        parsed.append((inst, fq, gcm))
+    if problems:
+        raise CampaignError(*problems)
+    return parsed
+
+
+class _Instance(dict):
+    """The fields of one parsed instance, with its F_q and GCM, and the
+    Sylow enumeration and generation verdict that its affine checks share,
+    each made on first use.  Every run of an instance makes a new one, so
+    nothing outlives the instance."""
+
+    def __init__(self, fields, fq, gcm, cap):
+        super().__init__(fields)
+        self.fq, self.gcm, self.cap = fq, gcm, cap
+        self._sylow = self._generates = None
+
+    def sylow(self):
+        if self._sylow is None:
+            self._sylow = sylow_table(self["m"], self.fq, self["k"], cap=self.cap)
+        return self._sylow
+
+    def generates(self):
+        if self._generates is None:
+            m, fq, k = self["m"], self.fq, self["k"]
+            # an order above the cap is refused before anything is enumerated
+            pre = self.sylow() if sylow_order(m, fq, k) <= self.cap else None
+            self._generates = verify_generation(m, fq, k, cap=self.cap, precomputed=pre)
+        return self._generates
+
+
+def _check_roots(inst, seed, cap):
+    gcm, cutoff = inst.gcm, inst["H"]
     tagged = positive_roots_up_to_height(gcm, cutoff)
     real = {alpha for alpha, tag in tagged if tag == REAL}
     imaginary = {alpha for alpha, tag in tagged if tag == IMAGINARY}
@@ -179,10 +247,7 @@ def _check_roots(inst, seed, cap):
 
 
 def _check_lie(inst, seed, cap):
-    import random
-
-    gcm = _load_gcm_value(_require(inst, "gcm"))
-    cutoff = _require(inst, "H")
+    gcm, cutoff = inst.gcm, inst["H"]
     algebra = build_positive_part(gcm, cutoff)
     tagged = positive_roots_up_to_height(gcm, cutoff)
     supports = {alpha for alpha, _ in tagged}
@@ -193,8 +258,6 @@ def _check_lie(inst, seed, cap):
             ok = ok and mult == 1
         else:
             ok = ok and mult >= 1
-    from .lie import bracket
-
     fld = algebra.field
     dim = algebra.dimension
     rng = random.Random(seed)
@@ -220,10 +283,8 @@ def _check_lie(inst, seed, cap):
 
 
 def _check_theorem1_bch(inst, seed, cap):
-    gcm = _load_gcm_value(_require(inst, "gcm"))
-    q, cutoff = _require(inst, "q", "H")
-    fq = _fq_from_q(q)
-    report = verify_theorem1(gcm, fq, cutoff, cap=cap)
+    gcm = inst.gcm
+    report = verify_theorem1(gcm, inst.fq, inst["H"], cap=cap)
     finite_type = classify(gcm).tag == "finite"
     ok = (
         report["h1_blackbox"] == report["h1_linear"] == report["h1_predicted"]
@@ -238,78 +299,42 @@ def _check_theorem1_bch(inst, seed, cap):
     return report, ok
 
 
-def _affine_hypothesis(m, fq):
-    # largest off-diagonal entry of the rank-m affine diagram: 2 when the
-    # cycle degenerates to a double bond (m = 2), else 1
-    bound = 2 if m == 2 else 1
-    if fq.p <= bound:
-        raise HypothesisViolated(
-            f"p = {fq.p} must exceed the off-diagonal size {bound}"
-        )
-
-
 def _check_theorem1_affine(inst, seed, cap):
-    m, q, k = _require(inst, "m", "q", "k")
-    fq = _fq_from_q(q)
-    _affine_hypothesis(m, fq)
-    t0 = time.perf_counter()
-    _, table = sylow_table(m, fq, k, cap=cap)
-    phi = frattini_subgroup(table, cap=cap)
-    derived = derived_subgroup(table, cap=cap)
-    from .pgroup import _log_exact
-
-    h1 = _log_exact(table.order // phi.order, fq.p)
-    predicted = m * fq.r if k >= 2 else (m - 1) * fq.r
-    generate = verify_generation(m, fq, k, cap=cap)
-    report = {
-        "model": "affine_matrix",
-        "gcm": None,
-        "m": m,
-        "k": k,
-        "q": q,
-        "H": None,
-        "h1_blackbox": h1,
-        "h1_linear": None,
-        "h1_predicted": predicted,
-        "frattini_eq_derived": phi.element_set == derived.element_set,
-        "thm_ii_lhs_order": None,
-        "thm_ii_rhs_order": None,
-        "generators_generate": generate,
-        "elapsed_ms": int(round((time.perf_counter() - t0) * 1000)),
-    }
-    ok = h1 == predicted and generate
-    return report, ok
+    m, fq, k = inst["m"], inst.fq, inst["k"]
+    # the hypothesis goes before the shared enumeration
+    check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
+    report = verify_theorem1_affine(
+        m, fq, k, cap=cap, precomputed=inst.sylow(), generates=inst.generates()
+    )
+    ok = report["h1_blackbox"] == report["h1_predicted"]
+    return report, ok and report["generators_generate"]
 
 
 def _check_cor_linear(inst, seed, cap):
-    m, q, k = _require(inst, "m", "q", "k")
-    fq = _fq_from_q(q)
-    _affine_hypothesis(m, fq)
-    h1 = frattini_dimension_affine(m, fq, k, cap=cap)
-    predicted = m * fq.r if k >= 2 else (m - 1) * fq.r
+    m, fq, k = inst["m"], inst.fq, inst["k"]
+    check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
+    h1 = frattini_dimension_affine(m, fq, k, cap=cap, precomputed=inst.sylow())
+    predicted = predicted_h1(m, fq, k)
     return {"h1": h1, "predicted": predicted}, h1 == predicted
 
 
 def _check_generation(inst, seed, cap):
-    m, q, k = _require(inst, "m", "q", "k")
-    fq = _fq_from_q(q)
-    generate = verify_generation(m, fq, k, cap=cap)
-    group = AffineMatrixGroup(m, fq, k)
-    oracle = group.oracle()
+    m, fq, k = inst["m"], inst.fq, inst["k"]
+    generate = inst.generates()
+    group, table = inst.sylow()
     gens = [group.key(A) for A in sylow_generators(m, fq, k)]
-    partial = closure(gens[: -fq.r], oracle, cap=cap, p=fq.p)
-    corner_needed = partial.order < sylow_order(m, fq, k)
+    partial = closure(gens[: -fq.r], table.oracle, cap=cap, p=fq.p)
+    full_order = sylow_order(m, fq, k)
     payload = {
         "generates": generate,
         "partial_order": partial.order,
-        "full_order": sylow_order(m, fq, k),
+        "full_order": full_order,
     }
-    return payload, generate and corner_needed
+    return payload, generate and partial.order < full_order
 
 
 def _check_commutator(inst, seed, cap):
-    q, K, max_exp = _require(inst, "q", "K", "max_exp")
-    fq = _fq_from_q(q)
+    fq, K, max_exp = inst.fq, inst["K"], inst["max_exp"]
     cases = 0
     ok = True
     for r_val in range(fq.q):
@@ -324,17 +349,14 @@ def _check_commutator(inst, seed, cap):
 
 
 def _check_filtration(inst, seed, cap):
-    m, q, k = _require(inst, "m", "q", "k")
-    fq = _fq_from_q(q)
-    pre = sylow_table(m, fq, k, cap=cap)
+    m, fq, k = inst["m"], inst.fq, inst["k"]
+    pre = inst.sylow()
     _, table = pre
     V = derived_subgroup(table, cap=cap)
     chain = [
-        congruence_subgroup(m, fq, k, i, cap=cap, precomputed=pre).table
+        congruence_subgroup(m, fq, k, i, cap=cap, precomputed=pre)
         for i in range(2, k + 1)
     ]
-    if not chain:
-        raise CampaignError("filtration check needs k >= 2")
     report = check_filtration_lemma(table, chain, V)
     ok = (
         all(report["normal"])
@@ -345,9 +367,7 @@ def _check_filtration(inst, seed, cap):
 
 
 def _check_tits(inst, seed, cap):
-    m, q = _require(inst, "m", "q")
-    fq = _fq_from_q(q)
-    group, table = enumerate_special_linear(m, fq, cap=cap)
+    group, table = enumerate_special_linear(inst["m"], inst.fq, cap=cap)
     B = borel_subgroup(group, table)
     N = monomial_subgroup(group, table)
     report = verify_tits_axioms(table, B, N, weyl_representatives(group), cap=cap)
@@ -367,23 +387,13 @@ CHECKS = {
 }
 
 
-def _run_instance(index, inst, seed, cap):
-    model = inst.get("model")
-    checks = inst.get("checks")
-    if model not in ("bch", "affine"):
-        raise CampaignError(f"instance {index}: unknown model {model!r}")
-    if not isinstance(checks, list) or not checks:
-        raise CampaignError(f"instance {index}: checks must be a nonempty list")
+def _run_instance(index, parsed, seed, cap):
+    inst = _Instance(*parsed, cap)
+    model = inst["model"]
     results = []
-    for name in checks:
-        fn = CHECKS.get((model, name))
-        if fn is None:
-            raise CampaignError(
-                f"instance {index}: check {name!r} is not defined for "
-                f"model {model!r}"
-            )
+    for name in inst["checks"]:
         try:
-            payload, ok = fn(inst, seed + index, cap)
+            payload, ok = CHECKS[(model, name)](inst, seed + index, cap)
         except SKIP_ERRORS as err:
             results.append(
                 {
@@ -406,20 +416,20 @@ def _run_instance(index, inst, seed, cap):
 
 
 def run_campaign(campaign, seed=None, cap=None):
-    if not isinstance(campaign, dict) or "instances" not in campaign:
-        raise CampaignError("campaign must be an object with an instances list")
+    """Run every check of a campaign and return the report.  The whole
+    campaign is validated first: a CampaignError lists every problem, and
+    then no check has run."""
+    parsed = _parse_campaign(campaign, seed)
     seed = campaign.get("seed", 0) if seed is None else seed
     cap = cap or DEFAULT_CAP
-    instances = campaign["instances"]
-    report = {
+    return {
         "campaign": campaign.get("name", "unnamed"),
         "seed": seed,
         "cap": cap,
         "instances": [
-            _run_instance(i, inst, seed, cap) for i, inst in enumerate(instances)
+            _run_instance(i, inst, seed, cap) for i, inst in enumerate(parsed)
         ],
     }
-    return report
 
 
 def _strip_volatile(obj):
@@ -433,7 +443,6 @@ def _strip_volatile(obj):
 
 
 def _summarize(report, out):
-    failures = 0
     for inst in report["instances"]:
         label = f"instance {inst['index']} ({inst['model']})"
         for res in inst["results"]:
@@ -444,9 +453,7 @@ def _summarize(report, out):
                     f"[SKIP] {label} {res['check']} ({res['reason']})", file=out
                 )
             else:
-                failures += 1
                 print(f"[FAIL] {label} {res['check']}", file=out)
-    return failures
 
 
 def _cmd_classify(args, out):
@@ -513,7 +520,11 @@ def _cmd_verify(args, out):
         else:
             campaign = DEFAULT_CAMPAIGN
         report = run_campaign(campaign, seed=args.seed, cap=args.cap)
-    except (OSError, ValueError, KeyError, CampaignError, GcmError) as err:
+    except CampaignError as err:
+        for problem in err.args:
+            print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out:
@@ -536,15 +547,10 @@ def _cmd_verify(args, out):
             return EXIT_CHECK_FAILED
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
-        failures = sum(
-            1
-            for inst in report["instances"]
-            for res in inst["results"]
-            if res["status"] == "fail"
-        )
     else:
-        failures = _summarize(report, out)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+        _summarize(report, out)
+    results = [res for inst in report["instances"] for res in inst["results"]]
+    return EXIT_CHECK_FAILED if any(r["status"] == "fail" for r in results) else EXIT_OK
 
 
 def build_parser():

@@ -11,6 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# codes of F_q live in the uint8 lookup tables
+MAX_Q = 256
+
 
 def is_prime(n):
     if n < 2:
@@ -217,8 +220,8 @@ class FqConfig:
         if r < 1:
             raise ValueError("r must be >= 1")
         q = p ** r
-        if q > 256:
-            raise ValueError("q > 256 not supported by the uint8 tables")
+        if q > MAX_Q:
+            raise ValueError(f"q > {MAX_Q} not supported by the uint8 tables")
         self.p = p
         self.r = r
         self.q = q
@@ -242,6 +245,18 @@ class FqConfig:
         self.MUL = np.array(mul_rows, dtype=np.uint8)
         self.NEG = np.array(self._neg, dtype=np.uint8)
         self.INV = np.array(inv, dtype=np.uint8)
+
+    @classmethod
+    def from_q(cls, q):
+        """F_q for an integer prime power q up to MAX_Q; ValueError otherwise."""
+        if type(q) is int and 2 <= q <= MAX_Q:
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            r = 1
+            while p ** r < q:
+                r += 1
+            if p ** r == q:
+                return cls(p, r)
+        raise ValueError(f"q must be a prime power from 2 to {MAX_Q}, got {q!r}")
 
     def encode(self, coeffs):
         code = 0

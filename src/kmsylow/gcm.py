@@ -10,7 +10,13 @@ computations (no floating point).
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal, UnknownLabel
+from .errors import (
+    AsymmetricZero,
+    DiagonalNotTwo,
+    HypothesisViolated,
+    PositiveOffDiagonal,
+    UnknownLabel,
+)
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -46,9 +52,6 @@ class GeneralizedCartanMatrix:
         """Labels t != s with A[s][t] != 0 (edges of the diagram)."""
         i = self.position(s)
         return [t for j, t in enumerate(self.labels) if j != i and self.rows[i][j] != 0]
-
-    def to_json_dict(self):
-        return {"matrix": [list(r) for r in self.rows], "labels": list(self.labels)}
 
 
 def validate_gcm(rows, labels=None):
@@ -195,39 +198,16 @@ def classify(gcm):
     return GcmType(tag=overall, blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
-class KacMoodyRootDatum:
-    """A GCM enriched with a rank-d lattice and paired vector families.
-
-    ``c`` maps each label to a length-d integer vector, ``h`` to a length-d
-    integer covector; the defining constraint is c_s . h_t = A[t][s].
-    """
-
-    gcm: GeneralizedCartanMatrix
-    lattice_rank: int
-    c: dict  # label -> tuple of ints
-    h: dict  # label -> tuple of ints
-
-
-def simply_connected_datum(gcm):
-    """The canonical datum with d = size, h_s the standard basis, c_s the s-th column."""
-    n = gcm.size
-    h = {s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(gcm.labels)}
-    c = {
-        s: tuple(gcm.rows[t_pos][i] for t_pos in range(n))
-        for i, s in enumerate(gcm.labels)
-    }
-    return KacMoodyRootDatum(gcm=gcm, lattice_rank=n, c=c, h=h)
-
-
-def check_datum(datum):
-    """True iff c_s . h_t = A[t][s] for all labels s, t."""
-    gcm = datum.gcm
-    for s in gcm.labels:
-        for t in gcm.labels:
-            cs, ht = datum.c[s], datum.h[t]
-            if len(cs) != datum.lattice_rank or len(ht) != datum.lattice_rank:
-                return False
-            if sum(a * b for a, b in zip(cs, ht)) != gcm.a(t, s):
-                return False
-    return True
+def check_off_diagonal_hypothesis(gcm, p):
+    """The largest off-diagonal size max |a_ij| of a validated GCM; raises
+    HypothesisViolated unless p exceeds it, the paper's hypothesis for both
+    group models."""
+    bound = max(
+        (-a for i, row in enumerate(gcm.rows) for j, a in enumerate(row) if i != j),
+        default=0,
+    )
+    if p <= bound:
+        raise HypothesisViolated(
+            f"p = {p} must exceed the largest off-diagonal size {bound}"
+        )
+    return bound

@@ -13,11 +13,10 @@ multiplicities are read off as dimension counts.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import CharacteristicTooSmall, HeightExceedsCutoff
-from .fields import QQ, PrimeField, reduce_against, rref
+from .fields import QQ, reduce_against, rref
 from .roots import RootVector
 
 
@@ -135,13 +134,12 @@ class GradedLieAlgebra:
     contract.
     """
 
-    def __init__(self, gcm, cutoff, fld, basis, structure, ideal_data):
+    def __init__(self, gcm, cutoff, fld, basis, structure):
         self.gcm = gcm
         self.cutoff = cutoff
         self.field = fld
         self.basis = basis
         self.structure = structure
-        self._ideal_data = ideal_data
         self.by_degree = {}
         self.by_height = {h: [] for h in range(1, cutoff + 1)}
         for b in basis:
@@ -175,19 +173,6 @@ class GradedLieAlgebra:
         if sign:
             return {k: fld.neg(c) for k, c in pairs}
         return dict(pairs)
-
-    def to_json_dict(self):
-        heights = {}
-        for b in self.basis:
-            h = sum(n for _, n in b.root.items)
-            heights.setdefault(str(h), []).append(
-                {"root": b.root.dense(self.gcm.labels), "basis_index": b.index}
-            )
-        triples = []
-        for (i, j), pairs in sorted(self.structure.items()):
-            for k, c in pairs:
-                triples.append([i, j, k, str(c)])
-        return {"height": heights, "brackets": triples}
 
 
 def root_multiplicity(algebra, alpha):
@@ -355,13 +340,5 @@ def build_positive_part(gcm, cutoff, fld=QQ):
             )
             structure[(i, j)] = pairs
 
-    return GradedLieAlgebra(gcm, cutoff, fld, basis, structure, ideal)
+    return GradedLieAlgebra(gcm, cutoff, fld, basis, structure)
 
-
-def make_field(descriptor):
-    """Field from a descriptor: None/'Q' for rationals, a prime for F_p."""
-    if descriptor is None or descriptor == "Q":
-        return QQ
-    if isinstance(descriptor, int):
-        return PrimeField(descriptor)
-    return descriptor

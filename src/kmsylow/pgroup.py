@@ -149,15 +149,17 @@ def commutator(oracle, a, b):
     )
 
 
+def generator_commutators(oracle, gens):
+    """[a, b] for every pair of generators with a listed before b."""
+    return [
+        commutator(oracle, a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]
+    ]
+
+
 def derived_subgroup(G, cap=DEFAULT_CAP):
     """Normal closure of the commutators of generator pairs."""
-    gens = G.generators
-    comms = [
-        commutator(G.oracle, gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
-    return normal_closure(comms, gens, G.oracle, cap=cap, p=G.p)
+    comms = generator_commutators(G.oracle, G.generators)
+    return normal_closure(comms, G.generators, G.oracle, cap=cap, p=G.p)
 
 
 def frattini_subgroup(G, cap=DEFAULT_CAP):
@@ -170,11 +172,7 @@ def frattini_subgroup(G, cap=DEFAULT_CAP):
     if G.p is None:
         raise NotAPGroup("the table carries no prime p")
     gens = G.generators
-    seeds = [
-        commutator(G.oracle, gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
+    seeds = generator_commutators(G.oracle, gens)
     seeds += [_power(G.oracle, g, G.p) for g in gens]
     return normal_closure(seeds, gens, G.oracle, cap=cap, p=G.p)
 

@@ -36,10 +36,6 @@ class RootVector:
     def from_coords(coords):
         return RootVector(tuple(sorted((s, int(n)) for s, n in coords.items() if n != 0)))
 
-    @property
-    def coords(self):
-        return dict(self.items)
-
     def coeff(self, s):
         for t, n in self.items:
             if t == s:
@@ -69,9 +65,6 @@ class RootVector:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scaled(self, k):
-        return RootVector(tuple((s, k * n) for s, n in self.items)) if k else RootVector(())
 
     def dense(self, labels):
         return [self.coeff(s) for s in labels]

@@ -19,22 +19,19 @@ import numpy as np
 from .bch import bch_lyndon_terms
 from .errors import (
     CharacteristicTooSmall,
-    EnumerationCapExceeded,
     HeightExceedsCutoff,
-    HypothesisViolated,
     NotPositiveRealRoot,
 )
 from .fields import PrimeField, rref
-from .gcm import GeneralizedCartanMatrix, validate_gcm
+from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
     DEFAULT_CAP,
-    FiniteGroupTable,
     GroupOracle,
     _log_exact,
     _power,
     closure,
-    commutator,
+    generator_commutators,
     normal_closure,
     subgroup_index,
 )
@@ -255,11 +252,6 @@ class UnipotentModel:
         return tuple(key)
 
 
-def bch_multiply(model, x, y):
-    """Group product of two coefficient vectors."""
-    return model.multiply(x, y)
-
-
 def root_group_element(model, gamma, a):
     """Element with coefficient a on the basis vector of a positive real
     root and zero elsewhere."""
@@ -327,14 +319,7 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)
-    max_off = max(
-        (-gcm.rows[i][j] for i in range(gcm.size) for j in range(gcm.size) if i != j),
-        default=0,
-    )
-    if fq.p <= max_off:
-        raise HypothesisViolated(
-            f"p = {fq.p} must exceed the largest off-diagonal size {max_off}"
-        )
+    check_off_diagonal_hypothesis(gcm, fq.p)
     t0 = time.perf_counter()
     model = UnipotentModel(gcm, fq, cutoff)
     oracle = model.oracle()
@@ -342,11 +327,7 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     gens = [model.key(g) for g in standard_generators(model)]
     full_order = fq.q ** model.dim
 
-    comms = [
-        commutator(oracle, gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
+    comms = generator_commutators(oracle, gens)
     powers = [_power(oracle, g, p) for g in gens]
 
     if full_order <= cap:

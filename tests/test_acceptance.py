@@ -49,16 +49,7 @@ G2 = validate_gcm([[2, -1], [-3, 2]])
 AFF = validate_gcm([[2, -2], [-2, 2]])
 AFF3 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
-
-def _fq(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    r = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        r += 1
-    assert n == 1, f"{q} is not a prime power"
-    return FqConfig(p, r)
+_fq = FqConfig.from_q
 
 
 def report(name, ok, detail=""):
@@ -271,7 +262,7 @@ def test_c09_filtration_lemma():
         _, table = pre
         V = derived_subgroup(table)
         chain = [
-            congruence_subgroup(2, fq, k, i, precomputed=pre).table
+            congruence_subgroup(2, fq, k, i, precomputed=pre)
             for i in range(2, k + 1)
         ]
         res = check_filtration_lemma(table, chain, V)
@@ -380,7 +371,7 @@ def test_c12_property_suites():
     _, table3 = pre
     oracle3 = table3.oracle
     for i in (2, 3):
-        K = congruence_subgroup(2, _fq(3), 3, i, precomputed=pre).table
+        K = congruence_subgroup(2, _fq(3), 3, i, precomputed=pre)
         for _ in range(500):
             g = rng.choice(table3.elements)
             x = rng.choice(K.elements)

@@ -8,6 +8,7 @@ import pytest
 from kmsylow.affine import (
     AffineMatrixGroup,
     TruncatedPolyRing,
+    affine_cartan_matrix,
     commutator_identity_check,
     congruence_subgroup,
     frattini_dimension_affine,
@@ -16,9 +17,15 @@ from kmsylow.affine import (
     sylow_order,
     sylow_table,
     verify_generation,
+    verify_theorem1_affine,
 )
-from kmsylow.errors import EnumerationCapExceeded, TruncationTooShallow
+from kmsylow.errors import (
+    EnumerationCapExceeded,
+    HypothesisViolated,
+    TruncationTooShallow,
+)
 from kmsylow.fields import FqConfig
+from kmsylow.gcm import check_off_diagonal_hypothesis
 from kmsylow.pgroup import (
     check_filtration_lemma,
     closure,
@@ -132,7 +139,7 @@ def test_verify_generation():
 def test_generation_fails_in_characteristic_two_for_m2():
     # index of the generated subgroup grows with k: the pro-2 group behind
     # these truncations is not generated by the m*r standard elements
-    for k, closure_order in [(2, 8), (3, 16)]:
+    for k, closure_order in [(2, 8), (3, 16), (4, 16)]:
         group = AffineMatrixGroup(2, F2, k)
         oracle = group.oracle()
         gens = [group.key(A) for A in sylow_generators(2, F2, k)]
@@ -143,11 +150,13 @@ def test_generation_fails_in_characteristic_two_for_m2():
 
 
 def test_dropping_corner_generator_loses_elements():
-    group = AffineMatrixGroup(2, F3, 2)
-    oracle = group.oracle()
-    gens = [group.key(A) for A in sylow_generators(2, F3, 2)]
-    partial = closure(gens[:-1], oracle, p=3)
-    assert partial.order < sylow_order(2, F3, 2)
+    # with test_verify_generation, pins both halves of every instance that
+    # acceptance criterion 7 reports as generated
+    for m, fq, k in [(2, F3, 2), (2, F3, 3), (3, F2, 2)]:
+        group = AffineMatrixGroup(m, fq, k)
+        gens = [group.key(A) for A in sylow_generators(m, fq, k)]
+        partial = closure(gens[: -fq.r], group.oracle(), p=fq.p)
+        assert partial.order < sylow_order(m, fq, k)
 
 
 def test_verify_generation_cap():
@@ -161,6 +170,40 @@ def test_frattini_dimensions():
     assert frattini_dimension_affine(2, F9, 2) == 4
     assert frattini_dimension_affine(2, F3, 1) == 1
     assert frattini_dimension_affine(3, F3, 2) == 3
+
+
+def test_affine_hypothesis_bound():
+    # A_1^(1) is a double bond; longer cycles have single bonds only
+    for m, bound in [(2, 2), (3, 1), (4, 1)]:
+        assert check_off_diagonal_hypothesis(affine_cartan_matrix(m), 3) == bound
+
+
+@pytest.mark.parametrize("m,h1", [(2, 2), (3, 3)])
+def test_verify_theorem1_affine_matches_reference(m, h1):
+    report = verify_theorem1_affine(m, F3, 2)
+    assert report.pop("elapsed_ms") >= 0
+    assert report == {
+        "model": "affine_matrix",
+        "gcm": None,
+        "m": m,
+        "k": 2,
+        "q": 3,
+        "H": None,
+        "h1_blackbox": h1,
+        "h1_linear": None,
+        "h1_predicted": h1,
+        "frattini_eq_derived": True,
+        "thm_ii_lhs_order": None,
+        "thm_ii_rhs_order": None,
+        "generators_generate": True,
+    }
+
+
+def test_verify_theorem1_affine_hypothesis():
+    with pytest.raises(HypothesisViolated, match="off-diagonal size 2"):
+        verify_theorem1_affine(2, F2, 2)
+    report = verify_theorem1_affine(3, F2, 2)
+    assert report["h1_blackbox"] == report["h1_predicted"] == 3
 
 
 def test_commutator_identity_basic():
@@ -187,29 +230,27 @@ def test_commutator_identity_f4():
 
 def test_congruence_chain():
     pre = sylow_table(2, F3, 3)
-    group, table = pre
-    descriptions = [
+    _, table = pre
+    chain = [
         congruence_subgroup(2, F3, 3, i, precomputed=pre) for i in (1, 2, 3)
     ]
-    orders = [d.table.order for d in descriptions]
-    assert orders == [3 ** 6, 3 ** 3, 1]
+    assert [K.order for K in chain] == [3 ** 6, 3 ** 3, 1]
     oracle = table.oracle
-    for d in descriptions:
-        for key in d.table.elements:
-            assert d.predicate(group.element(key))
+    for K in chain:
+        for key in K.elements:
             for g in table.generators:
                 conj = oracle.mul(oracle.mul(g, key), oracle.inv(g))
-                assert conj in d.table.element_set
+                assert conj in K.element_set
     # successive quotients are elementary abelian
-    for d, d_next in zip(descriptions, descriptions[1:]):
-        sample = d.table.elements[:30]
+    for K, K_next in zip(chain, chain[1:]):
+        sample = K.elements[:30]
         for a in sample:
             for b in sample:
-                assert commutator(oracle, a, b) in d_next.table.element_set
+                assert commutator(oracle, a, b) in K_next.element_set
             powed = a
             for _ in range(2):
                 powed = oracle.mul(powed, a)
-            assert powed in d_next.table.element_set
+            assert powed in K_next.element_set
 
 
 def test_congruence_subgroup_validation():
@@ -225,7 +266,7 @@ def test_filtration_lemma_on_congruence_chain():
         _, table = pre
         V = derived_subgroup(table)
         chain = [
-            congruence_subgroup(2, F3, k, i, precomputed=pre).table
+            congruence_subgroup(2, F3, k, i, precomputed=pre)
             for i in range(2, k + 1)
         ]
         if not chain:

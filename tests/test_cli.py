@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kmsylow import affine, cli
 from kmsylow.cli import DEFAULT_CAMPAIGN, main, run_campaign
 
 A2 = [[2, -1], [-1, 2]]
@@ -144,6 +145,19 @@ def test_verify_failure_sets_exit_code(tmp_path, capsys):
     path = write_json(tmp_path, "failing.json", campaign)
     assert run(["verify", path]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_generation_check_at_k1_drops_only_the_corner_generators():
+    # at k = 1 every corner generator is the identity; with r = 2 the
+    # superdiagonal generators alone already give the whole group
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": 2, "q": 9, "k": 1, "checks": ["generation"]},
+        ],
+    }
+    result = run_campaign(campaign)["instances"][0]["results"][0]
+    assert result["status"] == "fail"
+    assert result["payload"] == {"generates": True, "partial_order": 9, "full_order": 9}
 
 
 def test_verify_rejects_unknown_check(tmp_path, capsys):
@@ -291,3 +305,77 @@ def test_default_campaign_covers_every_check():
         ("affine", "filtration"),
         ("affine", "tits"),
     }
+    assert set(cli.CHECK_FIELDS) == set(cli.CHECKS) == pairs
+
+
+def test_verify_rejects_whole_campaign_before_running(tmp_path, capsys, monkeypatch):
+    def must_not_run(inst, seed, cap):
+        raise AssertionError("a check ran")
+
+    for key in list(cli.CHECKS):
+        monkeypatch.setitem(cli.CHECKS, key, must_not_run)
+    campaign = {
+        "instances": [
+            {"model": "bch", "gcm": A2, "q": 5, "H": 3, "checks": ["roots"]},
+            {"model": "bch", "gcm": A2, "q": 5, "H": "3", "checks": ["roots"]},
+            {"model": "affine", "m": 2, "q": 3, "k": 1, "checks": ["filtration"]},
+        ],
+    }
+    path = write_json(tmp_path, "bad.json", campaign)
+    out_path = tmp_path / "report.json"
+    assert run(["verify", path, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: instance 1: H must be an integer, got '3'",
+        "error: instance 2: k must be at least 2, got 1",
+    ]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "instance,problem",
+    [
+        ({"model": "affine", "m": True, "q": 3, "k": 2, "checks": ["cor_linear"]},
+         "m must be an integer, got True"),
+        ({"model": "affine", "q": 3, "k": 2, "checks": ["generation"]},
+         "missing the field 'm'"),
+        ({"model": "affine", "m": 2, "q": 12, "k": 2, "checks": ["tits", "nope"]},
+         "check 'nope' is not defined for model 'affine'"),
+        ({"model": "bch", "gcm": [[2, 1], [1, 2]], "H": 3, "checks": ["lie"]},
+         "invalid gcm: A[1][2] = 1 > 0"),
+        ([], "an instance must be an object"),
+    ],
+)
+def test_verify_names_each_problem(tmp_path, capsys, instance, problem):
+    path = write_json(tmp_path, "bad.json", {"instances": [instance]})
+    assert run(["verify", path]) == 2
+    assert f"error: instance 0: {problem}" in capsys.readouterr().err.splitlines()
+
+
+def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
+    calls = {"sylow_table": 0, "verify_generation": 0}
+
+    def counting(name):
+        original = getattr(affine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        monkeypatch.setattr(affine, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": 2, "q": 3, "k": 2,
+             "checks": ["theorem1", "cor_linear", "generation", "filtration"]},
+        ],
+    }
+    for runs in (1, 2):
+        report = run_campaign(campaign)
+        assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 4
+        assert calls == {"sylow_table": runs, "verify_generation": runs}

@@ -160,3 +160,12 @@ def test_rref_over_prime_field():
     reduced, pivots = rref(rows, f5)
     assert pivots == [0, 2]
     assert len(reduced) == 2
+
+
+def test_fq_from_q():
+    for q, (p, r) in {2: (2, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2), 256: (2, 8)}.items():
+        fq = FqConfig.from_q(q)
+        assert (fq.p, fq.r, fq.q) == (p, r, q)
+    for q in (1, 6, 12, 257, True, "4", 4.0):
+        with pytest.raises(ValueError):
+            FqConfig.from_q(q)

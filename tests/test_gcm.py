@@ -1,21 +1,26 @@
-"""Tests for GCM validation, classification, and root data."""
+"""Tests for GCM validation, classification, and the off-diagonal hypothesis."""
 
 import itertools
 import random
 
 import pytest
 
-from kmsylow.errors import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal, UnknownLabel
+from kmsylow.errors import (
+    AsymmetricZero,
+    DiagonalNotTwo,
+    HypothesisViolated,
+    PositiveOffDiagonal,
+    UnknownLabel,
+)
 from kmsylow.gcm import (
     AFFINE,
     FINITE,
     INDEFINITE,
-    check_datum,
+    check_off_diagonal_hypothesis,
     classify,
     connected_components,
     det_int,
     is_indecomposable,
-    simply_connected_datum,
     validate_gcm,
 )
 
@@ -204,21 +209,9 @@ def test_components_and_indecomposability():
     assert typ.blocks[1][1] == FINITE
 
 
-def test_simply_connected_datum_satisfies_pairing():
-    for rows in ([[2]], [[2, -1], [-1, 2]], [[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]):
-        gcm = validate_gcm(rows)
-        datum = simply_connected_datum(gcm)
-        assert datum.lattice_rank == gcm.size
-        assert check_datum(datum)
-
-
-def test_check_datum_detects_wrong_pairing():
-    gcm = validate_gcm([[2, -1], [-1, 2]])
-    datum = simply_connected_datum(gcm)
-    broken = type(datum)(
-        gcm=gcm,
-        lattice_rank=datum.lattice_rank,
-        c={s: tuple(x + 1 for x in v) for s, v in datum.c.items()},
-        h=datum.h,
-    )
-    assert not check_datum(broken)
+def test_off_diagonal_hypothesis_bound():
+    g2 = validate_gcm([[2, -1], [-3, 2]])
+    assert check_off_diagonal_hypothesis(g2, 5) == 3
+    with pytest.raises(HypothesisViolated, match="largest off-diagonal size 3"):
+        check_off_diagonal_hypothesis(g2, 3)
+    assert check_off_diagonal_hypothesis(validate_gcm([[2]]), 2) == 0

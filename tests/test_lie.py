@@ -255,12 +255,3 @@ def test_height_one_component_is_generators():
         for s in gcm.labels:
             b = algebra.basis[algebra.generator_index(s)]
             assert b.root == simple_root(s)
-
-
-def test_json_dump_shape():
-    algebra = build_positive_part(A2, 3)
-    dump = algebra.to_json_dict()
-    assert set(dump) == {"height", "brackets"}
-    assert len(dump["height"]["1"]) == 2
-    assert len(dump["height"]["2"]) == 1
-    assert all(len(t) == 4 for t in dump["brackets"])

@@ -16,7 +16,6 @@ from kmsylow.pgroup import closure, commutator, normal_closure
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
     UnipotentModel,
-    bch_multiply,
     frattini_dimension_linear,
     height_filtration,
     root_group_element,
@@ -51,38 +50,26 @@ def test_identity_and_inverse():
     rng = random.Random(1)
     for _ in range(50):
         x = random_element(model, rng)
-        assert bch_multiply(model, x, model.identity) == x
-        assert bch_multiply(model, model.identity, x) == x
-        assert bch_multiply(model, x, model.inverse(x)) == model.identity
-        assert bch_multiply(model, model.inverse(x), x) == model.identity
+        assert model.multiply(x, model.identity) == x
+        assert model.multiply(model.identity, x) == x
+        assert model.multiply(x, model.inverse(x)) == model.identity
+        assert model.multiply(model.inverse(x), x) == model.identity
 
 
 def test_associativity_random():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (G2S, 7, 4), (A2, 25, 3)]:
-        model = UnipotentModel(gcm, FqConfig(*_pr(q)), H)
+        model = UnipotentModel(gcm, FqConfig.from_q(q), H)
         rng = random.Random(q * 100 + H)
         for _ in range(120):
             x, y, z = (random_element(model, rng) for _ in range(3))
-            left = bch_multiply(model, bch_multiply(model, x, y), z)
-            right = bch_multiply(model, x, bch_multiply(model, y, z))
+            left = model.multiply(model.multiply(x, y), z)
+            right = model.multiply(x, model.multiply(y, z))
             assert left == right
-
-
-def _pr(q):
-    for p in (2, 3, 5, 7, 11, 13):
-        r = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            r += 1
-        if n == 1:
-            return (p, r)
-    raise ValueError(q)
 
 
 def test_exponent_p():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
-        model = UnipotentModel(gcm, FqConfig(*_pr(q)), H)
+        model = UnipotentModel(gcm, FqConfig.from_q(q), H)
         rng = random.Random(7)
         for _ in range(40):
             x = random_element(model, rng)
@@ -115,7 +102,7 @@ def test_unitriangular_cross_check():
     for _ in range(200):
         x = random_element(model, rng)
         y = random_element(model, rng)
-        z = bch_multiply(model, x, y)
+        z = model.multiply(x, y)
         assert to_matrix(z) == matrix_mul(to_matrix(x), to_matrix(y))
 
 
@@ -130,7 +117,7 @@ def test_commutator_of_simple_generators_is_height_two():
 
 def test_root_group_additivity():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
-        model = UnipotentModel(gcm, FqConfig(*_pr(q)), H)
+        model = UnipotentModel(gcm, FqConfig.from_q(q), H)
         fq = model.fq
         roots = [b.root for b in model.algebra.basis]
         from kmsylow.roots import REAL, root_status
@@ -139,8 +126,7 @@ def test_root_group_additivity():
         for gamma in real_roots:
             for a in range(min(q, 8)):
                 for b in range(min(q, 8)):
-                    lhs = bch_multiply(
-                        model,
+                    lhs = model.multiply(
                         root_group_element(model, gamma, a),
                         root_group_element(model, gamma, b),
                     )
@@ -170,7 +156,7 @@ def test_power_and_order_of_element():
 
 def test_bulk_multiplication_matches_scalar():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
-        model = UnipotentModel(gcm, FqConfig(*_pr(q)), H)
+        model = UnipotentModel(gcm, FqConfig.from_q(q), H)
         oracle = model.oracle()
         rng = random.Random(q + H)
         keys = [model.key(random_element(model, rng)) for _ in range(40)]
