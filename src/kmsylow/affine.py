@@ -7,7 +7,8 @@ the corner matrix without that factor fails the mod-t membership test.
 
 Right multiplication by a fixed matrix is linear in the entry coefficients,
 so it compiles to additions of table-lookup columns; that compiled form
-backs the bulk hook of the group engine.
+backs the bulk hook of the group engine.  Subgroup filters read the keys
+as (n, m, m, k) coefficient stacks, one block at a time.
 """
 
 import time
@@ -25,10 +26,12 @@ from .pgroup import (
     FiniteGroupTable,
     GroupOracle,
     _log_exact,
+    bulk_hook,
     closure,
     derived_subgroup,
     frattini_quotient_dimension,
     frattini_subgroup,
+    select,
 )
 
 
@@ -87,12 +90,12 @@ class AffineMatrixGroup:
         self.m = m
         self.fq = fq
         self.k = k
+        self.width = m * m * k
         self.ring = TruncatedPolyRing(fq, k)
         self.identity = tuple(
             tuple(self.ring.one if i == j else self.ring.zero for j in range(m))
             for i in range(m)
         )
-        self._compiled = {}
 
     def elementary(self, i, j, ring_value):
         """identity + ring_value * E_{i,j} (zero-based positions)."""
@@ -155,9 +158,6 @@ class AffineMatrixGroup:
         return tuple(tuple(entry[:kk] for entry in row) for row in A)
 
     def _compile_right_mul(self, gkey):
-        fn = self._compiled.get(gkey)
-        if fn is not None:
-            return fn
         g = self.element(gkey)
         m, k = self.m, self.k
 
@@ -188,31 +188,28 @@ class AffineMatrixGroup:
                 out[:, idx] = col
             return out
 
-        if len(self._compiled) >= 512:
-            self._compiled.clear()
-        self._compiled[gkey] = fn
         return fn
 
     def oracle(self):
-        width = self.m * self.m * self.k
-
         def mul(a, b):
             return self.key(self.mul(self.element(a), self.element(b)))
 
         def inv(a):
             return self.key(self.inverse(self.element(a)))
 
-        def mul_many(keys, g):
-            fn = self._compile_right_mul(bytes(g))
-            X = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
-                len(keys), width
-            )
-            flat = fn(X).tobytes()
-            return [flat[i * width : (i + 1) * width] for i in range(len(keys))]
+        mul_many = bulk_hook(self.width, self._compile_right_mul)
+        return GroupOracle(self.key(self.identity), mul, inv, mul_many)
 
-        return GroupOracle(
-            identity=self.key(self.identity), mul=mul, inv=inv, mul_many=mul_many
-        )
+    def select(self, keys, predicate):
+        """pgroup.select with predicate applied to (n, m, m, k) coefficient
+        stacks instead of key rows."""
+        shape = (-1, self.m, self.m, self.k)
+        return select(keys, self.width, lambda rows: predicate(rows.reshape(shape)))
+
+    def subtable(self, table, predicate):
+        """Members of an enumerated table whose matrices pass predicate."""
+        members = tuple(self.select(table.elements, predicate))
+        return FiniteGroupTable(table.oracle, (), members, p=table.p)
 
 
 def _det(ring, rows):
@@ -228,17 +225,13 @@ def _det(ring, rows):
 
 
 def iwahori_sylow_membership(group, A):
-    """True iff the matrix is unipotent upper-triangular mod t."""
-    one = group.fq.one
-    for i in range(group.m):
-        for j in range(group.m):
-            c0 = A[i][j][0]
-            if i == j:
-                if c0 != one:
-                    return False
-            elif i > j and c0 != 0:
-                return False
-    return True
+    """True where the matrix is unipotent upper-triangular mod t; A is one
+    matrix or a stack of them with the (m, m, k) coefficient axes last."""
+    constant = np.asarray(A)[..., 0]
+    identity = np.array(group.identity, dtype=np.uint8)[..., 0]
+    position = np.arange(group.m)
+    above = position[:, None] < position
+    return ((constant == identity) | above).all(axis=(-2, -1))
 
 
 def sylow_generators(m, fq, k):
@@ -282,10 +275,11 @@ def verify_generation(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
     group, table = precomputed or sylow_table(m, fq, k, cap=cap)
     if table.order != expected:
         return False
-    return all(
-        iwahori_sylow_membership(group, group.element(key))
-        for key in table.elements
+    # the scan ends in the first block holding a non-member
+    outsiders = group.select(
+        table.elements, lambda A: ~iwahori_sylow_membership(group, A)
     )
+    return next(outsiders, None) is None
 
 
 def frattini_dimension_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
@@ -391,19 +385,10 @@ def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
     if not 1 <= i <= k:
         raise ValueError("congruence level must satisfy 1 <= i <= k")
     group, table = precomputed or sylow_table(m, fq, k, cap=cap)
-    identity = group.identity
-
-    def congruent(A):
-        for a in range(m):
-            for b in range(m):
-                if A[a][b][:i] != identity[a][b][:i]:
-                    return False
-        return True
-
-    members = tuple(
-        key for key in table.elements if congruent(group.element(key))
+    prefix = np.array(group.identity, dtype=np.uint8)[..., :i]
+    return group.subtable(
+        table, lambda A: (A[..., :i] == prefix).all(axis=(1, 2, 3))
     )
-    return FiniteGroupTable(table.oracle, (), members, p=fq.p)
 
 
 def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
@@ -439,35 +424,19 @@ def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
 
 def borel_subgroup(group, table):
     """Upper-triangular members of an enumerated matrix group table."""
-    members = tuple(
-        key
-        for key in table.elements
-        if all(
-            group.element(key)[i][j] == group.ring.zero
-            for i in range(group.m)
-            for j in range(i)
-        )
-    )
-    return FiniteGroupTable(table.oracle, (), members, p=table.p)
+    below = np.tril(np.ones((group.m, group.m), dtype=bool), -1)
+    return group.subtable(table, lambda A: ~A[:, below].any(axis=(1, 2)))
 
 
 def monomial_subgroup(group, table):
     """Members with exactly one nonzero entry in every row and column."""
-    zero = group.ring.zero
 
-    def is_monomial(A):
-        for i in range(group.m):
-            if sum(1 for j in range(group.m) if A[i][j] != zero) != 1:
-                return False
-        for j in range(group.m):
-            if sum(1 for i in range(group.m) if A[i][j] != zero) != 1:
-                return False
-        return True
+    def one_per_line(A):
+        nonzero = A.any(axis=3)
+        rows = (nonzero.sum(axis=2) == 1).all(axis=1)
+        return rows & (nonzero.sum(axis=1) == 1).all(axis=1)
 
-    members = tuple(
-        key for key in table.elements if is_monomial(group.element(key))
-    )
-    return FiniteGroupTable(table.oracle, (), members, p=table.p)
+    return group.subtable(table, one_per_line)
 
 
 def weyl_representatives(group):

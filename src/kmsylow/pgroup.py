@@ -13,10 +13,15 @@ multiplied in.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 
 DEFAULT_CAP = 2 ** 21
+COMPILE_CACHE = 512  # compiled right factors kept per bulk hook
+SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
 
 
 @dataclass(frozen=True)
@@ -25,6 +30,45 @@ class GroupOracle:
     mul: object  # (key, key) -> key
     inv: object  # key -> key
     mul_many: object = None  # optional: (list of keys, key) -> list of keys
+
+
+def key_rows(keys, width):
+    """Keys of width bytes as the rows of an (n, width) uint8 array.  A key
+    is its row's coefficients, so both models share this codec."""
+    return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width)
+
+
+def row_keys(rows):
+    """The rows of an (n, width) uint8 array as keys."""
+    flat = rows.tobytes()
+    width = rows.shape[1]
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
+def bulk_hook(width, compile_right_mul):
+    """A mul_many hook for keys of width bytes.  compile_right_mul(g) maps
+    an (n, width) uint8 array to its rows times g; the compiled maps are
+    cached per g, and the cache is cleared when full."""
+    compiled = {}
+
+    def mul_many(keys, g):
+        g = bytes(g)
+        fn = compiled.get(g)
+        if fn is None:
+            if len(compiled) >= COMPILE_CACHE:
+                compiled.clear()
+            fn = compiled[g] = compile_right_mul(g)
+        return row_keys(fn(key_rows(keys, width)))
+
+    return mul_many
+
+
+def select(keys, width, predicate):
+    """Yield, in order, the keys whose rows pass predicate, a map from an
+    (n, width) uint8 array to a mask; rows are made SCAN_BLOCK at a time."""
+    for start in range(0, len(keys), SCAN_BLOCK):
+        block = keys[start : start + SCAN_BLOCK]
+        yield from compress(block, predicate(key_rows(block, width)))
 
 
 def _bulk(oracle, keys, g):
@@ -64,18 +108,27 @@ class _Closure:
         self.gens = []
         self._genset = set()
 
-    def _absorb(self, keys):
+    def _absorb(self, keys, g):
+        """Add and return, in order, the unseen products k g, formed and
+        held SCAN_BLOCK at a time."""
         novel = []
         seen = self.seen
-        for k in keys:
-            if k not in seen:
-                if len(seen) >= self.cap:
-                    raise EnumerationCapExceeded(
-                        f"closure exceeded the cap of {self.cap} elements"
-                    )
-                seen[k] = None
-                novel.append(k)
+        for start in range(0, len(keys), SCAN_BLOCK):
+            for k in _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g):
+                if k not in seen:
+                    if len(seen) >= self.cap:
+                        raise EnumerationCapExceeded(
+                            f"closure exceeded the cap of {self.cap} elements"
+                        )
+                    seen[k] = None
+                    novel.append(k)
         return novel
+
+    def take(self):
+        """The elements in the order found; the dict goes first, so no table
+        set is built while it is alive."""
+        seen, self.seen = self.seen, None
+        return tuple(seen)
 
     def add_generators(self, new_gens):
         fresh = [
@@ -90,11 +143,11 @@ class _Closure:
         self._genset.update(fresh)
         frontier = []
         for g in fresh:
-            frontier.extend(self._absorb(_bulk(self.oracle, old, g)))
+            frontier.extend(self._absorb(old, g))
         while frontier:
             nxt = []
             for g in self.gens:
-                nxt.extend(self._absorb(_bulk(self.oracle, frontier, g)))
+                nxt.extend(self._absorb(frontier, g))
             frontier = nxt
 
 
@@ -103,9 +156,8 @@ def closure(generators, oracle, cap=DEFAULT_CAP, p=None):
     deterministic order."""
     state = _Closure(oracle, cap)
     state.add_generators(list(generators))
-    return FiniteGroupTable(
-        oracle, tuple(dict.fromkeys(generators)), tuple(state.seen), p=p
-    )
+    gens = tuple(dict.fromkeys(generators))
+    return FiniteGroupTable(oracle, gens, state.take(), p=p)
 
 
 def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None):
@@ -132,7 +184,7 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None):
             if x not in state.seen:
                 worklist.append(x)
                 state.add_generators([x])
-    return FiniteGroupTable(oracle, tuple(worklist), tuple(state.seen), p=p)
+    return FiniteGroupTable(oracle, tuple(worklist), state.take(), p=p)
 
 
 def _power(oracle, key, n):

@@ -30,6 +30,7 @@ from .pgroup import (
     GroupOracle,
     _log_exact,
     _power,
+    bulk_hook,
     closure,
     generator_commutators,
     normal_closure,
@@ -143,7 +144,6 @@ class UnipotentModel:
         )
         self._code_ops = _CodeOps(fq)
         self._poly_ops = _PolyOps(fq)
-        self._compiled = {}
 
     def _bracket_vec(self, ops, a, b):
         out = [ops.zero] * self.dim
@@ -191,9 +191,6 @@ class UnipotentModel:
         return out
 
     def _compile_right_mul(self, gkey):
-        fn = self._compiled.get(gkey)
-        if fn is not None:
-            return fn
         ops = self._poly_ops
         xs = [{(i,): 1} for i in range(self.dim)]
         ys = [{(): c} if c else {} for c in gkey]
@@ -218,13 +215,9 @@ class UnipotentModel:
                 out[:, k] = acc
             return out
 
-        if len(self._compiled) >= 512:
-            self._compiled.clear()
-        self._compiled[gkey] = fn
         return fn
 
     def oracle(self):
-        dim = self.dim
         fq = self.fq
 
         def mul(a, b):
@@ -233,23 +226,11 @@ class UnipotentModel:
         def inv(a):
             return bytes(fq.neg(c) for c in a)
 
-        def mul_many(keys, g):
-            fn = self._compile_right_mul(bytes(g))
-            X = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
-                len(keys), dim
-            )
-            flat = fn(X).tobytes()
-            return [flat[i * dim : (i + 1) * dim] for i in range(len(keys))]
-
-        return GroupOracle(
-            identity=bytes(dim), mul=mul, inv=inv, mul_many=mul_many
-        )
+        mul_many = bulk_hook(self.dim, self._compile_right_mul)
+        return GroupOracle(bytes(self.dim), mul, inv, mul_many)
 
     def key(self, x):
         return bytes(x)
-
-    def element(self, key):
-        return tuple(key)
 
 
 def root_group_element(model, gamma, a):
@@ -329,25 +310,20 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
 
     comms = generator_commutators(oracle, gens)
     powers = [_power(oracle, g, p) for g in gens]
+    derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
+    if all(x == oracle.identity for x in powers):
+        # adding identities to the seeds cannot change the closure
+        frattini = derived
+        frattini_eq_derived = True
+    else:
+        frattini = normal_closure(comms + powers, gens, oracle, cap=cap, p=p)
+        frattini_eq_derived = derived.element_set == frattini.element_set
 
     if full_order <= cap:
         G = closure(gens, oracle, cap=cap, p=p)
         generators_generate = G.order == full_order
-        derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
-        frattini = normal_closure(comms + powers, gens, oracle, cap=cap, p=p)
-        frattini_eq_derived = derived.element_set == frattini.element_set
         index = G.order // frattini.order
     else:
-        derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
-        if all(x == oracle.identity for x in powers):
-            # adding identities to the seeds cannot change the closure
-            frattini = derived
-            frattini_eq_derived = True
-        else:
-            frattini = normal_closure(
-                comms + powers, gens, oracle, cap=cap, p=p
-            )
-            frattini_eq_derived = derived.element_set == frattini.element_set
         index = subgroup_index(frattini, gens, oracle, cap=cap)
         generators_generate = frattini.order * index == full_order
 

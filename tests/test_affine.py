@@ -8,10 +8,13 @@ from kmsylow.affine import (
     AffineMatrixGroup,
     TruncatedPolyRing,
     affine_cartan_matrix,
+    borel_subgroup,
     commutator_identity_check,
     congruence_subgroup,
+    enumerate_special_linear,
     frattini_dimension_affine,
     iwahori_sylow_membership,
+    monomial_subgroup,
     sylow_generators,
     sylow_order,
     sylow_table,
@@ -27,10 +30,13 @@ from kmsylow.errors import (
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import check_off_diagonal_hypothesis
 from kmsylow.pgroup import (
+    SCAN_BLOCK,
+    FiniteGroupTable,
     check_filtration_lemma,
     closure,
     commutator,
     derived_subgroup,
+    key_rows,
 )
 
 from sylow_enumeration import brute_force_sylow, frattini_dimension_of
@@ -78,6 +84,27 @@ def test_membership_examples():
     assert not iwahori_sylow_membership(group, lower_const)
     lower_t = group.elementary(1, 0, ring.t)
     assert iwahori_sylow_membership(group, lower_t)
+
+
+@pytest.mark.parametrize("k, members", [(1, 6), (2, 81)])
+def test_membership_on_a_stack_matches_each_matrix(k, members):
+    # SL_2(F_3) at k = 1 and the (2, F_3, 2) Sylow at k = 2, each followed
+    # by its products with a lower constant elementary; mod t the members
+    # are the 3 unipotent upper-triangular matrices and their products
+    group = AffineMatrixGroup(2, F3, k)
+    if k == 1:
+        _, table = enumerate_special_linear(2, F3)
+    else:
+        _, table = sylow_table(2, F3, k, group=group)
+    oracle = table.oracle
+    lower = group.key(group.elementary(1, 0, group.ring.one))
+    keys = list(table.elements) + [oracle.mul(key, lower) for key in table.elements]
+    stack = key_rows(keys, group.width).reshape(-1, 2, 2, k)
+    got = iwahori_sylow_membership(group, stack)
+    want = [iwahori_sylow_membership(group, group.element(key)) for key in keys]
+    assert got.shape == (len(keys),)
+    assert got.tolist() == [bool(w) for w in want]
+    assert sum(want) == members
 
 
 def test_sylow_generators_shape():
@@ -260,6 +287,23 @@ def test_congruence_chain():
             assert powed in K_next.element_set
 
 
+def test_scans_across_block_boundaries():
+    pre = sylow_table(2, F3, 4)
+    assert pre[1].order == 3 ** 10 > SCAN_BLOCK
+    chain = [congruence_subgroup(2, F3, 4, i, precomputed=pre) for i in (1, 2, 3, 4)]
+    assert [K.order for K in chain] == [3 ** 9, 3 ** 6, 3 ** 3, 1]
+    group, table = pre
+    assert verify_generation(2, F3, 4, precomputed=pre)
+    # one non-member in the last block fails the membership scan
+    outsider = group.key(group.elementary(1, 0, group.ring.one))
+    forged = FiniteGroupTable(table.oracle, (), table.elements[:-1] + (outsider,))
+    assert not verify_generation(2, F3, 4, precomputed=(group, forged))
+    group, table = enumerate_special_linear(3, F3)
+    assert table.order == 5616 > SCAN_BLOCK
+    assert borel_subgroup(group, table).order == 108
+    assert monomial_subgroup(group, table).order == 24
+
+
 def test_congruence_subgroup_validation():
     with pytest.raises(ValueError):
         congruence_subgroup(2, F3, 2, 0)
@@ -300,16 +344,34 @@ def test_reduction_is_homomorphism():
     assert gens_big == sylow_generators(2, F3, 2)
 
 
+def _reduce(big, small, keys):
+    return {small.key(big.reduce_to(big.element(key), small)) for key in keys}
+
+
 def test_reduction_maps_sylow_onto_sylow():
     big = AffineMatrixGroup(2, F2, 3)
     small = AffineMatrixGroup(2, F2, 2)
+    # at q = 2 the standard generators close up short of the Sylow, so the
+    # Sylow subgroups are the membership enumerations: 128 onto 16 elements
+    big_sylow = brute_force_sylow(2, F2, 3)
+    small_sylow = brute_force_sylow(2, F2, 2)
+    assert (len(big_sylow), len(small_sylow)) == (128, 16)
+    assert _reduce(big, small, big_sylow) == small_sylow
+    # the closures of the standard generators (16 and 8 elements) also
+    # reduce onto each other
     _, big_table = sylow_table(2, F2, 3, group=big)
     _, small_table = sylow_table(2, F2, 2, group=small)
-    image = {
-        small.key(big.reduce_to(big.element(k), small))
-        for k in big_table.elements
-    }
-    assert image == set(small_table.elements)
+    assert _reduce(big, small, big_table.elements) == set(small_table.elements)
+    # at q = 3 the generated tables are the Sylow subgroups: 2 187 onto 81
+    big = AffineMatrixGroup(2, F3, 3)
+    small = AffineMatrixGroup(2, F3, 2)
+    _, big_table = sylow_table(2, F3, 3, group=big)
+    _, small_table = sylow_table(2, F3, 2, group=small)
+    assert (big_table.order, small_table.order) == (
+        sylow_order(2, F3, 3),
+        sylow_order(2, F3, 2),
+    ) == (2187, 81)
+    assert _reduce(big, small, big_table.elements) == set(small_table.elements)
 
 
 def test_bulk_multiplication_matches_scalar():

@@ -3,12 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 from kmsylow.pgroup import (
+    COMPILE_CACHE,
+    SCAN_BLOCK,
     FiniteGroupTable,
     GroupOracle,
+    bulk_hook,
     check_filtration_lemma,
     closure,
     commutator,
@@ -16,8 +20,11 @@ from kmsylow.pgroup import (
     frattini_quotient_dimension,
     frattini_subgroup,
     is_perfect,
+    key_rows,
     normal_closure,
     orders_are_p_powers,
+    row_keys,
+    select,
     subgroup_index,
 )
 
@@ -84,6 +91,30 @@ def test_closure_full_vector_group():
     table = closure([bytes((1, 0)), bytes((0, 1))], oracle, p=3)
     assert table.order == 9
     assert orders_are_p_powers(table, 3)
+
+
+def test_closure_multiplies_a_block_at_a_time():
+    # (Z/3)^10 has frontiers above a block; the bulk hook never sees
+    # more than a block of keys, and the order matches the scalar path
+    p, d = 3, 10
+    scalar = vector_oracle(p, d)
+    sizes = []
+
+    def compile_right_mul(g):
+        return lambda X: (X + np.frombuffer(g, dtype=np.uint8)) % p
+
+    hook = bulk_hook(d, compile_right_mul)
+
+    def mul_many(keys, g):
+        sizes.append(len(keys))
+        return hook(keys, g)
+
+    bulk = GroupOracle(scalar.identity, scalar.mul, scalar.inv, mul_many)
+    gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
+    table = closure(gens, bulk, p=p)
+    assert table.order == p ** d
+    assert max(sizes) == SCAN_BLOCK
+    assert table.elements == closure(gens, scalar, p=p).elements
 
 
 def test_closure_is_generator_order_independent():
@@ -276,3 +307,62 @@ def test_characteristic_subgroups_under_conjugation():
         assert set(conj_table.elements) == set(table.elements)
         assert set(derived_subgroup(conj_table).elements) == derived_ref
         assert set(frattini_subgroup(conj_table).elements) == frattini_ref
+
+
+def test_key_rows_and_row_keys_invert_each_other():
+    keys = [bytes((i, 2 * i % 7, 255 - i)) for i in range(20)]
+    rows = key_rows(keys, 3)
+    assert rows.shape == (20, 3) and rows.dtype == np.uint8
+    assert rows[5].tolist() == [5, 3, 250]
+    assert row_keys(rows) == keys
+    assert key_rows([], 3).shape == (0, 3)
+    assert row_keys(np.zeros((0, 3), dtype=np.uint8)) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
+def test_select_equals_python_filter(n):
+    rng = random.Random(n)
+    keys = tuple(bytes(rng.randrange(5) for _ in range(3)) for _ in range(n))
+    blocks = []
+
+    def predicate(rows):
+        blocks.append(len(rows))
+        return (rows[:, 0] + rows[:, 2]) % 2 == 1
+
+    got = list(select(keys, 3, predicate))
+    assert got == [k for k in keys if (k[0] + k[2]) % 2 == 1]
+    assert sum(blocks) == n and all(size <= SCAN_BLOCK for size in blocks)
+
+
+def test_select_stops_at_the_block_it_is_left_in():
+    keys = tuple(bytes([i % 256, i // 256]) for i in range(3 * SCAN_BLOCK))
+    seen = []
+
+    def predicate(rows):
+        seen.append(len(rows))
+        return rows[:, 0] == 7
+
+    assert next(select(keys, 2, predicate)) == bytes([7, 0])
+    assert seen == [SCAN_BLOCK]
+
+
+def test_bulk_hook_compiles_each_right_factor_once():
+    p, d = 5, 3
+    compiled = []
+
+    def compile_right_mul(g):
+        compiled.append(g)
+        return lambda X: (X + np.frombuffer(g, dtype=np.uint8)) % p
+
+    mul_many = bulk_hook(d, compile_right_mul)
+    mul = vector_oracle(p, d).mul
+    keys = [bytes(v) for v in itertools.product(range(p), repeat=d)]
+    for g in (b"\x01\x02\x03", b"\x04\x00\x01", b"\x01\x02\x03"):
+        assert mul_many(keys, g) == [mul(k, g) for k in keys]
+    assert compiled == [b"\x01\x02\x03", b"\x04\x00\x01"]
+    # a full cache is cleared, so the first factor compiles again
+    for i in range(COMPILE_CACHE):
+        mul_many(keys[:2], (1000 + i).to_bytes(d, "big"))
+    compiled.clear()
+    mul_many(keys[:2], b"\x01\x02\x03")
+    assert compiled == [b"\x01\x02\x03"]
