@@ -12,6 +12,7 @@ as (n, m, m, k) coefficient stacks, one block at a time.
 """
 
 import time
+from math import prod
 
 import numpy as np
 
@@ -391,35 +392,29 @@ def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
     )
 
 
-def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
-    """All of SL_m(F_q) by brute filtering, with elementary transvections
-    as the recorded generating set."""
-    import itertools
+def special_linear_order(m, fq):
+    """|SL_m(F_q)| = q^(m(m-1)/2) * prod_{i=2..m} (q^i - 1)."""
+    return fq.q ** (m * (m - 1) // 2) * prod(fq.q ** i - 1 for i in range(2, m + 1))
 
-    group = AffineMatrixGroup(m, fq, 1)
-    if fq.q ** (m * m) > cap * 8:
+
+def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
+    """All of SL_m(F_q) as the closure of the elementary transvections
+    1 + v E_{i,j}, v over an F_p-basis of F_q, which generate it.  An order
+    above the cap is refused before anything is enumerated."""
+    order = special_linear_order(m, fq)
+    if order > cap:
         raise EnumerationCapExceeded(
-            f"q^(m^2) = {fq.q ** (m * m)} is too large to filter"
+            f"|SL_{m}(F_{fq.q})| = {order} exceeds the cap of {cap}"
         )
-    elements = []
-    one = group.ring.one
-    for codes in itertools.product(range(fq.q), repeat=m * m):
-        A = tuple(
-            tuple((codes[i * m + j],) for j in range(m)) for i in range(m)
-        )
-        if group.det(A) == one:
-            elements.append(group.key(A))
-    gens = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                for code in fq.basis:
-                    gens.append(
-                        group.key(group.elementary(i, j, (code,)))
-                    )
-    oracle = group.oracle()
-    table = FiniteGroupTable(oracle, tuple(gens), tuple(elements), p=fq.p)
-    return group, table
+    group = AffineMatrixGroup(m, fq, 1)
+    gens = [
+        group.key(group.elementary(i, j, (code,)))
+        for i in range(m)
+        for j in range(m)
+        if i != j
+        for code in fq.basis
+    ]
+    return group, closure(gens, group.oracle(), cap=cap, p=fq.p)
 
 
 def borel_subgroup(group, table):

@@ -374,10 +374,14 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
     T1: B and N generate G and B cap N is normal in N.  T2: the images of
     s_reps generate W = N/(B cap N) and are involutions.  T3: for all s, w:
     s B w lies in BwB union BswB.  T4: no s normalizes B into itself.
+    The s_reps lie in N.  W is never formed as a set of cosets: generation
+    is one closure, and the double cosets, s B w and s B s are formed by
+    bulk right-multiplication.
     """
     oracle = G.oracle
     b_set = B.element_set
-    t_set = frozenset(k for k in N.elements if k in b_set)
+    torus = [k for k in N.elements if k in b_set]
+    t_set = frozenset(torus)
 
     gen_union = closure(tuple(B.elements) + tuple(N.elements), oracle, cap=cap)
     t1 = gen_union.order == G.order and all(
@@ -386,61 +390,38 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
         for t in t_set
     )
 
-    def coset_of(key):
-        return frozenset(oracle.mul(t, key) for t in t_set)
+    # T is normal in N (T1), so the images of s_reps generate W = N/T
+    # exactly when T and s_reps generate N
+    generated = closure(torus + list(s_reps), oracle, cap=cap)
+    t2 = generated.element_set == N.element_set and all(
+        s not in t_set and oracle.mul(s, s) in t_set for s in s_reps
+    )
 
-    # W as the set of cosets T.n, each with a deterministic representative
-    rep = {}
+    # one representative n_w per coset T n, in the order of N
+    reps, seen = [], set()
     for n in N.elements:
-        c = coset_of(n)
-        rep.setdefault(c, min(c))
-    identity_coset = coset_of(oracle.identity)
-    s_cosets = [coset_of(s) for s in s_reps]
+        if n not in seen:
+            reps.append(n)
+            seen.update(_bulk(oracle, torus, n))
 
-    def coset_mul(w1, w2):
-        return coset_of(oracle.mul(rep[w1], rep[w2]))
+    b_elems = list(B.elements)
+    double_cosets = []
+    for n_w in reps:
+        bn = _bulk(oracle, b_elems, n_w)
+        double_cosets.append({x for b in b_elems for x in _bulk(oracle, bn, b)})
+    # double cosets are equal or disjoint, so this maps each covered element
+    # to the one double coset holding it
+    holder = {x: dc for dc in double_cosets for x in dc}
 
-    generated = {identity_coset}
-    frontier = [identity_coset]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in s_cosets:
-                prod = coset_mul(w, s)
-                if prod not in generated:
-                    generated.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    t2 = len(generated) == len(rep) and all(
-        s != identity_coset and coset_mul(s, s) == identity_coset for s in s_cosets
-    )
-
-    b_elems = tuple(B.elements)
-    double_cosets = {}
-    for w, n_w in rep.items():
-        dc = set()
-        for b1 in b_elems:
-            left = oracle.mul(b1, n_w)
-            dc.update(oracle.mul(left, b2) for b2 in b_elems)
-        double_cosets[w] = frozenset(dc)
-
+    s_cosets = [(s, [oracle.mul(s, b) for b in b_elems]) for s in s_reps]
     t3 = all(
-        oracle.mul(oracle.mul(rep[s], b), rep[w])
-        in double_cosets[w] | double_cosets[coset_mul(s, w)]
-        for s in s_cosets
-        for w in rep
-        for b in b_elems
+        set(_bulk(oracle, s_b, n_w)) <= dc | holder[oracle.mul(s, n_w)]
+        for s, s_b in s_cosets
+        for n_w, dc in zip(reps, double_cosets)
     )
+    t4 = all(not b_set.issuperset(_bulk(oracle, s_b, s)) for s, s_b in s_cosets)
 
-    t4 = all(
-        any(oracle.mul(oracle.mul(rep[s], b), rep[s]) not in b_set for b in b_elems)
-        for s in s_cosets
-    )
-
-    union_size = sum(len(dc) for dc in double_cosets.values())
-    covered = set()
-    for dc in double_cosets.values():
-        covered.update(dc)
-    bruhat = covered == set(G.elements) and union_size == G.order
+    union_size = sum(len(dc) for dc in double_cosets)
+    bruhat = holder.keys() == G.element_set and union_size == G.order
 
     return {"T1": t1, "T2": t2, "T3": t3, "T4": t4, "bruhat_partition": bruhat}

@@ -132,6 +132,19 @@ def test_verify_skips_are_named_and_do_not_fail(tmp_path, capsys):
     assert "HypothesisViolated" in out
 
 
+def test_tits_check_over_the_cap_is_skipped(tmp_path, capsys):
+    # |SL_3(F_2)| = 168 exceeds a cap of 100
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": 3, "q": 2, "k": 1, "checks": ["tits"]},
+        ],
+    }
+    path = write_json(tmp_path, "tits_cap.json", campaign)
+    assert run(["verify", path, "--cap", "100", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["instances"][0]["results"][0]
+    assert (result["status"], result["reason"]) == ("skipped", "EnumerationCapExceeded")
+
+
 def test_verify_failure_sets_exit_code(tmp_path, capsys):
     # two standard generators cannot generate this Sylow subgroup: its
     # Frattini quotient has dimension 3, so the check honestly fails

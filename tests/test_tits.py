@@ -3,17 +3,23 @@
 import pytest
 
 from kmsylow.affine import (
+    AffineMatrixGroup,
     borel_subgroup,
     enumerate_special_linear,
     monomial_subgroup,
+    special_linear_order,
     weyl_representatives,
 )
+from kmsylow.errors import EnumerationCapExceeded
 from kmsylow.fields import FqConfig
 from kmsylow.pgroup import FiniteGroupTable, GroupOracle, is_perfect, verify_tits_axioms
+from sylow_enumeration import brute_force_special_linear
 
 F2 = FqConfig(2)
 F3 = FqConfig(3)
 F4 = FqConfig(2, 2)
+F5 = FqConfig(5)
+F9 = FqConfig(3, 2)
 
 
 def sl_data(m, fq):
@@ -21,6 +27,29 @@ def sl_data(m, fq):
     B = borel_subgroup(group, table)
     N = monomial_subgroup(group, table)
     return group, table, B, N, weyl_representatives(group)
+
+
+@pytest.mark.parametrize(
+    "m,fq,order",
+    [(2, F2, 6), (2, F3, 24), (3, F2, 168), (2, F4, 60), (2, F5, 120),
+     (2, F9, 720), (3, F3, 5616)],
+    ids=["sl2f2", "sl2f3", "sl3f2", "sl2f4", "sl2f5", "sl2f9", "sl3f3"],
+)
+def test_special_linear_equals_determinant_filter(m, fq, order):
+    _, table = enumerate_special_linear(m, fq)
+    assert table.order == special_linear_order(m, fq) == order
+    assert table.element_set == brute_force_special_linear(m, fq)
+
+
+def test_special_linear_cap_is_checked_before_enumeration(monkeypatch):
+    def unused_oracle(group):
+        raise AssertionError("the oracle was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AffineMatrixGroup, "oracle", unused_oracle)
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_special_linear(3, F2, cap=167)
+    assert enumerate_special_linear(3, F2, cap=168)[1].order == 168
 
 
 def test_sl_orders():
@@ -32,32 +61,69 @@ def test_sl_orders():
     assert (t32.order, b32.order, n32.order) == (168, 8, 6)
 
 
+def _report(bits):
+    """The report dict written as its five verdicts T1 T2 T3 T4 bruhat."""
+    keys = ("T1", "T2", "T3", "T4", "bruhat_partition")
+    return {key: bit == "1" for key, bit in zip(keys, bits)}
+
+
+def _proper(G, B, N, S):
+    return B, N, S
+
+
+def _no_reflections(G, B, N, S):
+    return B, N, []
+
+
+def _borel_is_group(G, B, N, S):
+    return G, N, S
+
+
+def _borel_is_torus(G, B, N, S):
+    # B n N alone, so B and N generate only N
+    torus = tuple(k for k in N.elements if k in B.element_set)
+    return FiniteGroupTable(G.oracle, (), torus, p=G.p), N, S
+
+
+def _identity_reflection(G, B, N, S):
+    return B, N, [G.oracle.identity]
+
+
+def _first_reflection(G, B, N, S):
+    return B, N, S[:1]
+
+
+def _rotation_first(G, B, N, S):
+    # s1 s2 has order 3, so it is no involution and breaks T3
+    return B, N, [G.oracle.mul(S[0], S[1])] + list(S)
+
+
+GROUPS = {"sl2f2": (2, F2), "sl2f3": (2, F3), "sl3f2": (3, F2), "sl2f4": (2, F4)}
+
+TITS_CASES = [
+    (name, variant, bits)
+    for name in GROUPS
+    for variant, bits in [
+        (_proper, "11111"),
+        (_no_reflections, "10111"),
+        (_borel_is_group, "10101"),
+        (_borel_is_torus, "01100"),
+        (_identity_reflection, "10101"),
+    ]
+] + [
+    ("sl3f2", _first_reflection, "10111"),
+    ("sl3f2", _rotation_first, "10011"),
+]
+
+
 @pytest.mark.parametrize(
-    "m,fq", [(2, F2), (2, F3), (3, F2)], ids=["sl2f2", "sl2f3", "sl3f2"]
+    "name,variant,bits",
+    TITS_CASES,
+    ids=[f"{name}-{variant.__name__[1:]}" for name, variant, _ in TITS_CASES],
 )
-def test_tits_axioms_hold(m, fq):
-    _, G, B, N, s_reps = sl_data(m, fq)
-    report = verify_tits_axioms(G, B, N, s_reps)
-    assert report == {
-        "T1": True,
-        "T2": True,
-        "T3": True,
-        "T4": True,
-        "bruhat_partition": True,
-    }
-
-
-def test_tits_axioms_fail_for_bad_borel():
-    # N alone does not generate SL_2(F_3) together with the torus
-    _, G, B, N, s_reps = sl_data(2, F3)
-    torus = FiniteGroupTable(
-        G.oracle,
-        (),
-        tuple(k for k in N.elements if k in B.element_set),
-        p=G.p,
-    )
-    report = verify_tits_axioms(G, torus, N, s_reps)
-    assert not report["T1"]
+def test_tits_axioms_report(name, variant, bits):
+    _, G, B, N, s_reps = sl_data(*GROUPS[name])
+    assert verify_tits_axioms(G, *variant(G, B, N, s_reps)) == _report(bits)
 
 
 def test_trivial_group_edge_case():
