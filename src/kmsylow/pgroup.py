@@ -9,7 +9,9 @@ serves coordinate groups and matrix groups.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
-multiplied in.
+multiplied in.  A model that also supplies a leading-term map for a central
+filtration gets exact subgroup orders from the layered engine, which lists
+no elements and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -206,6 +208,64 @@ def generator_commutators(oracle, gens):
     return [
         commutator(oracle, a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]
     ]
+
+
+def _sift(g, rows, lead, mul, identity, p):
+    """Reduce g by the sequence rows: level -> [(pivot, vector, powers)].
+    Returns None when g reduces to the identity, else (remainder, level,
+    its leading vector, pivot)."""
+    while g != identity:
+        level, vec = lead(g)
+        for pivot, row, powers in rows.get(level, ()):
+            e = vec[pivot]
+            if e:
+                g = mul(g, powers[p - e])
+                vec = [(a - e * b) % p for a, b in zip(vec, row)]
+        pivot = next((j for j, a in enumerate(vec) if a), None)
+        if pivot is not None:
+            return g, level, vec, pivot
+    return None
+
+
+def layered_order(generators, oracle, lead, p, conjugators=()):
+    """Order of the subgroup the generators generate or, given conjugators,
+    of the smallest subgroup holding them that the conjugators normalize,
+    found without listing its elements.
+
+    lead(key) maps every key but the identity to (level, vector over F_p)
+    for a filtration G = G_1 > G_2 > ... > 1 with [G_l, G] and G_l^p inside
+    G_(l+1), each G_l / G_(l+1) elementary abelian with the vector as its
+    coordinates.  The subgroup is built as an induced polycyclic sequence
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8):
+    an element is sifted by the sequence, and a remainder joins it with its
+    leading vector reduced and scaled to pivot 1; then the remainder's p-th
+    power, its commutators with the sequence and its conjugates are sifted
+    in turn.  Once all of these sift to the identity, the words in the
+    sequence form the subgroup, of order p^(length).
+    """
+    identity, mul = oracle.identity, oracle.mul
+    conjs = [(c, oracle.inv(c)) for c in dict.fromkeys(conjugators)]
+    rows = {}
+    sequence = []
+    work = list(generators)
+    while work:
+        found = _sift(work.pop(), rows, lead, mul, identity, p)
+        if found is None:
+            continue
+        g, level, vec, pivot = found
+        scale = pow(vec[pivot], p - 2, p)
+        g = _power(oracle, g, scale)
+        powers = [identity, g]
+        for _ in range(p - 1):
+            powers.append(mul(powers[-1], g))
+        work.append(powers.pop())
+        work += [commutator(oracle, g, h) for h in sequence]
+        work += [mul(mul(c_inv, g), c) for c, c_inv in conjs]
+        rows.setdefault(level, []).append(
+            (pivot, [a * scale % p for a in vec], powers)
+        )
+        sequence.append(g)
+    return p ** len(sequence)
 
 
 def derived_subgroup(G, cap=DEFAULT_CAP):

@@ -22,7 +22,7 @@ from .errors import (
     HeightExceedsCutoff,
     NotPositiveRealRoot,
 )
-from .fields import PrimeField, rref
+from .fields import PrimeField, reduce_against, rref
 from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
@@ -33,6 +33,7 @@ from .pgroup import (
     bulk_hook,
     closure,
     generator_commutators,
+    layered_order,
     normal_closure,
     subgroup_index,
 )
@@ -131,6 +132,11 @@ class UnipotentModel:
             self.algebra.height_of(i) for i in range(self.dim)
         )
         self.identity = (0,) * self.dim
+        # coordinate indices of each height, and the F_p digits of each code
+        self._at_height = {}
+        for i, h in enumerate(self.heights):
+            self._at_height.setdefault(h, []).append(i)
+        self._digits = [fq.decode(c) for c in range(fq.q)]
         # flattened structure constants: (i, j) with i < j -> ((k, c), ...)
         self._sc = {
             key: tuple((k, int(c)) for k, c in pairs)
@@ -232,6 +238,27 @@ class UnipotentModel:
     def key(self, x):
         return bytes(x)
 
+    def lead(self, key):
+        """(height, F_p digits of the coordinates of that height) for a key
+        other than the identity, with height the least height of a nonzero
+        coordinate: the height filtration is central with elementary abelian
+        layers, so this is the layered engine's leading-term map."""
+        level = min(self.heights[i] for i, c in enumerate(key) if c)
+        digits = self._digits
+        return level, [a for i in self._at_height[level] for a in digits[key[i]]]
+
+    def fp_vector(self, key):
+        """The F_p digits of every coordinate of a key."""
+        return [a for c in key for a in self._digits[c]]
+
+    def bracket_fp(self, x, y):
+        """The Lie bracket of two F_p digit vectors, as an F_p digit vector."""
+        r, encode = self.fq.r, self.fq.encode
+        a, b = (
+            [encode(v[i : i + r]) for i in range(0, len(v), r)] for v in (x, y)
+        )
+        return self.fp_vector(self._bracket_vec(self._code_ops, a, b))
+
 
 def root_group_element(model, gamma, a):
     """Element with coefficient a on the basis vector of a positive real
@@ -289,14 +316,64 @@ def _non_simple_real_root_elements(model):
     return out
 
 
+def _lie_closure(model, seeds, partners=None):
+    """F_p digit vectors spanning the smallest subspace that holds the seeds
+    and is closed under the bracket with itself or, given partners, with
+    their span."""
+    fld = PrimeField(model.fq.p)
+    members, basis, pivots = [], [], []
+    work = list(seeds)
+    while work:
+        v = work.pop()
+        if any(reduce_against(v, basis, pivots, fld)):
+            basis, pivots = rref(basis + [v], fld)
+            work += [
+                model.bracket_fp(v, w)
+                for w in (members if partners is None else partners)
+            ]
+            members.append(v)
+    return members
+
+
+def lazard_orders(model, generators, rhs_generators):
+    """Orders of the subgroup the generators generate, of its Frattini
+    subgroup and of the subgroup the rhs generators generate, by linear
+    algebra alone.
+
+    Since p exceeds the cutoff, which bounds the nilpotency class, the
+    Lazard correspondence (Khukhro, p-Automorphisms of Finite p-Groups,
+    ch. 9-10) sends the subgroup a set generates to the F_p-Lie subalgebra
+    that the logarithms generate (an element's logarithm is its coordinate
+    vector), and the derived subgroup to the derived algebra; the group has
+    exponent p, so that is also the Frattini subgroup.  A subgroup has
+    order p^d, with d the F_p-dimension of its algebra.
+    """
+    p = model.fq.p
+    logs = [model.fp_vector(g) for g in generators]
+    algebra = _lie_closure(model, logs)
+    brackets = [
+        model.bracket_fp(x, y) for i, x in enumerate(logs) for y in logs[i + 1 :]
+    ]
+    derived = _lie_closure(model, brackets, algebra)
+    rhs = _lie_closure(model, [model.fp_vector(g) for g in rhs_generators])
+    return p ** len(algebra), p ** len(derived), p ** len(rhs)
+
+
 def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     """Frattini-subgroup verification on one truncated instance.
 
-    Reports the first-homology dimension three ways (black-box subgroup
-    computation, bracket-span linear algebra, and the predicted value
-    size * r), whether the Frattini subgroup equals the derived subgroup,
-    the orders of both sides of the non-simple real-root comparison, and
-    whether the standard generators generate the whole group.
+    Reports the first-homology dimension four ways (enumeration, the layered
+    engine, bracket-span linear algebra and the predicted value size * r),
+    whether the Frattini subgroup equals the derived subgroup, the orders of
+    both sides of the non-simple real-root comparison, and whether the
+    standard generators generate the whole group; the last three from the
+    group engine named in group_engine, and the orders and generation also
+    by the Lazard correspondence.
+
+    The layered orders are an exact preflight: the group is enumerated only
+    when every table the enumeration builds fits under the cap, and
+    otherwise h1_blackbox is None and the group fields come from the
+    layered engine.
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)
@@ -306,63 +383,75 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     oracle = model.oracle()
     p = fq.p
     gens = [model.key(g) for g in standard_generators(model)]
+    rhs_gens = [model.key(g) for g in _non_simple_real_root_elements(model)]
     full_order = fq.q ** model.dim
 
     comms = generator_commutators(oracle, gens)
     powers = [_power(oracle, g, p) for g in gens]
-    derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
-    if all(x == oracle.identity for x in powers):
-        # adding identities to the seeds cannot change the closure
-        frattini = derived
-        frattini_eq_derived = True
-    else:
-        frattini = normal_closure(comms + powers, gens, oracle, cap=cap, p=p)
+    # adding identities to the seeds cannot change a normal closure
+    powers_trivial = all(x == oracle.identity for x in powers)
+
+    def layered(keys, conjugators=()):
+        return layered_order(keys, oracle, model.lead, p, conjugators)
+
+    order = layered(gens)
+    derived_order = layered(comms, gens)
+    frattini_order = derived_order if powers_trivial else layered(comms + powers, gens)
+    rhs_order = layered(rhs_gens)
+    index = order // frattini_order
+    h1_layered = _log_exact(index, p)
+
+    # the tables enumeration builds: the derived and Frattini subgroups, the
+    # right side, and the group or, if it is over the cap, Frattini cosets
+    tables = (
+        derived_order, frattini_order, rhs_order, order if order <= cap else index
+    )
+    if max(tables) <= cap:
+        group_engine = "enumeration"
+        derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
+        if powers_trivial:
+            frattini = derived
+        else:
+            frattini = normal_closure(comms + powers, gens, oracle, cap=cap, p=p)
         frattini_eq_derived = derived.element_set == frattini.element_set
-
-    if full_order <= cap:
-        G = closure(gens, oracle, cap=cap, p=p)
-        generators_generate = G.order == full_order
-        index = G.order // frattini.order
+        if order <= cap:
+            G = closure(gens, oracle, cap=cap, p=p)
+            generators_generate = G.order == full_order
+            index = G.order // frattini.order
+        else:
+            index = subgroup_index(frattini, gens, oracle, cap=cap)
+            generators_generate = frattini.order * index == full_order
+        h1_blackbox = _log_exact(index, p)
+        lhs_order = frattini.order
+        rhs_order = closure(rhs_gens, oracle, cap=cap, p=p).order
     else:
-        index = subgroup_index(frattini, gens, oracle, cap=cap)
-        generators_generate = frattini.order * index == full_order
+        group_engine = "layered"
+        frattini_eq_derived = derived_order == frattini_order
+        generators_generate = order == full_order
+        h1_blackbox = None
+        lhs_order = frattini_order
 
-    h1_blackbox = _log_exact(index, p)
-    rhs_gens = [model.key(g) for g in _non_simple_real_root_elements(model)]
-    rhs = closure(rhs_gens, oracle, cap=cap, p=p)
-
+    order_linear, lhs_linear, rhs_linear = lazard_orders(model, gens, rhs_gens)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return {
         "gcm": [list(row) for row in gcm.rows],
         "q": fq.q,
         "H": cutoff,
         "h1_blackbox": h1_blackbox,
+        "h1_layered": h1_layered,
         "h1_linear": frattini_dimension_linear(model),
         "h1_predicted": gcm.size * fq.r,
         "frattini_eq_derived": frattini_eq_derived,
-        "thm_ii_lhs_order": frattini.order,
-        "thm_ii_rhs_order": rhs.order,
+        "thm_ii_lhs_order": lhs_order,
+        "thm_ii_rhs_order": rhs_order,
         "generators_generate": generators_generate,
+        "thm_ii_lhs_order_linear": lhs_linear,
+        "thm_ii_rhs_order_linear": rhs_linear,
+        "generators_generate_linear": order_linear == full_order,
+        "group_engine": group_engine,
         "elapsed_ms": elapsed_ms,
         "caveat": (
             "finite height-truncated model; group-level claims are checked "
             "in the truncation, not in the full pro-p group"
         ),
     }
-
-
-def height_filtration(model, oracle=None, cap=DEFAULT_CAP):
-    """Subgroups U_i of vectors supported in heights >= i, for i = 1..H+1,
-    each enumerated through the group engine."""
-    oracle = oracle or model.oracle()
-    out = []
-    for i in range(1, model.cutoff + 2):
-        gens = []
-        for idx in range(model.dim):
-            if model.heights[idx] >= i:
-                for code in model.fq.basis:
-                    vec = [0] * model.dim
-                    vec[idx] = code
-                    gens.append(bytes(vec))
-        out.append(closure(gens, oracle, cap=cap, p=model.fq.p))
-    return out

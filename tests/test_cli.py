@@ -392,3 +392,77 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
         report = run_campaign(campaign)
         assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 4
         assert calls == {"sylow_table": runs, "verify_generation": runs}
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_a_cap_below_one(tmp_path, capsys, monkeypatch, cap):
+    def must_not_run(inst, seed, cap):
+        raise AssertionError("a check ran")
+
+    for key in list(cli.CHECKS):
+        monkeypatch.setitem(cli.CHECKS, key, must_not_run)
+    assert run(["verify", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cap must be an integer of at least 1, got {cap}"
+    ]
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, 2.0, "10"])
+def test_run_campaign_rejects_a_cap_that_is_not_a_positive_int(cap):
+    with pytest.raises(cli.CampaignError) as err:
+        run_campaign(DEFAULT_CAMPAIGN, cap=cap)
+    assert err.value.args == (f"cap must be an integer of at least 1, got {cap!r}",)
+
+
+def test_cap_problem_is_listed_with_the_campaign_problems():
+    campaign = {"instances": [{"model": "nope", "checks": ["roots"]}]}
+    with pytest.raises(cli.CampaignError) as err:
+        run_campaign(campaign, cap=0)
+    assert err.value.args == (
+        "cap must be an integer of at least 1, got 0",
+        "instance 0: unknown model 'nope'",
+    )
+    assert run_campaign({"instances": []}, cap=1)["cap"] == 1
+    assert run_campaign({"instances": []})["cap"] == cli.DEFAULT_CAP
+
+
+def _theorem1_report(**changes):
+    report = {
+        "h1_blackbox": 2, "h1_layered": 2, "h1_linear": 2, "h1_predicted": 2,
+        "frattini_eq_derived": True, "generators_generate": True,
+        "generators_generate_linear": True,
+        "thm_ii_lhs_order": 5, "thm_ii_lhs_order_linear": 5,
+        "thm_ii_rhs_order": 5, "thm_ii_rhs_order_linear": 5,
+        "group_engine": "enumeration",
+    }
+    report.update(changes)
+    return report
+
+
+@pytest.mark.parametrize(
+    "changes,ok",
+    [
+        ({}, True),
+        ({"h1_blackbox": None, "group_engine": "layered"}, True),
+        ({"h1_blackbox": 3}, False),
+        ({"h1_layered": 3}, False),
+        ({"h1_blackbox": None, "h1_linear": None}, False),
+        ({"thm_ii_lhs_order_linear": 25}, False),
+        ({"thm_ii_rhs_order_linear": 25}, False),
+        ({"generators_generate_linear": False}, False),
+        ({"thm_ii_rhs_order": 25, "thm_ii_rhs_order_linear": 25}, False),
+    ],
+)
+def test_bch_theorem1_passes_only_when_every_way_agrees(monkeypatch, changes, ok):
+    monkeypatch.setattr(
+        cli, "verify_theorem1", lambda *args, **kwargs: _theorem1_report(**changes)
+    )
+    campaign = {
+        "instances": [
+            {"model": "bch", "gcm": A2, "q": 5, "H": 3, "checks": ["theorem1"]},
+        ],
+    }
+    result = run_campaign(campaign)["instances"][0]["results"][0]
+    assert result["status"] == ("pass" if ok else "fail")

@@ -21,6 +21,7 @@ from kmsylow.pgroup import (
     frattini_subgroup,
     is_perfect,
     key_rows,
+    layered_order,
     normal_closure,
     orders_are_p_powers,
     row_keys,
@@ -78,6 +79,42 @@ def symmetric_oracle():
         return bytes(out)
 
     return GroupOracle(identity=bytes((0, 1, 2)), mul=mul, inv=inv)
+
+
+def unitriangular_oracle(n, p):
+    """UT_n(F_p) with keys the entries above the diagonal, superdiagonal by
+    superdiagonal, and the lead map of the superdiagonal filtration."""
+    places = [(i, i + d) for d in range(1, n) for i in range(n - d)]
+
+    def matrix(key):
+        A = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), a in zip(places, key):
+            A[i][j] = a
+        return A
+
+    def mul(x, y):
+        A, B = matrix(x), matrix(y)
+        return bytes(
+            sum(A[i][k] * B[k][j] for k in range(i, j + 1)) % p for i, j in places
+        )
+
+    # every element has order dividing the least power of p that is >= n
+    exponent = p
+    while exponent < n:
+        exponent *= p
+
+    def inv(x):
+        out = x
+        for _ in range(exponent - 2):
+            out = mul(out, x)
+        return out
+
+    def lead(key):
+        d = next(places[i][1] - places[i][0] for i, a in enumerate(key) if a)
+        return d, [a for (i, j), a in zip(places, key) if j - i == d]
+
+    gens = [bytes(int(k == i) for k in range(len(places))) for i in range(n - 1)]
+    return GroupOracle(bytes(len(places)), mul, inv), lead, gens
 
 
 def test_closure_trivial_and_cyclic():
@@ -366,3 +403,64 @@ def test_bulk_hook_compiles_each_right_factor_once():
     compiled.clear()
     mul_many(keys[:2], b"\x01\x02\x03")
     assert compiled == [b"\x01\x02\x03"]
+
+
+UNITRIANGULAR = [(3, 3), (4, 2), (4, 3), (5, 2)]
+
+
+def _random_keys(rng, oracle, p, count):
+    width = len(oracle.identity)
+    return [bytes(rng.randrange(p) for _ in range(width)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n,p", UNITRIANGULAR)
+def test_layered_order_of_unitriangular_group(n, p):
+    oracle, lead, gens = unitriangular_oracle(n, p)
+    whole = p ** (n * (n - 1) // 2)
+    assert layered_order(gens, oracle, lead, p) == whole
+    assert layered_order(gens[::-1], oracle, lead, p) == whole
+    assert layered_order([], oracle, lead, p) == 1
+    assert layered_order([oracle.identity], oracle, lead, p) == 1
+    assert layered_order(gens[:1], oracle, lead, p) == p
+
+
+@pytest.mark.parametrize("n,p", UNITRIANGULAR)
+def test_layered_order_equals_enumeration(n, p):
+    # p = 2 has nontrivial squares; repeated and dependent generators must
+    # not count twice
+    oracle, lead, gens = unitriangular_oracle(n, p)
+    rng = random.Random(10 * n + p)
+    for size in (1, 2, 3, 3, 4):
+        keys = _random_keys(rng, oracle, p, size)
+        keys += [oracle.mul(keys[0], keys[-1]), keys[0]]
+        assert layered_order(keys, oracle, lead, p) == closure(keys, oracle).order
+
+
+@pytest.mark.parametrize("n,p", UNITRIANGULAR)
+def test_layered_normal_closure_equals_enumeration(n, p):
+    oracle, lead, gens = unitriangular_oracle(n, p)
+    rng = random.Random(20 * n + p)
+    cases = [(gens[:1], gens), (gens[-1:], gens[:1])]
+    cases += [
+        (_random_keys(rng, oracle, p, 2), _random_keys(rng, oracle, p, 2))
+        for _ in range(4)
+    ]
+    for seeds, conjugators in cases:
+        got = layered_order(seeds, oracle, lead, p, conjugators)
+        assert got == normal_closure(seeds, conjugators, oracle).order
+    # the normal closure of one generator under all of them is more than
+    # the group it generates
+    assert layered_order(gens[:1], oracle, lead, p, gens) > p
+
+
+def test_layered_order_of_heisenberg_group():
+    p = 5
+    oracle = heisenberg_oracle(p)
+
+    def lead(key):
+        return (1, list(key[:2])) if key[0] or key[1] else (2, [key[2]])
+
+    x, y = bytes((1, 0, 0)), bytes((0, 1, 0))
+    assert layered_order([x, y], oracle, lead, p) == p ** 3
+    assert layered_order([x], oracle, lead, p, [y]) == p ** 2
+    assert layered_order([x, bytes((2, 0, 3))], oracle, lead, p) == p ** 2

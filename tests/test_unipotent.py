@@ -1,9 +1,14 @@
 """Tests for the truncated exponential group over F_q."""
 
+import glob
+import json
+import os
 import random
 
 import pytest
 
+import kmsylow.unipotent as unipotent
+from kmsylow.cli import DEFAULT_CAMPAIGN, run_campaign
 from kmsylow.errors import (
     CharacteristicTooSmall,
     HeightExceedsCutoff,
@@ -12,12 +17,12 @@ from kmsylow.errors import (
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
-from kmsylow.pgroup import closure, commutator, normal_closure
+from kmsylow.pgroup import closure, commutator, layered_order, normal_closure
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
     UnipotentModel,
     frattini_dimension_linear,
-    height_filtration,
+    lazard_orders,
     root_group_element,
     standard_generators,
     verify_theorem1,
@@ -165,10 +170,36 @@ def test_bulk_multiplication_matches_scalar():
         assert bulk == [oracle.mul(k, g) for k in keys]
 
 
+def height_subgroups(model, oracle):
+    """(generators, enumeration) of each U_i, the vectors supported in
+    heights >= i, for i = 1..H+1."""
+    out = []
+    for i in range(1, model.cutoff + 2):
+        gens = []
+        for idx in range(model.dim):
+            if model.heights[idx] >= i:
+                for code in model.fq.basis:
+                    vec = [0] * model.dim
+                    vec[idx] = code
+                    gens.append(bytes(vec))
+        out.append((gens, closure(gens, oracle, p=model.fq.p)))
+    return out
+
+
+def assert_layered_orders(model, oracle, subgroups):
+    # the layered order of U_i is q^(sum of the dimensions of heights >= i)
+    dims = model.algebra.dimensions_per_height()
+    for i, (gens, _) in enumerate(subgroups, start=1):
+        order = layered_order(gens, oracle, model.lead, model.fq.p)
+        assert order == model.fq.q ** sum(dims[i - 1 :])
+
+
 def test_height_filtration_properties():
     model = UnipotentModel(B2S, FqConfig(5), 4)
     oracle = model.oracle()
-    chain = height_filtration(model, oracle)
+    subgroups = height_subgroups(model, oracle)
+    assert_layered_orders(model, oracle, subgroups)
+    chain = [U for _, U in subgroups]
     assert chain[0].order == 5 ** model.dim
     assert chain[-1].order == 1
     gens = [model.key(g) for g in standard_generators(model)]
@@ -193,8 +224,9 @@ def test_height_filtration_properties():
 def test_first_quotient_is_elementary_abelian():
     model = UnipotentModel(A2, FqConfig(5), 3)
     oracle = model.oracle()
-    chain = height_filtration(model, oracle)
-    U1, U2 = chain[0], chain[1]
+    subgroups = height_subgroups(model, oracle)
+    assert_layered_orders(model, oracle, subgroups)
+    U1, U2 = subgroups[0][1], subgroups[1][1]
     assert U1.order // U2.order == 5 ** A2.size
     for a in U1.elements[:40]:
         for b in U1.elements[:40]:
@@ -227,9 +259,18 @@ def test_verify_theorem1_a2():
         "thm_ii_lhs_order",
         "thm_ii_rhs_order",
         "generators_generate",
+        "h1_layered",
+        "thm_ii_lhs_order_linear",
+        "thm_ii_rhs_order_linear",
+        "generators_generate_linear",
+        "group_engine",
         "elapsed_ms",
         "caveat",
     }
+    assert report["h1_layered"] == 2
+    assert report["thm_ii_lhs_order_linear"] == report["thm_ii_rhs_order_linear"] == 5
+    assert report["generators_generate_linear"] is True
+    assert report["group_engine"] == "enumeration"
 
 
 def test_verify_theorem1_b2_shape():
@@ -290,3 +331,198 @@ def test_frattini_ignores_pth_powers():
     without = normal_closure(comms, gens, oracle)
     with_powers = normal_closure(comms + powers, gens, oracle)
     assert without.element_set == with_powers.element_set
+
+
+# differential tests: enumeration, the layered engine and the Lazard
+# correspondence on every theorem-1 instance of the tests and campaigns
+
+CAMPAIGNS = os.path.join(os.path.dirname(__file__), "..", "bench", "campaigns")
+AFF3 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+BEYOND_CAP = (AFF3, 7, 5)
+
+
+def _instance_key(gcm, q, H):
+    return (tuple(gcm.rows), q, H)
+
+
+def theorem1_instances():
+    found = {}
+    for gcm, q, H in [
+        (A2, 5, 3), (A2, 25, 3), (A2, 4, 1), (B2S, 5, 4), (G2S, 5, 4),
+        (G2S, 7, 4), (AFF3, 5, 4),
+    ]:
+        found[_instance_key(gcm, q, H)] = (gcm, q, H)
+    campaigns = [DEFAULT_CAMPAIGN]
+    for path in sorted(glob.glob(f"{CAMPAIGNS}/*.json")):
+        with open(path) as fh:
+            campaigns.append(json.load(fh))
+    for campaign in campaigns:
+        for inst in campaign["instances"]:
+            if inst["model"] == "bch" and "theorem1" in inst["checks"]:
+                gcm, q, H = validate_gcm(inst["gcm"]), inst["q"], inst["H"]
+                found[_instance_key(gcm, q, H)] = (gcm, q, H)
+    return list(found.values())
+
+
+INSTANCES = theorem1_instances()
+UNDER_CAP = [
+    inst
+    for inst in INSTANCES
+    if FqConfig.from_q(inst[1]).p > inst[2]
+    and _instance_key(*inst) != _instance_key(*BEYOND_CAP)
+]
+
+
+def _ident(inst):
+    gcm, q, H = inst
+    return f"{gcm.rows}-q{q}-H{H}".replace(" ", "")
+
+
+def test_instances_cover_the_campaigns():
+    # q = 4 and q = 25 are covered; the campaigns' q = 4 instance has p <= H
+    assert {q for _, q, _ in UNDER_CAP} >= {4, 5, 7, 25}
+    assert len(INSTANCES) - len(UNDER_CAP) == 2
+    keys = {_instance_key(*inst) for inst in INSTANCES}
+    assert _instance_key(*BEYOND_CAP) in keys
+
+
+def test_every_way_refuses_a_characteristic_below_the_cutoff():
+    for gcm, q, H in INSTANCES:
+        if FqConfig.from_q(q).p <= H:
+            # the layered and Lazard ways need the model, which refuses too
+            with pytest.raises(CharacteristicTooSmall):
+                UnipotentModel(gcm, FqConfig.from_q(q), H)
+            with pytest.raises(CharacteristicTooSmall):
+                verify_theorem1(gcm, FqConfig.from_q(q), H)
+
+
+def _model_and_generators(gcm, fq, H):
+    model = UnipotentModel(gcm, fq, H)
+    gens = [model.key(g) for g in standard_generators(model)]
+    rhs = [model.key(g) for g in unipotent._non_simple_real_root_elements(model)]
+    return model, gens, rhs
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_enumeration_layered_and_lazard_agree(inst):
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    p = fq.p
+    model, gens, rhs = _model_and_generators(gcm, fq, H)
+    full = q ** model.dim
+
+    enumerated = verify_theorem1(gcm, fq, H)
+    assert enumerated["group_engine"] == "enumeration"
+    # a cap of 1 leaves every number to the layered engine
+    layered = verify_theorem1(gcm, fq, H, cap=1)
+    assert layered["group_engine"] == "layered"
+    assert layered["h1_blackbox"] is None
+
+    def ways(report, h1):
+        phi = report["thm_ii_lhs_order"]
+        return (
+            phi * p ** report[h1],
+            phi,
+            report["thm_ii_rhs_order"],
+            report[h1],
+            report["generators_generate"],
+            report["frattini_eq_derived"],
+        )
+
+    want = ways(enumerated, "h1_blackbox")
+    assert ways(layered, "h1_layered") == want
+    assert enumerated["h1_layered"] == want[3]
+
+    order, phi, rhs_order = lazard_orders(model, gens, rhs)
+    assert (order, phi, rhs_order) == want[:3]
+    assert (order == full) is want[4]
+    assert p ** enumerated["h1_linear"] == order // phi
+    for report in (enumerated, layered):
+        assert report["thm_ii_lhs_order_linear"] == phi
+        assert report["thm_ii_rhs_order_linear"] == rhs_order
+        assert report["generators_generate_linear"] is want[4]
+        assert report["h1_predicted"] == want[3]
+
+    oracle = model.oracle()
+    assert layered_order(gens, oracle, model.lead, p) == order
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration attempted")
+
+    for name in ("closure", "normal_closure", "subgroup_index"):
+        monkeypatch.setattr(unipotent, name, refuse)
+
+
+def test_beyond_the_cap_is_layered_and_linear(monkeypatch):
+    gcm, q, H = BEYOND_CAP
+    _refuse_enumeration(monkeypatch)
+    report = verify_theorem1(gcm, FqConfig(q), H)
+    assert report["group_engine"] == "layered"
+    assert report["h1_blackbox"] is None
+    assert report["h1_layered"] == report["h1_linear"] == report["h1_predicted"] == 3
+    assert report["thm_ii_lhs_order"] == report["thm_ii_lhs_order_linear"] == 7 ** 11
+    assert report["thm_ii_rhs_order"] == report["thm_ii_rhs_order_linear"] == 7 ** 9
+    assert report["generators_generate"] is report["generators_generate_linear"] is True
+    assert report["frattini_eq_derived"] is True
+
+    model, gens, rhs = _model_and_generators(gcm, FqConfig(q), H)
+    assert model.dim == 14
+    assert layered_order(gens, model.oracle(), model.lead, 7) == 7 ** 14
+    assert lazard_orders(model, gens, rhs) == (7 ** 14, 7 ** 11, 7 ** 9)
+
+    campaign = {"instances": [
+        {"model": "bch", "gcm": [list(r) for r in gcm.rows], "q": q, "H": H,
+         "checks": ["theorem1"]},
+    ]}
+    result = run_campaign(campaign)["instances"][0]["results"][0]
+    assert result["status"] == "pass"
+
+
+def test_preflight_boundary(monkeypatch):
+    # G2S at q = 5, H = 4: |G| = 5^5, Frattini subgroup and right side 5^3,
+    # Frattini index 5^2
+    fq = FqConfig(5)
+    full = verify_theorem1(G2S, fq, 4, cap=5 ** 5)
+    assert full["group_engine"] == "enumeration"
+    assert (full["thm_ii_lhs_order"], full["thm_ii_rhs_order"]) == (125, 125)
+    # under |G| the coset count replaces the closure of the group
+    cosets = verify_theorem1(G2S, fq, 4, cap=125)
+    assert cosets["group_engine"] == "enumeration"
+    with monkeypatch.context() as m:
+        _refuse_enumeration(m)
+        layered = verify_theorem1(G2S, fq, 4, cap=124)
+    assert layered["group_engine"] == "layered"
+    assert layered["h1_blackbox"] is None
+    for report in (cosets, layered):
+        for key in full:
+            if key not in ("h1_blackbox", "group_engine", "elapsed_ms"):
+                assert report[key] == full[key], key
+    assert full["h1_blackbox"] == cosets["h1_blackbox"] == layered["h1_layered"]
+
+
+def test_small_cap_keeps_every_theorem1_number():
+    bch = [
+        dict(inst, checks=["theorem1"])
+        for inst in DEFAULT_CAMPAIGN["instances"]
+        if inst["model"] == "bch" and "theorem1" in inst["checks"]
+    ]
+    campaign = dict(DEFAULT_CAMPAIGN, instances=bch)
+    uncapped = run_campaign(campaign)
+    capped = run_campaign(campaign, cap=1000)
+    engines = set()
+    for a, b in zip(uncapped["instances"], capped["instances"]):
+        (ra,), (rb,) = a["results"], b["results"]
+        assert ra["status"] == rb["status"]
+        if ra["status"] == "skipped":
+            assert ra["reason"] == rb["reason"] == "CharacteristicTooSmall"
+            continue
+        pa, pb = ra["payload"], rb["payload"]
+        assert pa["group_engine"] == "enumeration"
+        engines.add(pb["group_engine"])
+        assert pb["h1_blackbox"] in (None, pa["h1_blackbox"])
+        for key in pa:
+            if key not in ("h1_blackbox", "group_engine", "elapsed_ms"):
+                assert pa[key] == pb[key], key
+    assert engines == {"enumeration", "layered"}
