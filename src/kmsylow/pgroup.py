@@ -153,16 +153,27 @@ class _Closure:
             frontier = nxt
 
 
-def closure(generators, oracle, cap=DEFAULT_CAP, p=None):
+def _refuse_known(order, cap, what):
+    """Raise before any work when a known table order exceeds the cap."""
+    if order is not None and order > cap:
+        raise EnumerationCapExceeded(f"{what} {order} exceeds the cap of {cap}")
+
+
+def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
     """Subgroup generated by the given keys, enumerated breadth-first in a
-    deterministic order."""
+    deterministic order.
+
+    order, when known (say from layered_order), is the subgroup's exact
+    order; an order over the cap refuses before any multiplication.
+    """
+    _refuse_known(order, cap, "subgroup order")
     state = _Closure(oracle, cap)
     state.add_generators(list(generators))
     gens = tuple(dict.fromkeys(generators))
     return FiniteGroupTable(oracle, gens, state.take(), p=p)
 
 
-def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None):
+def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=None):
     """Smallest subgroup containing the seeds and invariant under conjugation
     by the conjugators.
 
@@ -170,8 +181,10 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None):
     conjugate lies in the current closure, the whole closure is conjugation
     invariant (conjugation is an automorphism).  Closure under the given
     conjugators implies closure under their inverses, because an injective
-    self-map of a finite set is a bijection.
+    self-map of a finite set is a bijection.  A known order over the cap
+    refuses before any multiplication, as in closure.
     """
+    _refuse_known(order, cap, "normal closure order")
     state = _Closure(oracle, cap)
     seeds = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
     state.add_generators(seeds)
@@ -289,13 +302,17 @@ def frattini_subgroup(G, cap=DEFAULT_CAP):
     return normal_closure(seeds, gens, G.oracle, cap=cap, p=G.p)
 
 
-def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP):
+def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
     """Number of right cosets of an enumerated subgroup inside the group the
     given keys generate.  The subgroup must lie inside that group.
 
     Coset identification tests sub . candidate = sub . rep via
     rep . candidate^-1 in sub, evaluated in bulk across known reps.
+    order, when known, is the order of the generated group; an index
+    order / |sub| over the cap refuses before any coset is formed.
     """
+    if order is not None:
+        _refuse_known(order // sub.order, cap, "index")
     sub_set = sub.element_set
     reps = [oracle.identity]
     frontier = [oracle.identity]

@@ -19,6 +19,7 @@ import numpy as np
 from .bch import bch_lyndon_terms
 from .errors import (
     CharacteristicTooSmall,
+    EnumerationCapExceeded,
     HeightExceedsCutoff,
     NotPositiveRealRoot,
 )
@@ -370,10 +371,13 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     group engine named in group_engine, and the orders and generation also
     by the Lazard correspondence.
 
-    The layered orders are an exact preflight: the group is enumerated only
-    when every table the enumeration builds fits under the cap, and
-    otherwise h1_blackbox is None and the group fields come from the
-    layered engine.
+    The layered orders are an exact preflight: each enumeration call gets
+    the known order of its table and refuses before any multiplication when
+    that order is over the cap.  The Frattini subgroup, which holds the
+    derived subgroup, is listed first and the group or its Frattini cosets
+    next, so only a coset count over the cap (or a right side larger than
+    the Frattini subgroup) refuses after a table was listed.  On a refusal
+    h1_blackbox is None and the group fields come from the layered engine.
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)
@@ -401,35 +405,35 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     index = order // frattini_order
     h1_layered = _log_exact(index, p)
 
-    # the tables enumeration builds: the derived and Frattini subgroups, the
-    # right side, and the group or, if it is over the cap, Frattini cosets
-    tables = (
-        derived_order, frattini_order, rhs_order, order if order <= cap else index
-    )
-    if max(tables) <= cap:
-        group_engine = "enumeration"
-        derived = normal_closure(comms, gens, oracle, cap=cap, p=p)
-        if powers_trivial:
-            frattini = derived
-        else:
-            frattini = normal_closure(comms + powers, gens, oracle, cap=cap, p=p)
-        frattini_eq_derived = derived.element_set == frattini.element_set
+    try:
+        frattini = normal_closure(
+            comms + powers, gens, oracle, cap=cap, p=p, order=frattini_order
+        )
+        # the group itself while it fits, else its Frattini cosets
         if order <= cap:
-            G = closure(gens, oracle, cap=cap, p=p)
+            G = closure(gens, oracle, cap=cap, p=p, order=order)
             generators_generate = G.order == full_order
             index = G.order // frattini.order
         else:
-            index = subgroup_index(frattini, gens, oracle, cap=cap)
+            index = subgroup_index(frattini, gens, oracle, cap=cap, order=order)
             generators_generate = frattini.order * index == full_order
-        h1_blackbox = _log_exact(index, p)
-        lhs_order = frattini.order
-        rhs_order = closure(rhs_gens, oracle, cap=cap, p=p).order
-    else:
+        if powers_trivial:
+            derived = frattini
+        else:
+            derived = normal_closure(comms, gens, oracle, cap=cap, p=p, order=derived_order)
+        rhs = closure(rhs_gens, oracle, cap=cap, p=p, order=rhs_order)
+    except EnumerationCapExceeded:
         group_engine = "layered"
         frattini_eq_derived = derived_order == frattini_order
         generators_generate = order == full_order
         h1_blackbox = None
         lhs_order = frattini_order
+    else:
+        group_engine = "enumeration"
+        frattini_eq_derived = derived.element_set == frattini.element_set
+        h1_blackbox = _log_exact(index, p)
+        lhs_order = frattini.order
+        rhs_order = rhs.order
 
     order_linear, lhs_linear, rhs_linear = lazard_orders(model, gens, rhs_gens)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))

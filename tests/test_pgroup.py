@@ -171,6 +171,26 @@ def test_closure_cap():
         closure([bytes((1, 0)), bytes((0, 1))], oracle, cap=10)
 
 
+def test_known_order_over_the_cap_refuses_before_multiplying():
+    def untouchable(*args):
+        raise AssertionError("multiplied")
+
+    plain = vector_oracle(5, 2)
+    oracle = GroupOracle(plain.identity, untouchable, untouchable, untouchable)
+    gens = [bytes((1, 0)), bytes((0, 1))]
+    with pytest.raises(EnumerationCapExceeded):
+        closure(gens, oracle, cap=24, order=25)
+    with pytest.raises(EnumerationCapExceeded):
+        normal_closure(gens, gens, oracle, cap=24, order=25)
+    line = closure(gens[:1], plain)
+    with pytest.raises(EnumerationCapExceeded):
+        subgroup_index(line, gens, oracle, cap=4, order=25)
+    # at the cap the table is listed
+    assert closure(gens, plain, cap=25, order=25).order == 25
+    assert normal_closure(gens, gens, plain, cap=25, order=25).order == 25
+    assert subgroup_index(line, gens, plain, cap=5, order=25) == 5
+
+
 def test_normal_closure_of_transposition_in_s3():
     oracle = symmetric_oracle()
     swap = bytes((1, 0, 2))

@@ -1,6 +1,8 @@
 """Tests for the truncated exponential group over F_q."""
 
+import dataclasses
 import glob
+import inspect
 import json
 import os
 import random
@@ -448,11 +450,25 @@ def test_enumeration_layered_and_lazard_agree(inst):
 
 
 def _refuse_enumeration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumeration attempted")
+    """Run every enumeration call with an oracle that fails on use: a call
+    must refuse on its known order before it multiplies anything."""
+
+    def untouchable(*args):
+        raise AssertionError("enumeration multiplied")
 
     for name in ("closure", "normal_closure", "subgroup_index"):
-        monkeypatch.setattr(unipotent, name, refuse)
+        original = getattr(unipotent, name)
+        signature = inspect.signature(original)
+
+        def refusing(*args, _original=original, _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.arguments["oracle"] = dataclasses.replace(
+                bound.arguments["oracle"],
+                mul=untouchable, inv=untouchable, mul_many=untouchable,
+            )
+            return _original(*bound.args, **bound.kwargs)
+
+        monkeypatch.setattr(unipotent, name, refusing)
 
 
 def test_beyond_the_cap_is_layered_and_linear(monkeypatch):
