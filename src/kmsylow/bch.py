@@ -62,7 +62,7 @@ def bch_lyndon_terms(max_weight):
     z = _log_one_plus(u, max_weight)
     terms = []
     for length in range(1, max_weight + 1):
-        words = sorted(lyndon_words(2, length))
+        words = lyndon_words(2, length)
         index = {w: i for i, w in enumerate(words)}
         component = {w: c for w, c in z.items() if len(w) == length}
         vec = to_lyndon_coordinates(component, words, index, QQ)

@@ -196,15 +196,21 @@ def _parse_campaign(campaign, seed, cap):
 
 
 class _Instance(dict):
-    """The fields of one parsed instance, with its F_q and GCM, and the
-    Sylow enumeration and generation verdict that its affine checks share,
-    each made on first use.  Every run of an instance makes a new one, so
-    nothing outlives the instance."""
+    """The fields of one parsed instance, with its F_q and GCM, the tagged
+    positive roots that its roots and lie checks share, and the Sylow
+    enumeration and generation verdict that its affine checks share, each
+    made on first use.  Every run of an instance makes a new one, so nothing
+    outlives the instance."""
 
     def __init__(self, fields, fq, gcm, cap):
         super().__init__(fields)
         self.fq, self.gcm, self.cap = fq, gcm, cap
-        self._sylow = self._generates = None
+        self._roots = self._sylow = self._generates = None
+
+    def roots(self):
+        if self._roots is None:
+            self._roots = positive_roots_up_to_height(self.gcm, self["H"])
+        return self._roots
 
     def sylow(self):
         if self._sylow is None:
@@ -222,7 +228,7 @@ class _Instance(dict):
 
 def _check_roots(inst, seed, cap):
     gcm, cutoff = inst.gcm, inst["H"]
-    tagged = positive_roots_up_to_height(gcm, cutoff)
+    tagged = inst.roots()
     real = {alpha for alpha, tag in tagged if tag == REAL}
     imaginary = {alpha for alpha, tag in tagged if tag == IMAGINARY}
     ok = real == set(positive_real_roots_up_to_height(gcm, cutoff))
@@ -253,7 +259,7 @@ def _check_roots(inst, seed, cap):
 def _check_lie(inst, seed, cap):
     gcm, cutoff = inst.gcm, inst["H"]
     algebra = build_positive_part(gcm, cutoff)
-    tagged = positive_roots_up_to_height(gcm, cutoff)
+    tagged = inst.roots()
     supports = {alpha for alpha, _ in tagged}
     ok = set(algebra.by_degree) == supports
     for alpha, tag in tagged:

@@ -7,6 +7,7 @@ of a deterministically chosen irreducible polynomial, and exposes numpy
 lookup tables for vectorized arithmetic.
 """
 
+from bisect import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -109,37 +110,43 @@ def rref(rows, fld):
     Returns (reduced nonzero rows, pivot column indices); pivot columns are
     strictly increasing and each pivot entry is 1.
     """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    pivots = []
+    out, pivots = [], []
     for row in rows:
-        for prow, pcol in zip(out, pivots):
-            c = row[pcol]
-            if c != fld.zero:
-                row = [fld.sub(a, fld.mul(c, b)) for a, b in zip(row, prow)]
-        lead = next((j for j in range(ncols) if row[j] != fld.zero), None)
-        if lead is None:
-            continue
-        scale = fld.inv(row[lead])
-        row = [fld.mul(scale, a) for a in row]
-        for i, (prow, pcol) in enumerate(zip(out, pivots)):
-            c = prow[lead]
-            if c != fld.zero:
-                out[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(prow, row)]
-        pos = next((i for i, pc in enumerate(pivots) if pc > lead), len(pivots))
-        out.insert(pos, row)
-        pivots.insert(pos, lead)
+        echelon_insert(out, pivots, row, fld)
     return out, pivots
 
 
+def echelon_insert(rows, pivots, vec, fld):
+    """Add vec to the reduced echelon form (rows, pivots), in place.
+
+    Returns False, changing nothing, when vec lies in the span of the rows.
+    """
+    vec = reduce_against(vec, rows, pivots, fld)
+    lead = next((j for j, c in enumerate(vec) if c != fld.zero), None)
+    if lead is None:
+        return False
+    scale = fld.inv(vec[lead])
+    vec = [fld.mul(scale, a) for a in vec]
+    rows[:] = [reduce_against(prow, [vec], [lead], fld) for prow in rows]
+    pos = bisect(pivots, lead)
+    rows.insert(pos, vec)
+    pivots.insert(pos, lead)
+    return True
+
+
 def reduce_against(vec, rows, pivots, fld):
-    """Subtract the RREF rows to clear the pivot coordinates of vec."""
+    """Subtract the RREF rows to clear the pivot coordinates of vec.
+
+    Only the nonzero entries of a row are visited (the zero of every field
+    here is falsy); in a reduced form they sit off the other rows' pivots.
+    """
     vec = list(vec)
     for row, pcol in zip(rows, pivots):
         c = vec[pcol]
         if c != fld.zero:
-            vec = [fld.sub(a, fld.mul(c, b)) for a, b in zip(vec, row)]
+            for j, b in enumerate(row):
+                if b:
+                    vec[j] = fld.sub(vec[j], fld.mul(c, b))
     return vec
 
 

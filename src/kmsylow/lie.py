@@ -13,10 +13,10 @@ multiplicities are read off as dimension counts.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 from .errors import CharacteristicTooSmall, HeightExceedsCutoff
-from .fields import QQ, reduce_against, rref
+from .fields import QQ, echelon_insert, reduce_against
 from .roots import RootVector
 
 
@@ -32,8 +32,26 @@ def is_lyndon(word):
 
 
 def lyndon_words(n_letters, length):
-    """All Lyndon words of the given length over letters 0..n_letters-1."""
-    return [w for w in product(range(n_letters), repeat=length) if is_lyndon(w)]
+    """All Lyndon words of the given length over letters 0..n_letters-1, in
+    lexicographic order.
+
+    Duval's algorithm (J. Algorithms 4, 1983) steps through the Lyndon words
+    of length at most ``length`` in lexicographic order: repeat the current
+    word up to full length, drop trailing maximal letters, increment the
+    last letter.
+    """
+    out = []
+    word = [-1] if n_letters > 0 and length > 0 else []
+    while word:
+        word[-1] += 1
+        if len(word) == length:
+            out.append(tuple(word))
+        period = len(word)
+        while len(word) < length:
+            word.append(word[-period])
+        while word and word[-1] == n_letters - 1:
+            word.pop()
+    return out
 
 
 def standard_factorization(word):
@@ -45,50 +63,30 @@ def standard_factorization(word):
     raise AssertionError(f"not a Lyndon word: {word}")
 
 
-_RHO_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def rho_expansion(word):
     """Associative expansion (dict word -> int) of the standard bracketing.
 
     The input word appears with coefficient 1 and every other term is
     lexicographically greater, which makes the change of basis triangular.
     """
-    if word in _RHO_CACHE:
-        return _RHO_CACHE[word]
     if len(word) == 1:
-        out = {word: 1}
-    else:
-        u, v = standard_factorization(word)
-        out = poly_commutator(rho_expansion(u), rho_expansion(v))
-    _RHO_CACHE[word] = out
-    return out
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return poly_commutator(rho_expansion(u), rho_expansion(v))
 
 
-def poly_commutator(f, g, fld=None):
-    """[f, g] = fg - gf on associative word polynomials.
-
-    Integer coefficients by default; pass a field to keep coefficients
-    normalized field scalars (required for prime fields, whose scalars are
-    plain ints and would otherwise leave residues outside 0..p-1).
-    """
+def poly_commutator(f, g):
+    """[f, g] = fg - gf on associative word polynomials with integer
+    coefficients."""
     out = {}
-    if fld is None:
-        for wf, cf in f.items():
-            for wg, cg in g.items():
-                w = wf + wg
-                out[w] = out.get(w, 0) + cf * cg
-                w = wg + wf
-                out[w] = out.get(w, 0) - cf * cg
-        return {w: c for w, c in out.items() if c != 0}
     for wf, cf in f.items():
         for wg, cg in g.items():
-            prod = fld.mul(cf, cg)
             w = wf + wg
-            out[w] = fld.add(out.get(w, fld.zero), prod)
+            out[w] = out.get(w, 0) + cf * cg
             w = wg + wf
-            out[w] = fld.sub(out.get(w, fld.zero), prod)
-    return {w: c for w, c in out.items() if c != fld.zero}
+            out[w] = out.get(w, 0) - cf * cg
+    return {w: c for w, c in out.items() if c != 0}
 
 
 def to_lyndon_coordinates(poly, word_list, word_index, fld):
@@ -114,6 +112,28 @@ def to_lyndon_coordinates(poly, word_list, word_index, fld):
             coeffs[u] = fld.sub(coeffs.get(u, fld.zero), fld.mul(c, fld.from_int(k)))
             if coeffs[u] == fld.zero:
                 del coeffs[u]
+    return out
+
+
+def integer_coordinates(poly, words):
+    """Coordinates of an integer Lie element on the sorted Lyndon words of
+    its multidegree, in plain integers.
+
+    Solves the unitriangular system poly = sum_w c_w rho_expansion(w) by
+    visiting the Lyndon words in increasing order; whatever is left over
+    must vanish, or the input was not a Lie element.
+    """
+    coeffs = dict(poly)
+    out = []
+    for w in words:
+        c = coeffs.pop(w, 0)
+        out.append(c)
+        if c:
+            for u, k in rho_expansion(w).items():
+                if u != w:
+                    coeffs[u] = coeffs.get(u, 0) - c * k
+    if any(coeffs.values()):
+        raise AssertionError("input was not a Lie element")
     return out
 
 
@@ -213,10 +233,6 @@ def serre_element(gcm, s_pos, t_pos, a_st):
     return out
 
 
-def _degree_key(combo):
-    return tuple(combo)
-
-
 def build_positive_part(gcm, cutoff, fld=QQ):
     """Construct the truncated positive part over Q or a prime field.
 
@@ -224,7 +240,9 @@ def build_positive_part(gcm, cutoff, fld=QQ):
     component is spanned by the Serre elements of that degree together with
     [e_s, u] for u spanning the ideal at degree - alpha_s; a rank-filtered
     spanning list keeps the linear algebra small.  The quotient basis is the
-    set of Lyndon words off the ideal's pivot coordinates.
+    set of Lyndon words off the ideal's pivot coordinates.  Every element
+    involved has integer coefficients, so its Lyndon coordinates are
+    integers, mapped into the field once.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -234,6 +252,9 @@ def build_positive_part(gcm, cutoff, fld=QQ):
         )
     n = gcm.size
     labels = gcm.labels
+
+    def coordinates(poly, words):
+        return [fld.from_int(c) for c in integer_coordinates(poly, words)]
 
     serre_by_degree = {}
     for sp in range(n):
@@ -245,100 +266,60 @@ def build_positive_part(gcm, cutoff, fld=QQ):
             degree[sp] = 1 - a_st
             degree[tp] += 1
             if sum(degree) <= cutoff:
-                serre_by_degree.setdefault(_degree_key(degree), []).append(
+                serre_by_degree.setdefault(tuple(degree), []).append(
                     serre_element(gcm, sp, tp, a_st)
                 )
 
-    # per-degree: (word_list, word_index, rref rows, pivots, independent ideal polys)
+    # per degree: (sorted Lyndon words, rref rows, pivots, independent ideal polys)
     ideal = {}
     basis = []
-    basis_info = {}  # degree key -> (word_list, pivots set, coordinate->index map)
+    degrees = []
+    coord_to_index = {}  # degree -> {non-pivot coordinate: basis index}
 
     for h in range(1, cutoff + 1):
-        for combo in product(range(h + 1), repeat=n):
-            if sum(combo) != h:
-                continue
-            key = _degree_key(combo)
-            words = sorted(
-                w
-                for w in lyndon_words(n, h)
-                if tuple(w.count(i) for i in range(n)) == key
-            )
-            word_index = {w: i for i, w in enumerate(words)}
+        words_by_degree = {}
+        for w in lyndon_words(n, h):
+            key = tuple(w.count(i) for i in range(n))
+            words_by_degree.setdefault(key, []).append(w)
+        for key in sorted(words_by_degree):
+            words = words_by_degree[key]
             candidates = list(serre_by_degree.get(key, ()))
             for sp in range(n):
-                if combo[sp] == 0:
-                    continue
-                lower = list(combo)
+                lower = list(key)
                 lower[sp] -= 1
-                if sum(lower) == 0:
-                    continue
-                prev = ideal.get(_degree_key(lower))
-                if prev is None:
-                    continue
-                e_s = {(sp,): 1}
-                for u in prev[4]:
-                    candidates.append(poly_commutator(e_s, u))
-            rows = []
-            pivots = []
-            kept = []
+                prev = ideal.get(tuple(lower))
+                if prev is not None:
+                    e_s = {(sp,): 1}
+                    candidates += [poly_commutator(e_s, u) for u in prev[3]]
+            rows, pivots, kept = [], [], []
             for poly in candidates:
-                if not poly:
-                    continue
-                poly_f = {w: fld.from_int(c) for w, c in poly.items()}
-                vec = to_lyndon_coordinates(poly_f, words, word_index, fld)
-                vec = reduce_against(vec, rows, pivots, fld)
-                if all(c == fld.zero for c in vec):
-                    continue
-                rows_new, pivots_new = rref(rows + [vec], fld)
-                rows, pivots = rows_new, pivots_new
-                kept.append(poly)
-            ideal[key] = (words, word_index, rows, pivots, kept)
-            coord_to_index = {}
+                if echelon_insert(rows, pivots, coordinates(poly, words), fld):
+                    kept.append(poly)
+            ideal[key] = (words, rows, pivots, kept)
+            root = RootVector.from_coords({labels[pos]: c for pos, c in enumerate(key)})
+            coord_to_index[key] = {}
             for i, w in enumerate(words):
                 if i not in pivots:
-                    b = BasisElement(
-                        index=len(basis),
-                        root=RootVector.from_coords(
-                            {labels[pos]: c for pos, c in enumerate(combo)}
-                        ),
-                        word=w,
-                    )
-                    basis.append(b)
-                    coord_to_index[i] = b.index
-            basis_info[key] = (words, set(pivots), coord_to_index)
+                    coord_to_index[key][i] = len(basis)
+                    basis.append(BasisElement(index=len(basis), root=root, word=w))
+                    degrees.append(key)
 
     # structure constants on basis pairs with height sum <= cutoff
     structure = {}
-    heights = [sum(n_ for _, n_ in b.root.items) for b in basis]
-    degrees = {}
-    for b in basis:
-        d = [0] * n
-        for s, c in b.root.items:
-            d[gcm.position(s)] = c
-        degrees[b.index] = _degree_key(d)
-    expansions = {
-        b.index: {w: fld.from_int(c) for w, c in rho_expansion(b.word).items()}
-        for b in basis
-    }
+    heights = [sum(d) for d in degrees]
+    expansions = [rho_expansion(b.word) for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if heights[i] + heights[j] > cutoff:
                 continue
-            key = _degree_key(
-                tuple(a + b for a, b in zip(degrees[i], degrees[j]))
-            )
-            words, word_index, rows, pivots, _ = ideal[key]
-            comm = poly_commutator(expansions[i], expansions[j], fld)
-            vec = to_lyndon_coordinates(comm, words, word_index, fld)
-            vec = reduce_against(vec, rows, pivots, fld)
-            coord_to_index = basis_info[key][2]
-            pairs = tuple(
-                (coord_to_index[pos], c)
+            key = tuple(a + b for a, b in zip(degrees[i], degrees[j]))
+            words, rows, pivots, _ = ideal[key]
+            comm = poly_commutator(expansions[i], expansions[j])
+            vec = reduce_against(coordinates(comm, words), rows, pivots, fld)
+            structure[(i, j)] = tuple(
+                (coord_to_index[key][pos], c)
                 for pos, c in enumerate(vec)
                 if c != fld.zero
             )
-            structure[(i, j)] = pairs
 
     return GradedLieAlgebra(gcm, cutoff, fld, basis, structure)
-

@@ -9,7 +9,6 @@ real verdict carries a word replaying the vector from a simple root.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import NotRealRoot, UnknownLabel, ZeroVector
 
@@ -201,21 +200,22 @@ def positive_real_roots_up_to_height(gcm, bound):
 def positive_roots_up_to_height(gcm, bound):
     """All positive roots of height <= bound, as (vector, tag) pairs.
 
-    Filters the full simplex {n_s >= 0, 1 <= sum n_s <= bound} through
-    root_status; exponential in the rank, fine at desk scale.
+    Grown height by height from the simple roots, keeping each sum of a root
+    and a simple root that root_status tags as a root.  Complete because n+
+    is generated by the e_s, so every positive root of height h > 1 is a
+    positive root of height h - 1 plus a simple root (Kac,
+    Infinite-dimensional Lie algebras, ch. 1).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    labels = gcm.labels
-    out = set()
-    for combo in product(range(bound + 1), repeat=len(labels)):
-        total = sum(combo)
-        if not 1 <= total <= bound:
-            continue
-        alpha = RootVector.from_coords(dict(zip(labels, combo)))
-        st = root_status(gcm, alpha)
-        if st.tag != NOT_ROOT:
-            out.add((alpha, st.tag))
+    simples = [simple_root(s) for s in gcm.labels]
+    layer = {(alpha, REAL) for alpha in simples}
+    out = set(layer)
+    for _ in range(bound - 1):
+        sums = {alpha + beta for alpha, _ in layer for beta in simples}
+        tagged = ((gamma, root_status(gcm, gamma).tag) for gamma in sums)
+        layer = {(gamma, tag) for gamma, tag in tagged if tag != NOT_ROOT}
+        out |= layer
     return out
 
 

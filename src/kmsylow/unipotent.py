@@ -23,7 +23,7 @@ from .errors import (
     HeightExceedsCutoff,
     NotPositiveRealRoot,
 )
-from .fields import PrimeField, reduce_against, rref
+from .fields import PrimeField, echelon_insert, rref
 from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
@@ -326,8 +326,7 @@ def _lie_closure(model, seeds, partners=None):
     work = list(seeds)
     while work:
         v = work.pop()
-        if any(reduce_against(v, basis, pivots, fld)):
-            basis, pivots = rref(basis + [v], fld)
+        if echelon_insert(basis, pivots, v, fld):
             work += [
                 model.bracket_fp(v, w)
                 for w in (members if partners is None else partners)

@@ -394,6 +394,22 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
         assert calls == {"sylow_table": runs, "verify_generation": runs}
 
 
+def test_bch_instance_enumerates_its_roots_once_per_run(monkeypatch):
+    calls = []
+    original = cli.positive_roots_up_to_height
+
+    def counting(gcm, bound):
+        calls.append(bound)
+        return original(gcm, bound)
+
+    monkeypatch.setattr(cli, "positive_roots_up_to_height", counting)
+    campaign = {"instances": [{"model": "bch", "gcm": AFF, "H": 4, "checks": ["roots", "lie"]}]}
+    for runs in (1, 2):
+        report = run_campaign(campaign)
+        assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 2
+        assert calls == [4] * runs
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_verify_rejects_a_cap_below_one(tmp_path, capsys, monkeypatch, cap):
     def must_not_run(inst, seed, cap):

@@ -6,7 +6,15 @@ from itertools import product
 
 import pytest
 
-from kmsylow.fields import FqConfig, PrimeField, QQ, reduce_against, rref, smallest_irreducible
+from kmsylow.fields import (
+    FqConfig,
+    PrimeField,
+    QQ,
+    echelon_insert,
+    reduce_against,
+    rref,
+    smallest_irreducible,
+)
 
 
 def test_smallest_irreducible_known_values():
@@ -152,6 +160,21 @@ def test_rref_rank_matches_naive_oracle():
         # every original row reduces to zero against the rref basis
         for row in rows:
             assert all(x == 0 for x in reduce_against(row, reduced, pivots, QQ))
+
+
+def test_echelon_insert_adds_exactly_the_independent_rows():
+    rng = random.Random(7)
+    for _ in range(100):
+        ncols = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 6))]
+        reduced, pivots = [], []
+        for k, row in enumerate(rows):
+            before = ([list(r) for r in reduced], list(pivots))
+            added = echelon_insert(reduced, pivots, row, QQ)
+            assert added == (naive_rank(rows[: k + 1]) > naive_rank(rows[:k]))
+            if not added:
+                assert (reduced, pivots) == before
 
 
 def test_rref_over_prime_field():

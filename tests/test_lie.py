@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,10 @@ from kmsylow.gcm import validate_gcm
 from kmsylow.lie import (
     bracket,
     build_positive_part,
+    integer_coordinates,
     is_lyndon,
     lyndon_words,
+    poly_commutator,
     rho_expansion,
     root_multiplicity,
     standard_factorization,
@@ -255,3 +258,41 @@ def test_height_one_component_is_generators():
         for s in gcm.labels:
             b = algebra.basis[algebra.generator_index(s)]
             assert b.root == simple_root(s)
+
+
+def test_duval_words_equal_the_filtered_product_in_order():
+    for n in range(1, 5):
+        for length in range(1, 7):
+            filtered = [w for w in product(range(n), repeat=length) if is_lyndon(w)]
+            assert lyndon_words(n, length) == filtered
+    assert lyndon_words(0, 3) == [] and lyndon_words(2, 0) == []
+
+
+def test_integer_coordinates_match_field_coordinates():
+    # every pairwise commutator of basis expansions, through plain integers
+    # and through the field peeling that the BCH layer uses
+    algebra = build_positive_part(AFF3, 5)
+    expansions = [rho_expansion(b.word) for b in algebra.basis]
+    words_of = {}
+    for i, f in enumerate(expansions):
+        for g in expansions[i + 1:]:
+            comm = poly_commutator(f, g)
+            if not comm:
+                continue
+            length = len(next(iter(comm)))
+            degree = tuple(next(iter(comm)).count(s) for s in range(3))
+            if degree not in words_of:
+                words_of[degree] = [w for w in lyndon_words(3, length)
+                                    if tuple(w.count(s) for s in range(3)) == degree]
+            words = words_of[degree]
+            index = {w: k for k, w in enumerate(words)}
+            ints = integer_coordinates(comm, words)
+            for fld in (QQ, PrimeField(7)):
+                poly = {w: fld.from_int(c) for w, c in comm.items()}
+                want = to_lyndon_coordinates(poly, words, index, fld)
+                assert [fld.from_int(c) for c in ints] == want
+
+
+def test_integer_coordinates_refuse_a_non_lie_element():
+    with pytest.raises(AssertionError):
+        integer_coordinates({(0, 1): 1}, lyndon_words(2, 2))

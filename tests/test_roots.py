@@ -24,6 +24,7 @@ from kmsylow.roots import (
     simple_root,
     weyl_apply,
 )
+from root_simplex import simplex_roots
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
 B2S = validate_gcm([[2, -1], [-2, 2]])
@@ -274,3 +275,17 @@ def test_roots_json_dump_sorted():
         {"coords": [1, 2], "height": 3, "status": REAL},
         {"coords": [2, 1], "height": 3, "status": REAL},
     ]
+
+
+def test_grown_roots_equal_the_simplex_filter():
+    # the library grows roots by height; the helper filters every vector of
+    # the height simplex, so tags and membership are checked independently
+    a6 = validate_gcm([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)]
+                       for i in range(6)])
+    a2_affine = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    a3_affine = validate_gcm([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]])
+    hyperbolic = validate_gcm([[2, -3], [-3, 2]])
+    rank_three = validate_gcm([[2, -1, 0], [-2, 2, -1], [0, -3, 2]])
+    for gcm, bound in ((a6, 6), (a2_affine, 7), (a3_affine, 6), (AFF, 6),
+                       (hyperbolic, 7), (rank_three, 6)):
+        assert positive_roots_up_to_height(gcm, bound) == simplex_roots(gcm, bound)
