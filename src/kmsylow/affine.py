@@ -5,10 +5,9 @@ unipotent upper-triangular matrices mod t.  Generators are superdiagonal
 elementaries plus the corner elementary carrying an explicit factor t;
 the corner matrix without that factor fails the mod-t membership test.
 
-Right multiplication by a fixed matrix is linear in the entry coefficients,
-so it compiles to additions of table-lookup columns; that compiled form
-backs the bulk hook of the group engine.  Subgroup filters read the keys
-as (n, m, m, k) coefficient stacks, one block at a time.
+Right multiplication by a fixed matrix is linear in the entry coefficients;
+in that form it backs the bulk hook of the group engine.  Subgroup filters
+read the keys as (n, m, m, k) coefficient stacks, one block at a time.
 """
 
 import time
@@ -83,7 +82,7 @@ class TruncatedPolyRing:
 
 class AffineMatrixGroup:
     """Matrix arithmetic for SL_m over a truncated polynomial ring, with
-    byte keys and a compiled bulk multiplication hook."""
+    byte keys and a bulk multiplication hook."""
 
     def __init__(self, m, fq, k):
         if m < 2:
@@ -158,38 +157,27 @@ class AffineMatrixGroup:
         kk = smaller.k
         return tuple(tuple(entry[:kk] for entry in row) for row in A)
 
-    def _compile_right_mul(self, gkey):
+    def right_polys(self, gkey):
+        """Right multiplication by a fixed matrix, which is linear in the
+        entry coefficients: for each coefficient of A g, its (code,
+        (coefficient of A,)) terms, for pgroup.bulk_hook."""
         g = self.element(gkey)
         m, k = self.m, self.k
 
         def pos(i, j, d):
             return (i * m + j) * k + d
 
-        terms = []
-        for i in range(m):
-            for j in range(m):
-                for d in range(k):
-                    acc = []
-                    for l in range(m):
-                        for e in range(d + 1):
-                            c = g[l][j][d - e]
-                            if c:
-                                acc.append((pos(i, l, e), c))
-                    terms.append(acc)
-        fq = self.fq
-
-        def fn(X):
-            MUL, ADD = fq.MUL, fq.ADD
-            n = X.shape[0]
-            out = np.zeros((n, m * m * k), dtype=np.uint8)
-            for idx, acc in enumerate(terms):
-                col = np.zeros(n, dtype=np.uint8)
-                for src, c in acc:
-                    col = ADD[col, MUL[c, X[:, src]]]
-                out[:, idx] = col
-            return out
-
-        return fn
+        return [
+            tuple(
+                (g[l][j][d - e], (pos(i, l, e),))
+                for l in range(m)
+                for e in range(d + 1)
+                if g[l][j][d - e]
+            )
+            for i in range(m)
+            for j in range(m)
+            for d in range(k)
+        ]
 
     def oracle(self):
         def mul(a, b):
@@ -198,7 +186,7 @@ class AffineMatrixGroup:
         def inv(a):
             return self.key(self.inverse(self.element(a)))
 
-        mul_many = bulk_hook(self.width, self._compile_right_mul)
+        mul_many = bulk_hook(self.fq, self.right_polys)
         return GroupOracle(self.key(self.identity), mul, inv, mul_many)
 
     def select(self, keys, predicate):

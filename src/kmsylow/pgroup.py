@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 
 DEFAULT_CAP = 2 ** 21
-COMPILE_CACHE = 512  # compiled right factors kept per bulk hook
 SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
 
 
@@ -47,20 +46,30 @@ def row_keys(rows):
     return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
-def bulk_hook(width, compile_right_mul):
-    """A mul_many hook for keys of width bytes.  compile_right_mul(g) maps
-    an (n, width) uint8 array to its rows times g; the compiled maps are
-    cached per g, and the cache is cleared when full."""
-    compiled = {}
+def bulk_hook(fq, right_polys):
+    """A mul_many hook for keys of codes over F_q.  right_polys(g) gives,
+    for each coordinate of a product k g, its polynomial in the coordinates
+    of k: a tuple of (code, variables) terms, each the code times the
+    product of the coordinates named in variables (repeats allowed).  The
+    hook evaluates these polynomials on all keys at once through the lookup
+    tables of fq."""
+    MUL, ADD = fq.MUL, fq.ADD
 
     def mul_many(keys, g):
         g = bytes(g)
-        fn = compiled.get(g)
-        if fn is None:
-            if len(compiled) >= COMPILE_CACHE:
-                compiled.clear()
-            fn = compiled[g] = compile_right_mul(g)
-        return row_keys(fn(key_rows(keys, width)))
+        columns = key_rows(keys, len(g)).T
+        polys = right_polys(g)
+        out = np.zeros((len(polys), len(keys)), dtype=np.uint8)
+        for row, terms in zip(out, polys):
+            for c, variables in terms:
+                if variables:
+                    t = MUL[c][columns[variables[0]]]
+                    for v in variables[1:]:
+                        t = MUL[t, columns[v]]
+                    row[:] = ADD[row, t]
+                else:
+                    row[:] = ADD[c][row]
+        return row_keys(out.T)
 
     return mul_many
 
@@ -89,6 +98,8 @@ class FiniteGroupTable:
         self.elements = tuple(elements) if elements is not None else None
         self.element_set = frozenset(self.elements) if elements is not None else None
         self.p = p
+        # seed set -> its normal closure under the generators
+        self._normal_closures = {}
 
     @property
     def order(self):
@@ -281,10 +292,25 @@ def layered_order(generators, oracle, lead, p, conjugators=()):
     return p ** len(sequence)
 
 
+def _generator_normal_closure(G, seeds, cap):
+    """Normal closure of the seeds under the generators of G, listed once
+    per table and seed set.  normal_closure drops identity seeds, so the
+    set leaves them out, and when every generator's p-th power is trivial
+    the Frattini and derived subgroups are one listing."""
+    key = frozenset(seeds) - {G.oracle.identity}
+    table = G._normal_closures.get(key)
+    if table is None:
+        table = normal_closure(seeds, G.generators, G.oracle, cap=cap, p=G.p)
+        G._normal_closures[key] = table
+    else:
+        _refuse_known(table.order, cap, "normal closure order")
+    return table
+
+
 def derived_subgroup(G, cap=DEFAULT_CAP):
     """Normal closure of the commutators of generator pairs."""
     comms = generator_commutators(G.oracle, G.generators)
-    return normal_closure(comms, G.generators, G.oracle, cap=cap, p=G.p)
+    return _generator_normal_closure(G, comms, cap)
 
 
 def frattini_subgroup(G, cap=DEFAULT_CAP):
@@ -299,7 +325,7 @@ def frattini_subgroup(G, cap=DEFAULT_CAP):
     gens = G.generators
     seeds = generator_commutators(G.oracle, gens)
     seeds += [_power(G.oracle, g, G.p) for g in gens]
-    return normal_closure(seeds, gens, G.oracle, cap=cap, p=G.p)
+    return _generator_normal_closure(G, seeds, cap)
 
 
 def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):

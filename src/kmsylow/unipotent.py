@@ -1,20 +1,19 @@
 """Height-truncated exponential group over F_q.
 
-Elements are coefficient vectors over F_q in the graded basis of a truncated
-positive Lie algebra; multiplication is the BCH series, which terminates
-because every bracket of total height above the cutoff vanishes.  The series
-denominators only involve primes up to the cutoff, so the law is exact
-whenever p exceeds the cutoff.
+Elements are byte keys: coefficient vectors over F_q in the graded basis of
+a truncated positive Lie algebra.  Multiplication is the BCH series, which
+terminates because every bracket of total height above the cutoff vanishes.
+The series denominators only involve primes up to the cutoff, so the law is
+exact whenever p exceeds the cutoff.
 
-The same series evaluator runs in two scalar domains: concrete field codes
-for one-off products, and polynomials in the left factor's coordinates for
-compiling right-multiplication by a fixed element into numpy table lookups.
-That compiled form feeds the bulk hook of the black-box group engine.
+The model runs the series once, over polynomials in the coordinates of both
+factors, so its group law and its Lie bracket are fixed polynomial maps over
+F_q.  A product is one evaluation of the law; right multiplication by a
+fixed element is the law specialized at that element, which feeds the bulk
+hook of the black-box group engine.
 """
 
 import time
-
-import numpy as np
 
 from .bch import bch_lyndon_terms
 from .errors import (
@@ -41,30 +40,6 @@ from .pgroup import (
 from .roots import REAL, positive_real_roots_up_to_height, root_status, simple_root
 
 
-class _CodeOps:
-    """Scalar arithmetic on F_q integer codes."""
-
-    def __init__(self, fq):
-        self.fq = fq
-        self.zero = 0
-
-    def add(self, a, b):
-        return self.fq.add(a, b)
-
-    def sub(self, a, b):
-        return self.fq.sub(a, b)
-
-    def mul(self, a, b):
-        return self.fq.mul(a, b)
-
-    def scale(self, c, a):
-        # c is a prime-subfield constant, hence a valid code below p
-        return self.fq.mul(c, a)
-
-    def is_zero(self, a):
-        return a == 0
-
-
 class _PolyOps:
     """Scalar arithmetic on polynomials over F_q in the coordinate variables.
 
@@ -74,7 +49,6 @@ class _PolyOps:
 
     def __init__(self, fq):
         self.fq = fq
-        self.zero = {}
 
     def add(self, f, g):
         out = dict(f)
@@ -111,13 +85,10 @@ class _PolyOps:
                 out[m] = s
         return out
 
-    def is_zero(self, f):
-        return not f
-
 
 class UnipotentModel:
     """Finite group exp(n) for a truncated Serre-presented positive part n
-    over F_q, with vectors of field codes as elements."""
+    over F_q, with byte keys of field codes as elements."""
 
     def __init__(self, gcm, fq, cutoff):
         if fq.p <= cutoff:
@@ -128,11 +99,8 @@ class UnipotentModel:
         self.fq = fq
         self.cutoff = cutoff
         self.algebra = build_positive_part(gcm, cutoff, PrimeField(fq.p))
-        self.dim = self.algebra.dimension
-        self.heights = tuple(
-            self.algebra.height_of(i) for i in range(self.dim)
-        )
-        self.identity = (0,) * self.dim
+        self.dim = dim = self.algebra.dimension
+        self.heights = tuple(self.algebra.height_of(i) for i in range(dim))
         # coordinate indices of each height, and the F_p digits of each code
         self._at_height = {}
         for i, h in enumerate(self.heights):
@@ -149,95 +117,99 @@ class UnipotentModel:
             (word, fq.from_fraction(coeff))
             for word, coeff in bch_lyndon_terms(cutoff)
         )
-        self._code_ops = _CodeOps(fq)
-        self._poly_ops = _PolyOps(fq)
+        # the law and the bracket as polynomials in x = variables 0..dim-1
+        # and y = variables dim..2dim-1
+        self._ops = _PolyOps(fq)
+        x = [{(i,): 1} for i in range(dim)]
+        y = [{(dim + i,): 1} for i in range(dim)]
+        self._law = self._split(self._combine(x, y))
+        self._bracket = self._split(self._bracket_vec(x, y))
 
-    def _bracket_vec(self, ops, a, b):
-        out = [ops.zero] * self.dim
+    def _bracket_vec(self, a, b):
+        ops = self._ops
+        out = [{}] * self.dim
         for (i, j), entries in self._sc.items():
             term = ops.sub(ops.mul(a[i], b[j]), ops.mul(a[j], b[i]))
-            if ops.is_zero(term):
+            if not term:
                 continue
             for k, c in entries:
                 out[k] = ops.add(out[k], ops.scale(c, term))
         return out
 
-    def _word_value(self, ops, word, values):
+    def _word_value(self, word, values):
         got = values.get(word)
         if got is not None:
             return got
         u, v = standard_factorization(word)
         out = self._bracket_vec(
-            ops, self._word_value(ops, u, values), self._word_value(ops, v, values)
+            self._word_value(u, values), self._word_value(v, values)
         )
         values[word] = out
         return out
 
-    def _combine(self, ops, x, y):
+    def _combine(self, x, y):
+        ops = self._ops
         values = {(0,): x, (1,): y}
-        out = [ops.zero] * self.dim
+        out = [{}] * self.dim
         for word, c in self._terms:
-            v = self._word_value(ops, word, values)
+            v = self._word_value(word, values)
             for k in range(self.dim):
-                if not ops.is_zero(v[k]):
+                if v[k]:
                     out[k] = ops.add(out[k], ops.scale(c, v[k]))
         return out
 
-    def multiply(self, x, y):
-        return tuple(self._combine(self._code_ops, list(x), list(y)))
-
-    def inverse(self, x):
-        # every series term of length 2 or more vanishes on (x, -x)
-        return tuple(self.fq.neg(c) for c in x)
-
-    def power(self, x, n):
-        out = self.identity
-        base = x if n >= 0 else self.inverse(x)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
-
-    def _compile_right_mul(self, gkey):
-        ops = self._poly_ops
-        xs = [{(i,): 1} for i in range(self.dim)]
-        ys = [{(): c} if c else {} for c in gkey]
-        polys = self._combine(ops, xs, ys)
-        steps = [
-            tuple((c, m) for m, c in sorted(poly.items())) for poly in polys
-        ]
-        fq = self.fq
+    def _split(self, polys):
+        """Each polynomial in (x, y) as (code, x indices, y indices) terms."""
         dim = self.dim
 
-        def fn(X):
-            MUL, ADD = fq.MUL, fq.ADD
-            n = X.shape[0]
-            out = np.zeros((n, dim), dtype=np.uint8)
-            for k, terms in enumerate(steps):
-                acc = np.zeros(n, dtype=np.uint8)
-                for c, m in terms:
-                    t = np.full(n, c, dtype=np.uint8)
-                    for v in m:
-                        t = MUL[t, X[:, v]]
-                    acc = ADD[acc, t]
-                out[:, k] = acc
-            return out
+        def term(m, c):
+            return c, tuple(v for v in m if v < dim), tuple(v - dim for v in m if v >= dim)
 
-        return fn
+        return tuple(tuple(term(m, c) for m, c in sorted(poly.items())) for poly in polys)
+
+    def _evaluate(self, law, a, b):
+        """A split polynomial map at x = a, y = b (sequences of codes), as
+        a key."""
+        # the tables behind fq.add and fq.mul, indexed without a call per term
+        add, mul = self.fq._add, self.fq._mul
+        out = bytearray(len(law))
+        for k, terms in enumerate(law):
+            acc = 0
+            for c, xs, ys in terms:
+                for i in xs:
+                    c = mul[c][a[i]]
+                for j in ys:
+                    c = mul[c][b[j]]
+                acc = add[acc][c]
+            out[k] = acc
+        return bytes(out)
+
+    def right_polys(self, g):
+        """The law specialized at y = g: for each coordinate of x g, its
+        polynomial in x as (code, x indices) terms, for pgroup.bulk_hook."""
+        add, mul = self.fq._add, self.fq._mul
+        out = []
+        for terms in self._law:
+            poly = {}
+            for c, xs, ys in terms:
+                for j in ys:
+                    c = mul[c][g[j]]
+                if c:
+                    poly[xs] = add[poly.get(xs, 0)][c]
+            out.append(tuple((c, xs) for xs, c in poly.items() if c))
+        return out
 
     def oracle(self):
         fq = self.fq
 
         def mul(a, b):
-            return bytes(self._combine(self._code_ops, list(a), list(b)))
+            return self._evaluate(self._law, a, b)
 
         def inv(a):
+            # every series term of length 2 or more vanishes on (x, -x)
             return bytes(fq.neg(c) for c in a)
 
-        mul_many = bulk_hook(self.dim, self._compile_right_mul)
-        return GroupOracle(bytes(self.dim), mul, inv, mul_many)
-
-    def key(self, x):
-        return bytes(x)
+        return GroupOracle(bytes(self.dim), mul, inv, bulk_hook(fq, self.right_polys))
 
     def lead(self, key):
         """(height, F_p digits of the coordinates of that height) for a key
@@ -258,7 +230,7 @@ class UnipotentModel:
         a, b = (
             [encode(v[i : i + r]) for i in range(0, len(v), r)] for v in (x, y)
         )
-        return self.fp_vector(self._bracket_vec(self._code_ops, a, b))
+        return self.fp_vector(self._evaluate(self._bracket, a, b))
 
 
 def root_group_element(model, gamma, a):
@@ -274,10 +246,9 @@ def root_group_element(model, gamma, a):
         raise HeightExceedsCutoff(
             f"height {ht} exceeds the cutoff {model.cutoff}"
         )
-    index = model.algebra.by_degree[gamma][0]
-    out = [0] * model.dim
-    out[index] = a
-    return tuple(out)
+    out = bytearray(model.dim)
+    out[model.algebra.by_degree[gamma][0]] = a
+    return bytes(out)
 
 
 def frattini_dimension_linear(model):
@@ -385,8 +356,8 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     model = UnipotentModel(gcm, fq, cutoff)
     oracle = model.oracle()
     p = fq.p
-    gens = [model.key(g) for g in standard_generators(model)]
-    rhs_gens = [model.key(g) for g in _non_simple_real_root_elements(model)]
+    gens = standard_generators(model)
+    rhs_gens = _non_simple_real_root_elements(model)
     full_order = fq.q ** model.dim
 
     comms = generator_commutators(oracle, gens)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kmsylow import affine, cli
+from kmsylow import affine, cli, pgroup
 from kmsylow.cli import DEFAULT_CAMPAIGN, main, run_campaign
 
 A2 = [[2, -1], [-1, 2]]
@@ -408,6 +408,29 @@ def test_bch_instance_enumerates_its_roots_once_per_run(monkeypatch):
         report = run_campaign(campaign)
         assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 2
         assert calls == [4] * runs
+
+
+def test_affine_instance_lists_its_frattini_subgroup_once_per_run(monkeypatch):
+    # the Frattini and derived subgroups of the Sylow are one normal closure,
+    # shared by the theorem1, cor_linear and filtration checks
+    calls = []
+    original = pgroup.normal_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgroup, "normal_closure", counting)
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": 2, "q": 3, "k": 3,
+             "checks": ["theorem1", "cor_linear", "filtration"]},
+        ],
+    }
+    for runs in (1, 2):
+        report = run_campaign(campaign)
+        assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 3
+        assert len(calls) == runs
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

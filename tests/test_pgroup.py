@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
+from kmsylow.fields import FqConfig
 from kmsylow.pgroup import (
-    COMPILE_CACHE,
     SCAN_BLOCK,
     FiniteGroupTable,
     GroupOracle,
@@ -137,10 +137,10 @@ def test_closure_multiplies_a_block_at_a_time():
     scalar = vector_oracle(p, d)
     sizes = []
 
-    def compile_right_mul(g):
-        return lambda X: (X + np.frombuffer(g, dtype=np.uint8)) % p
+    def right_polys(g):
+        return [((1, (k,)), (c, ())) if c else ((1, (k,)),) for k, c in enumerate(g)]
 
-    hook = bulk_hook(d, compile_right_mul)
+    hook = bulk_hook(FqConfig(p), right_polys)
 
     def mul_many(keys, g):
         sizes.append(len(keys))
@@ -245,6 +245,18 @@ def test_frattini_dimensions():
     h = heisenberg_oracle(5)
     table = closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h, p=5)
     assert frattini_quotient_dimension(table) == 2
+
+
+def test_frattini_and_derived_subgroups_share_one_listing():
+    # every generator of UT_3(F_3) has order 3, so both are the normal
+    # closure of the generator commutators; a lower cap still refuses
+    oracle, _, gens = unitriangular_oracle(3, 3)
+    G = closure(gens, oracle, p=3)
+    phi = frattini_subgroup(G)
+    assert phi.order == 3
+    assert derived_subgroup(G) is phi
+    with pytest.raises(EnumerationCapExceeded):
+        derived_subgroup(G, cap=2)
 
 
 def test_frattini_requires_prime():
@@ -401,28 +413,6 @@ def test_select_stops_at_the_block_it_is_left_in():
 
     assert next(select(keys, 2, predicate)) == bytes([7, 0])
     assert seen == [SCAN_BLOCK]
-
-
-def test_bulk_hook_compiles_each_right_factor_once():
-    p, d = 5, 3
-    compiled = []
-
-    def compile_right_mul(g):
-        compiled.append(g)
-        return lambda X: (X + np.frombuffer(g, dtype=np.uint8)) % p
-
-    mul_many = bulk_hook(d, compile_right_mul)
-    mul = vector_oracle(p, d).mul
-    keys = [bytes(v) for v in itertools.product(range(p), repeat=d)]
-    for g in (b"\x01\x02\x03", b"\x04\x00\x01", b"\x01\x02\x03"):
-        assert mul_many(keys, g) == [mul(k, g) for k in keys]
-    assert compiled == [b"\x01\x02\x03", b"\x04\x00\x01"]
-    # a full cache is cleared, so the first factor compiles again
-    for i in range(COMPILE_CACHE):
-        mul_many(keys[:2], (1000 + i).to_bytes(d, "big"))
-    compiled.clear()
-    mul_many(keys[:2], b"\x01\x02\x03")
-    assert compiled == [b"\x01\x02\x03"]
 
 
 UNITRIANGULAR = [(3, 3), (4, 2), (4, 3), (5, 2)]

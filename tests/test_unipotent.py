@@ -10,6 +10,7 @@ import random
 import pytest
 
 import kmsylow.unipotent as unipotent
+from kmsylow.bch import bch_lyndon_terms
 from kmsylow.cli import DEFAULT_CAMPAIGN, run_campaign
 from kmsylow.errors import (
     CharacteristicTooSmall,
@@ -19,7 +20,8 @@ from kmsylow.errors import (
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
-from kmsylow.pgroup import closure, commutator, layered_order, normal_closure
+from kmsylow.lie import bracket, standard_factorization
+from kmsylow.pgroup import _power, closure, commutator, layered_order, normal_closure
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
     UnipotentModel,
@@ -34,6 +36,8 @@ A2 = validate_gcm([[2, -1], [-1, 2]])
 B2S = validate_gcm([[2, -1], [-2, 2]])
 G2S = validate_gcm([[2, -1], [-3, 2]])
 AFF = validate_gcm([[2, -2], [-2, 2]])
+C2S = validate_gcm([[2, -2], [-1, 2]])
+AFF3 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def rv(**coords):
@@ -41,7 +45,7 @@ def rv(**coords):
 
 
 def random_element(model, rng):
-    return tuple(rng.randrange(model.fq.q) for _ in range(model.dim))
+    return bytes(rng.randrange(model.fq.q) for _ in range(model.dim))
 
 
 def test_characteristic_guard():
@@ -54,33 +58,37 @@ def test_characteristic_guard():
 
 def test_identity_and_inverse():
     model = UnipotentModel(A2, FqConfig(5), 3)
+    oracle = model.oracle()
+    mul, inv, identity = oracle.mul, oracle.inv, oracle.identity
     rng = random.Random(1)
     for _ in range(50):
         x = random_element(model, rng)
-        assert model.multiply(x, model.identity) == x
-        assert model.multiply(model.identity, x) == x
-        assert model.multiply(x, model.inverse(x)) == model.identity
-        assert model.multiply(model.inverse(x), x) == model.identity
+        assert mul(x, identity) == x
+        assert mul(identity, x) == x
+        assert mul(x, inv(x)) == identity
+        assert mul(inv(x), x) == identity
 
 
 def test_associativity_random():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (G2S, 7, 4), (A2, 25, 3)]:
         model = UnipotentModel(gcm, FqConfig.from_q(q), H)
+        mul = model.oracle().mul
         rng = random.Random(q * 100 + H)
         for _ in range(120):
             x, y, z = (random_element(model, rng) for _ in range(3))
-            left = model.multiply(model.multiply(x, y), z)
-            right = model.multiply(x, model.multiply(y, z))
+            left = mul(mul(x, y), z)
+            right = mul(x, mul(y, z))
             assert left == right
 
 
 def test_exponent_p():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
         model = UnipotentModel(gcm, FqConfig.from_q(q), H)
+        oracle = model.oracle()
         rng = random.Random(7)
         for _ in range(40):
             x = random_element(model, rng)
-            assert model.power(x, model.fq.p) == model.identity
+            assert _power(oracle, x, model.fq.p) == oracle.identity
 
 
 def test_unitriangular_cross_check():
@@ -105,26 +113,28 @@ def test_unitriangular_cross_check():
             (m1[2] + m2[2] + m1[0] * m2[1]) % p,
         )
 
+    mul = model.oracle().mul
     rng = random.Random(13)
     for _ in range(200):
         x = random_element(model, rng)
         y = random_element(model, rng)
-        z = model.multiply(x, y)
+        z = mul(x, y)
         assert to_matrix(z) == matrix_mul(to_matrix(x), to_matrix(y))
 
 
 def test_commutator_of_simple_generators_is_height_two():
     model = UnipotentModel(A2, FqConfig(5), 3)
     oracle = model.oracle()
-    e1 = model.key(root_group_element(model, rv(**{"1": 1}), 1))
-    e2 = model.key(root_group_element(model, rv(**{"2": 1}), 1))
-    expected = model.key(root_group_element(model, rv(**{"1": 1, "2": 1}), 1))
+    e1 = root_group_element(model, rv(**{"1": 1}), 1)
+    e2 = root_group_element(model, rv(**{"2": 1}), 1)
+    expected = root_group_element(model, rv(**{"1": 1, "2": 1}), 1)
     assert commutator(oracle, e1, e2) == expected
 
 
 def test_root_group_additivity():
     for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
         model = UnipotentModel(gcm, FqConfig.from_q(q), H)
+        mul = model.oracle().mul
         fq = model.fq
         roots = [b.root for b in model.algebra.basis]
         from kmsylow.roots import REAL, root_status
@@ -133,7 +143,7 @@ def test_root_group_additivity():
         for gamma in real_roots:
             for a in range(min(q, 8)):
                 for b in range(min(q, 8)):
-                    lhs = model.multiply(
+                    lhs = mul(
                         root_group_element(model, gamma, a),
                         root_group_element(model, gamma, b),
                     )
@@ -155,21 +165,63 @@ def test_root_group_element_errors():
 
 def test_power_and_order_of_element():
     model = UnipotentModel(A2, FqConfig(5), 3)
+    oracle = model.oracle()
     x = root_group_element(model, rv(**{"1": 1}), 1)
-    assert model.power(x, 0) == model.identity
-    assert model.power(x, 3) == root_group_element(model, rv(**{"1": 1}), 3)
-    assert model.power(x, -1) == model.inverse(x)
+    assert _power(oracle, x, 0) == oracle.identity
+    assert _power(oracle, x, 3) == root_group_element(model, rv(**{"1": 1}), 3)
+    # x has order p = 5, so x^-1 = x^4
+    assert _power(oracle, x, 4) == oracle.inv(x)
 
 
 def test_bulk_multiplication_matches_scalar():
-    for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3)]:
+    for gcm, q, H in [(A2, 5, 3), (B2S, 5, 4), (A2, 25, 3), (C2S, 25, 3)]:
         model = UnipotentModel(gcm, FqConfig.from_q(q), H)
         oracle = model.oracle()
         rng = random.Random(q + H)
-        keys = [model.key(random_element(model, rng)) for _ in range(40)]
-        g = model.key(random_element(model, rng))
+        keys = [random_element(model, rng) for _ in range(40)]
+        g = random_element(model, rng)
         bulk = oracle.mul_many(keys, g)
         assert bulk == [oracle.mul(k, g) for k in keys]
+
+
+def series_product(model, x, y):
+    """log(exp x exp y) term by term: each Lyndon word of the BCH series,
+    bracketed by its standard factorization with lie.bracket over the prime
+    field of the model's algebra; x and y are sparse dicts index -> code."""
+    algebra = model.algebra
+    fld = algebra.field
+    values = {(0,): x, (1,): y}
+
+    def value(word):
+        if word not in values:
+            u, v = standard_factorization(word)
+            values[word] = bracket(algebra, value(u), value(v))
+        return values[word]
+
+    out = {}
+    for word, coeff in bch_lyndon_terms(model.cutoff):
+        c = fld.from_fraction(coeff)
+        for k, a in value(word).items():
+            out[k] = fld.add(out.get(k, fld.zero), fld.mul(c, a))
+    return bytes(out.get(k, 0) for k in range(model.dim))
+
+
+@pytest.mark.parametrize(
+    "gcm, q, H",
+    [(A2, 5, 3), (B2S, 5, 4), (G2S, 7, 4), (AFF, 7, 6), (AFF3, 7, 5)],
+)
+def test_law_and_bracket_match_the_series_term_by_term(gcm, q, H):
+    model = UnipotentModel(gcm, FqConfig(q), H)
+    mul = model.oracle().mul
+    rng = random.Random(q * H)
+    for n in range(40):
+        x = random_element(model, rng)
+        # right factors with zero coordinates, the identity included
+        y = bytes(c if rng.randrange(2) and n else 0 for c in random_element(model, rng))
+        sx, sy = ({i: c for i, c in enumerate(v) if c} for v in (x, y))
+        assert mul(x, y) == series_product(model, sx, sy)
+        want = bytes(bracket(model.algebra, sx, sy).get(k, 0) for k in range(model.dim))
+        assert bytes(model.bracket_fp(list(x), list(y))) == want
 
 
 def height_subgroups(model, oracle):
@@ -204,7 +256,7 @@ def test_height_filtration_properties():
     chain = [U for _, U in subgroups]
     assert chain[0].order == 5 ** model.dim
     assert chain[-1].order == 1
-    gens = [model.key(g) for g in standard_generators(model)]
+    gens = standard_generators(model)
     dims = model.algebra.dimensions_per_height()
     for i, U in enumerate(chain, start=1):
         assert U.order == 5 ** sum(dims[i - 1 :])
@@ -321,14 +373,12 @@ def test_frattini_ignores_pth_powers():
     # closure of commutators alone equals closure with p-th powers added
     model = UnipotentModel(A2, FqConfig(5), 3)
     oracle = model.oracle()
-    gens = [model.key(g) for g in standard_generators(model)]
+    gens = standard_generators(model)
     comms = [
         commutator(oracle, gens[i], gens[j])
         for i in range(len(gens))
         for j in range(i + 1, len(gens))
     ]
-    from kmsylow.pgroup import _power
-
     powers = [_power(oracle, g, 5) for g in gens]
     without = normal_closure(comms, gens, oracle)
     with_powers = normal_closure(comms + powers, gens, oracle)
@@ -339,7 +389,6 @@ def test_frattini_ignores_pth_powers():
 # correspondence on every theorem-1 instance of the tests and campaigns
 
 CAMPAIGNS = os.path.join(os.path.dirname(__file__), "..", "bench", "campaigns")
-AFF3 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 BEYOND_CAP = (AFF3, 7, 5)
 
 
@@ -398,11 +447,25 @@ def test_every_way_refuses_a_characteristic_below_the_cutoff():
                 verify_theorem1(gcm, FqConfig.from_q(q), H)
 
 
+# uncapped theorem-1 results by instance; the enumerations are the slowest
+# part of this module, so the tests that compare with them share one run
+_UNCAPPED = {}
+
+
+def uncapped_theorem1(inst):
+    """The result of the cli theorem-1 check on a campaign instance (a dict
+    with gcm, q and H), run without a cap once per test session."""
+    key = (json.dumps(inst["gcm"]), inst["q"], inst["H"])
+    if key not in _UNCAPPED:
+        campaign = {"instances": [dict(inst, model="bch", checks=["theorem1"])]}
+        (result,) = run_campaign(campaign)["instances"][0]["results"]
+        _UNCAPPED[key] = result
+    return _UNCAPPED[key]
+
+
 def _model_and_generators(gcm, fq, H):
     model = UnipotentModel(gcm, fq, H)
-    gens = [model.key(g) for g in standard_generators(model)]
-    rhs = [model.key(g) for g in unipotent._non_simple_real_root_elements(model)]
-    return model, gens, rhs
+    return model, standard_generators(model), unipotent._non_simple_real_root_elements(model)
 
 
 @pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
@@ -413,7 +476,9 @@ def test_enumeration_layered_and_lazard_agree(inst):
     model, gens, rhs = _model_and_generators(gcm, fq, H)
     full = q ** model.dim
 
-    enumerated = verify_theorem1(gcm, fq, H)
+    result = uncapped_theorem1({"gcm": [list(r) for r in gcm.rows], "q": q, "H": H})
+    assert result["status"] == "pass"
+    enumerated = result["payload"]
     assert enumerated["group_engine"] == "enumeration"
     # a cap of 1 leaves every number to the layered engine
     layered = verify_theorem1(gcm, fq, H, cap=1)
@@ -524,12 +589,10 @@ def test_small_cap_keeps_every_theorem1_number():
         for inst in DEFAULT_CAMPAIGN["instances"]
         if inst["model"] == "bch" and "theorem1" in inst["checks"]
     ]
-    campaign = dict(DEFAULT_CAMPAIGN, instances=bch)
-    uncapped = run_campaign(campaign)
-    capped = run_campaign(campaign, cap=1000)
+    capped = run_campaign(dict(DEFAULT_CAMPAIGN, instances=bch), cap=1000)
     engines = set()
-    for a, b in zip(uncapped["instances"], capped["instances"]):
-        (ra,), (rb,) = a["results"], b["results"]
+    for inst, b in zip(bch, capped["instances"]):
+        ra, (rb,) = uncapped_theorem1(inst), b["results"]
         assert ra["status"] == rb["status"]
         if ra["status"] == "skipped":
             assert ra["reason"] == rb["reason"] == "CharacteristicTooSmall"
