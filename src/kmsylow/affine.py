@@ -5,12 +5,18 @@ unipotent upper-triangular matrices mod t.  Generators are superdiagonal
 elementaries plus the corner elementary carrying an explicit factor t;
 the corner matrix without that factor fails the mod-t membership test.
 
-Right multiplication by a fixed matrix is linear in the entry coefficients;
-in that form it backs the bulk hook of the group engine.  Subgroup filters
-read the keys as (n, m, m, k) coefficient stacks, one block at a time.
+Elements are byte keys of entry coefficients.  The product is a fixed
+bilinear map in those coefficients and, determinants being one, the inverse
+is the adjugate, a fixed polynomial map of degree m-1; both are built once
+per (m, F_q, k) as pgroup polynomial maps, which give the group oracle its
+scalar product, its inverse and its bulk right multiplication.  Subgroup
+filters read the keys as (n, m, m, k) coefficient stacks, one block at a
+time.
 """
 
 import time
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import prod
 
 import numpy as np
@@ -24,170 +30,49 @@ from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
     FiniteGroupTable,
-    GroupOracle,
+    PolynomialMap,
     _log_exact,
-    bulk_hook,
     closure,
+    commutator,
     derived_subgroup,
     frattini_quotient_dimension,
     frattini_subgroup,
+    law_oracle,
     select,
 )
 
 
-class TruncatedPolyRing:
-    """F_q[t]/(t^k); elements are length-k tuples of field codes, constant
-    term first."""
-
-    def __init__(self, fq, k):
-        if k < 1:
-            raise ValueError("truncation order must be at least 1")
-        self.fq = fq
-        self.k = k
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        self.t = (0, 1) + (0,) * (k - 2) if k >= 2 else self.zero
-
-    def add(self, a, b):
-        fq = self.fq
-        return tuple(fq.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        fq = self.fq
-        return tuple(fq.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        fq = self.fq
-        return tuple(fq.neg(x) for x in a)
-
-    def mul(self, a, b):
-        fq = self.fq
-        out = [0] * self.k
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j in range(self.k - i):
-                y = b[j]
-                if y:
-                    out[i + j] = fq.add(out[i + j], fq.mul(x, y))
-        return tuple(out)
-
-    def monomial(self, code, degree=0):
-        """code * t^degree, truncated."""
-        out = [0] * self.k
-        if degree < self.k:
-            out[degree] = code
-        return tuple(out)
-
-
 class AffineMatrixGroup:
-    """Matrix arithmetic for SL_m over a truncated polynomial ring, with
-    byte keys and a bulk multiplication hook."""
+    """SL_m over F_q[t]/(t^k) on byte keys: a key lists the coefficients of
+    the entries row by row, constant term first, so coefficient t^d at
+    position (i, j) is byte (i*m + j)*k + d."""
 
     def __init__(self, m, fq, k):
         if m < 2:
             raise ValueError("matrix size must be at least 2")
+        if k < 1:
+            raise ValueError("truncation order must be at least 1")
         self.m = m
         self.fq = fq
         self.k = k
         self.width = m * m * k
-        self.ring = TruncatedPolyRing(fq, k)
-        self.identity = tuple(
-            tuple(self.ring.one if i == j else self.ring.zero for j in range(m))
-            for i in range(m)
-        )
-
-    def elementary(self, i, j, ring_value):
-        """identity + ring_value * E_{i,j} (zero-based positions)."""
-        rows = [list(row) for row in self.identity]
-        rows[i][j] = self.ring.add(rows[i][j], ring_value)
-        return tuple(tuple(row) for row in rows)
-
-    def mul(self, A, B):
-        ring = self.ring
-        m = self.m
-        out = []
+        identity = bytearray(self.width)
         for i in range(m):
-            row = []
-            for j in range(m):
-                acc = ring.zero
-                for l in range(m):
-                    acc = ring.add(acc, ring.mul(A[i][l], B[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+            identity[(i * m + i) * k] = 1
+        self.identity = bytes(identity)
 
-    def det(self, A):
-        return _det(self.ring, [list(row) for row in A])
-
-    def inverse(self, A):
-        """Adjugate; valid because determinants are constrained to one."""
-        ring = self.ring
-        m = self.m
-        if self.det(A) != ring.one:
-            raise ValueError("matrix determinant is not one")
-        out = [[ring.zero] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                minor = [
-                    [A[r][c] for c in range(m) if c != j]
-                    for r in range(m)
-                    if r != i
-                ]
-                cof = _det(ring, minor)
-                if (i + j) % 2:
-                    cof = ring.neg(cof)
-                out[j][i] = cof
-        return tuple(tuple(row) for row in out)
-
-    def key(self, A):
-        return bytes(c for row in A for entry in row for c in entry)
-
-    def element(self, key):
-        m, k = self.m, self.k
-        it = iter(key)
-        return tuple(
-            tuple(tuple(next(it) for _ in range(k)) for _ in range(m))
-            for _ in range(m)
-        )
-
-    def reduce_to(self, A, smaller):
-        """Image under the coefficient-truncation homomorphism onto the
-        group over F_q[t]/(t^k') for k' <= k."""
-        kk = smaller.k
-        return tuple(tuple(entry[:kk] for entry in row) for row in A)
-
-    def right_polys(self, gkey):
-        """Right multiplication by a fixed matrix, which is linear in the
-        entry coefficients: for each coefficient of A g, its (code,
-        (coefficient of A,)) terms, for pgroup.bulk_hook."""
-        g = self.element(gkey)
-        m, k = self.m, self.k
-
-        def pos(i, j, d):
-            return (i * m + j) * k + d
-
-        return [
-            tuple(
-                (g[l][j][d - e], (pos(i, l, e),))
-                for l in range(m)
-                for e in range(d + 1)
-                if g[l][j][d - e]
-            )
-            for i in range(m)
-            for j in range(m)
-            for d in range(k)
-        ]
+    def elementary(self, i, j, code, degree=0):
+        """identity + code * t^degree * E_{i,j} (zero-based positions), the
+        identity when t^degree vanishes."""
+        out = bytearray(self.identity)
+        if degree < self.k:
+            at = (i * self.m + j) * self.k + degree
+            out[at] = self.fq.add(out[at], code)
+        return bytes(out)
 
     def oracle(self):
-        def mul(a, b):
-            return self.key(self.mul(self.element(a), self.element(b)))
-
-        def inv(a):
-            return self.key(self.inverse(self.element(a)))
-
-        mul_many = bulk_hook(self.fq, self.right_polys)
-        return GroupOracle(self.key(self.identity), mul, inv, mul_many)
+        law, adjugate = _matrix_laws(self.m, self.fq, self.k)
+        return law_oracle(self.fq, self.identity, law, adjugate)
 
     def select(self, keys, predicate):
         """pgroup.select with predicate applied to (n, m, m, k) coefficient
@@ -201,39 +86,60 @@ class AffineMatrixGroup:
         return FiniteGroupTable(table.oracle, (), members, p=table.p)
 
 
-def _det(ring, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = ring.zero
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = ring.mul(rows[0][j], _det(ring, minor))
-        out = ring.sub(out, term) if j % 2 else ring.add(out, term)
-    return out
+@lru_cache(maxsize=None)
+def _matrix_laws(m, fq, k):
+    """The product and the inverse of SL_m over F_q[t]/(t^k) as polynomial
+    maps in the key coefficients, built once per (m, fq, k).
+
+    The product is the convolution (AB)[i,j,d] = sum over l and e <= d of
+    A[i,l,e] B[l,j,d-e].  Determinants are one, so the inverse is the
+    adjugate: entry (j, i) is (-1)^(i+j) times the minor without row i and
+    column j, expanded over permutations and over the degrees of its m-1
+    factors."""
+
+    def pos(i, j, d):
+        return (i * m + j) * k + d
+
+    law = tuple(
+        tuple(
+            (1, (pos(i, l, e),), (pos(l, j, d - e),))
+            for l in range(m)
+            for e in range(d + 1)
+        )
+        for i in range(m)
+        for j in range(m)
+        for d in range(k)
+    )
+    adjugate = [[] for _ in range(m * m * k)]
+    for i, j in product(range(m), repeat=2):
+        rows = [r for r in range(m) if r != i]
+        cols = [c for c in range(m) if c != j]
+        for perm in permutations(range(m - 1)):
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            code = fq.neg(1) if (i + j + inversions) % 2 else 1
+            for degrees in product(range(k), repeat=m - 1):
+                if sum(degrees) < k:
+                    xs = tuple(
+                        pos(r, cols[c], e) for r, c, e in zip(rows, perm, degrees)
+                    )
+                    adjugate[pos(j, i, sum(degrees))].append((code, xs, ()))
+    return PolynomialMap(fq, law), PolynomialMap(fq, tuple(map(tuple, adjugate)))
 
 
 def iwahori_sylow_membership(group, A):
-    """True where the matrix is unipotent upper-triangular mod t; A is one
-    matrix or a stack of them with the (m, m, k) coefficient axes last."""
-    constant = np.asarray(A)[..., 0]
-    identity = np.array(group.identity, dtype=np.uint8)[..., 0]
+    """True where the matrix is unipotent upper-triangular mod t; A is an
+    (m, m, k) coefficient array or a stack of them with those axes last."""
     position = np.arange(group.m)
     above = position[:, None] < position
-    return ((constant == identity) | above).all(axis=(-2, -1))
+    return ((A[..., 0] == np.eye(group.m, dtype=np.uint8)) | above).all(axis=(-2, -1))
 
 
 def sylow_generators(m, fq, k):
     """Superdiagonal elementaries 1 + v_l E_{i,i+1} plus the corner
     elementaries 1 + v_l t E_{m,1}; m*r matrices in total."""
     group = AffineMatrixGroup(m, fq, k)
-    out = []
-    for i in range(m - 1):
-        for code in fq.basis:
-            out.append(group.elementary(i, i + 1, group.ring.monomial(code, 0)))
-    for code in fq.basis:
-        out.append(group.elementary(m - 1, 0, group.ring.monomial(code, 1)))
-    return out
+    upper = [group.elementary(i, i + 1, code) for i in range(m - 1) for code in fq.basis]
+    return upper + [group.elementary(m - 1, 0, code, 1) for code in fq.basis]
 
 
 def sylow_order(m, fq, k):
@@ -245,9 +151,7 @@ def sylow_order(m, fq, k):
 def sylow_table(m, fq, k, cap=DEFAULT_CAP, group=None):
     """Enumerated Sylow subgroup as a group-engine table."""
     group = group or AffineMatrixGroup(m, fq, k)
-    oracle = group.oracle()
-    gens = [group.key(A) for A in sylow_generators(m, fq, k)]
-    return group, closure(gens, oracle, cap=cap, p=fq.p)
+    return group, closure(sylow_generators(m, fq, k), group.oracle(), cap=cap, p=fq.p)
 
 
 def verify_generation(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
@@ -346,26 +250,21 @@ def commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
             f"need K > {3 * max(m_exp, n_exp)} to keep every displayed entry"
         )
     group = AffineMatrixGroup(2, fq, K)
-    ring = group.ring
-    x = group.elementary(0, 1, ring.monomial(r_val, m_exp))
-    y = group.elementary(1, 0, ring.monomial(s_val, n_exp))
-    lhs = group.mul(
-        group.mul(group.mul(x, y), group.inverse(x)), group.inverse(y)
-    )
-    u = ring.mul(ring.monomial(r_val, m_exp), ring.monomial(s_val, n_exp))
-    r2s = fq.mul(fq.mul(r_val, r_val), s_val)
-    rs2 = fq.mul(r_val, fq.mul(s_val, s_val))
-    rhs = (
-        (
-            ring.add(ring.add(ring.one, u), ring.mul(u, u)),
-            ring.neg(ring.monomial(r2s, 2 * m_exp + n_exp)),
-        ),
-        (
-            ring.monomial(rs2, m_exp + 2 * n_exp),
-            ring.sub(ring.one, u),
-        ),
-    )
-    return lhs == rhs
+    x = group.elementary(0, 1, r_val, m_exp)
+    y = group.elementary(1, 0, s_val, n_exp)
+    rs = fq.mul(r_val, s_val)
+    rhs = bytearray(group.identity)
+    for i, j, d, code in (
+        (0, 0, m_exp + n_exp, rs),
+        (0, 0, 2 * (m_exp + n_exp), fq.mul(rs, rs)),
+        (0, 1, 2 * m_exp + n_exp, fq.neg(fq.mul(rs, r_val))),
+        (1, 0, m_exp + 2 * n_exp, fq.mul(rs, s_val)),
+        (1, 1, m_exp + n_exp, fq.neg(rs)),
+    ):
+        if d < K:
+            at = (i * 2 + j) * K + d
+            rhs[at] = fq.add(rhs[at], code)
+    return commutator(group.oracle(), x, y) == bytes(rhs)
 
 
 def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
@@ -374,7 +273,7 @@ def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
     if not 1 <= i <= k:
         raise ValueError("congruence level must satisfy 1 <= i <= k")
     group, table = precomputed or sylow_table(m, fq, k, cap=cap)
-    prefix = np.array(group.identity, dtype=np.uint8)[..., :i]
+    prefix = np.frombuffer(group.identity, dtype=np.uint8).reshape(m, m, k)[..., :i]
     return group.subtable(
         table, lambda A: (A[..., :i] == prefix).all(axis=(1, 2, 3))
     )
@@ -396,7 +295,7 @@ def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
         )
     group = AffineMatrixGroup(m, fq, 1)
     gens = [
-        group.key(group.elementary(i, j, (code,)))
+        group.elementary(i, j, code)
         for i in range(m)
         for j in range(m)
         if i != j
@@ -424,13 +323,12 @@ def monomial_subgroup(group, table):
 
 def weyl_representatives(group):
     """One rotation block [[0,1],[-1,0]] per adjacent transposition."""
+    m, k = group.m, group.k
     out = []
-    ring = group.ring
-    for i in range(group.m - 1):
-        rows = [list(row) for row in group.identity]
-        rows[i][i] = ring.zero
-        rows[i + 1][i + 1] = ring.zero
-        rows[i][i + 1] = ring.one
-        rows[i + 1][i] = ring.neg(ring.one)
-        out.append(group.key(tuple(tuple(row) for row in rows)))
+    for i in range(m - 1):
+        rows = bytearray(group.identity)
+        block = ((i, i, 0), (i + 1, i + 1, 0), (i, i + 1, 1), (i + 1, i, group.fq.neg(1)))
+        for r, c, code in block:
+            rows[(r * m + c) * k] = code
+        out.append(bytes(rows))
     return out

@@ -338,8 +338,8 @@ def _check_cor_linear(inst, seed, cap):
 def _check_generation(inst, seed, cap):
     m, fq, k = inst["m"], inst.fq, inst["k"]
     generate = inst.generates()
-    group, table = inst.sylow()
-    gens = [group.key(A) for A in sylow_generators(m, fq, k)]
+    _, table = inst.sylow()
+    gens = sylow_generators(m, fq, k)
     partial = closure(gens[: -fq.r], table.oracle, cap=cap, p=fq.p)
     full_order = sylow_order(m, fq, k)
     payload = {

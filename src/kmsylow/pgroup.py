@@ -7,6 +7,12 @@ closures, derived and Frattini subgroups, coset counting, filtration and
 Tits-axiom checks) works purely through the oracle, so the same engine
 serves coordinate groups and matrix groups.
 
+Both models have a polynomial law: their product and inverse are fixed
+polynomial maps over F_q in the key coefficients.  PolynomialMap holds such
+a map and is the one scalar evaluator; law_oracle builds the oracle from
+the law and the inverse, with bulk_hook, the one bulk evaluator, fed by the
+law specialized at each right factor.
+
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
 multiplied in.  A model that also supplies a leading-term map for a central
@@ -72,6 +78,73 @@ def bulk_hook(fq, right_polys):
         return row_keys(out.T)
 
     return mul_many
+
+
+class PolynomialMap:
+    """A polynomial map over F_q, given for each output coordinate as a
+    tuple of (code, x indices, y indices) terms: the code times the
+    coordinates of x and y named (repeats allowed).  Calling it evaluates
+    the map at x = a, y = b and returns the key of the result.
+
+    Terms are bucketed by their first x index, so a call visits only the
+    terms whose first x coordinate is nonzero, and those without one."""
+
+    def __init__(self, fq, terms):
+        self.fq = fq
+        self.terms = terms
+        self._free = []
+        buckets = {}
+        for k, coordinate in enumerate(terms):
+            for c, xs, ys in coordinate:
+                if xs:
+                    buckets.setdefault(xs[0], []).append((k, c, xs[1:], ys))
+                else:
+                    self._free.append((k, c, ys))
+        self._buckets = [
+            buckets.get(i, ()) for i in range(max(buckets, default=-1) + 1)
+        ]
+
+    def __call__(self, a, b=()):
+        # the tables behind fq.add and fq.mul, indexed without a call per term
+        add, mul = self.fq._add, self.fq._mul
+        out = [0] * len(self.terms)
+        for k, c, ys in self._free:
+            for j in ys:
+                c = mul[c][b[j]]
+            out[k] = add[out[k]][c]
+        for v, bucket in zip(a, self._buckets):
+            if v:
+                times_v = mul[v]
+                for k, c, xs, ys in bucket:
+                    c = times_v[c]
+                    for i in xs:
+                        c = mul[c][a[i]]
+                    for j in ys:
+                        c = mul[c][b[j]]
+                    out[k] = add[out[k]][c]
+        return bytes(out)
+
+    def at_y(self, g):
+        """The map specialized at y = g: for each coordinate, its polynomial
+        in x as (code, x indices) terms, for bulk_hook."""
+        add, mul = self.fq._add, self.fq._mul
+        out = []
+        for coordinate in self.terms:
+            poly = {}
+            for c, xs, ys in coordinate:
+                for j in ys:
+                    c = mul[c][g[j]]
+                if c:
+                    poly[xs] = add[poly.get(xs, 0)][c]
+            out.append(tuple((c, xs) for xs, c in poly.items() if c))
+        return out
+
+
+def law_oracle(fq, identity, law, inverse):
+    """The oracle of a group whose product is the polynomial map law at
+    (x, y) = (a, b) and whose inverse is the polynomial map inverse at
+    x = a; right multiplication in bulk evaluates law.at_y(g)."""
+    return GroupOracle(identity, law, inverse, bulk_hook(fq, law.at_y))
 
 
 def select(keys, width, predicate):
@@ -420,6 +493,16 @@ def orders_are_p_powers(G, p, sample=None, seed=0):
     return True
 
 
+def _conjugates_inside(oracle, conjugators, members, target):
+    """True iff c x c^-1 lies in target for every conjugator c and member
+    x; each conjugator is inverted once."""
+    for c in conjugators:
+        c_inv = oracle.inv(c)
+        if not all(oracle.mul(oracle.mul(c, x), c_inv) in target for x in members):
+            return False
+    return True
+
+
 def check_filtration_lemma(G, chain, V):
     """Finite chain analog of the elementary refinement lemma.
 
@@ -438,22 +521,16 @@ def check_filtration_lemma(G, chain, V):
     if chain[-1].element_set != {oracle.identity}:
         raise ChainNotNested("chain must end at the trivial subgroup")
 
-    normal = []
-    for K in chain:
-        ok = all(
-            oracle.mul(oracle.mul(g, k), oracle.inv(g)) in K.element_set
-            for k in K.elements
-            for g in G.generators
-        )
-        normal.append(ok)
+    normal = [
+        _conjugates_inside(oracle, G.generators, K.elements, K.element_set)
+        for K in chain
+    ]
 
     inclusions = []
     for K, K_next in zip(chain, chain[1:]):
+        next_inverses = [oracle.inv(kp) for kp in K_next.elements]
         ok = all(
-            any(
-                oracle.mul(k, oracle.inv(kp)) in V.element_set
-                for kp in K_next.elements
-            )
+            any(oracle.mul(k, kp_inv) in V.element_set for kp_inv in next_inverses)
             for k in K.elements
         )
         inclusions.append(ok)
@@ -487,10 +564,8 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
     t_set = frozenset(torus)
 
     gen_union = closure(tuple(B.elements) + tuple(N.elements), oracle, cap=cap)
-    t1 = gen_union.order == G.order and all(
-        oracle.mul(oracle.mul(n, t), oracle.inv(n)) in t_set
-        for n in N.elements
-        for t in t_set
+    t1 = gen_union.order == G.order and _conjugates_inside(
+        oracle, N.elements, t_set, t_set
     )
 
     # T is normal in N (T1), so the images of s_reps generate W = N/T

@@ -8,9 +8,10 @@ exact whenever p exceeds the cutoff.
 
 The model runs the series once, over polynomials in the coordinates of both
 factors, so its group law and its Lie bracket are fixed polynomial maps over
-F_q.  A product is one evaluation of the law; right multiplication by a
-fixed element is the law specialized at that element, which feeds the bulk
-hook of the black-box group engine.
+F_q (pgroup.PolynomialMap).  The inverse is negation, so the oracle is
+pgroup.law_oracle on the law and the negation map: a product is one
+evaluation of the law, and right multiplication by a fixed element is the
+law specialized at that element, which feeds the engine's bulk hook.
 """
 
 import time
@@ -27,12 +28,12 @@ from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validat
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
     DEFAULT_CAP,
-    GroupOracle,
+    PolynomialMap,
     _log_exact,
     _power,
-    bulk_hook,
     closure,
     generator_commutators,
+    law_oracle,
     layered_order,
     normal_closure,
     subgroup_index,
@@ -122,8 +123,8 @@ class UnipotentModel:
         self._ops = _PolyOps(fq)
         x = [{(i,): 1} for i in range(dim)]
         y = [{(dim + i,): 1} for i in range(dim)]
-        self._law = self._split(self._combine(x, y))
-        self._bracket = self._split(self._bracket_vec(x, y))
+        self._law = PolynomialMap(fq, self._split(self._combine(x, y)))
+        self._bracket = PolynomialMap(fq, self._split(self._bracket_vec(x, y)))
 
     def _bracket_vec(self, a, b):
         ops = self._ops
@@ -167,49 +168,13 @@ class UnipotentModel:
 
         return tuple(tuple(term(m, c) for m, c in sorted(poly.items())) for poly in polys)
 
-    def _evaluate(self, law, a, b):
-        """A split polynomial map at x = a, y = b (sequences of codes), as
-        a key."""
-        # the tables behind fq.add and fq.mul, indexed without a call per term
-        add, mul = self.fq._add, self.fq._mul
-        out = bytearray(len(law))
-        for k, terms in enumerate(law):
-            acc = 0
-            for c, xs, ys in terms:
-                for i in xs:
-                    c = mul[c][a[i]]
-                for j in ys:
-                    c = mul[c][b[j]]
-                acc = add[acc][c]
-            out[k] = acc
-        return bytes(out)
-
-    def right_polys(self, g):
-        """The law specialized at y = g: for each coordinate of x g, its
-        polynomial in x as (code, x indices) terms, for pgroup.bulk_hook."""
-        add, mul = self.fq._add, self.fq._mul
-        out = []
-        for terms in self._law:
-            poly = {}
-            for c, xs, ys in terms:
-                for j in ys:
-                    c = mul[c][g[j]]
-                if c:
-                    poly[xs] = add[poly.get(xs, 0)][c]
-            out.append(tuple((c, xs) for xs, c in poly.items() if c))
-        return out
-
     def oracle(self):
         fq = self.fq
-
-        def mul(a, b):
-            return self._evaluate(self._law, a, b)
-
-        def inv(a):
-            # every series term of length 2 or more vanishes on (x, -x)
-            return bytes(fq.neg(c) for c in a)
-
-        return GroupOracle(bytes(self.dim), mul, inv, bulk_hook(fq, self.right_polys))
+        # every series term of length 2 or more vanishes on (x, -x)
+        negation = PolynomialMap(
+            fq, tuple(((fq.neg(1), (i,), ()),) for i in range(self.dim))
+        )
+        return law_oracle(fq, bytes(self.dim), self._law, negation)
 
     def lead(self, key):
         """(height, F_p digits of the coordinates of that height) for a key
@@ -230,7 +195,7 @@ class UnipotentModel:
         a, b = (
             [encode(v[i : i + r]) for i in range(0, len(v), r)] for v in (x, y)
         )
-        return self.fp_vector(self._evaluate(self._bracket, a, b))
+        return self.fp_vector(self._bracket(a, b))
 
 
 def root_group_element(model, gamma, a):

@@ -5,6 +5,9 @@ of SL_m(F_q[t]/(t^k)) candidates, and its Frattini quotient dimension is
 computed from a generating set picked out of that enumeration, so neither
 number depends on the standard generators.  SL_m(F_q) is enumerated the same
 way by its determinant alone, so it does not depend on its generators either.
+
+The determinant, product and inverse here are schoolbook arithmetic on
+nested lists, the reference for the polynomial maps of the group oracle.
 """
 
 import numpy as np
@@ -22,14 +25,72 @@ def _candidates(group):
     return codes.reshape(-1, m, m, k)
 
 
+def matrix_of(group, key):
+    """A key as nested lists: rows of entries, each entry its k
+    coefficients, constant term first."""
+    return np.frombuffer(key, dtype=np.uint8).reshape(group.m, group.m, group.k).tolist()
+
+
+def key_of(A):
+    """The key of a matrix given as nested lists."""
+    return bytes(c for row in A for entry in row for c in entry)
+
+
+def poly_mul(fq, a, b):
+    """Schoolbook product of two polynomials truncated to the length of a."""
+    k = len(a)
+    out = [0] * k
+    for i, x in enumerate(a):
+        for j in range(k - i):
+            out[i + j] = fq.add(out[i + j], fq.mul(x, b[j]))
+    return out
+
+
+def _poly_add(fq, a, b):
+    return [fq.add(x, y) for x, y in zip(a, b)]
+
+
+def matrix_mul(fq, A, B):
+    """Schoolbook product of two matrices over F_q[t]/(t^k)."""
+    k = len(A[0][0])
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            acc = [0] * k
+            for a, B_row in zip(row, B):
+                acc = _poly_add(fq, acc, poly_mul(fq, a, B_row[j]))
+            out[-1].append(acc)
+    return out
+
+
+def det(fq, A):
+    """Determinant by cofactor expansion along the first row."""
+    if len(A) == 1:
+        return list(A[0][0])
+    out = [0] * len(A[0][0])
+    for j, entry in enumerate(A[0]):
+        term = poly_mul(fq, entry, det(fq, [row[:j] + row[j + 1 :] for row in A[1:]]))
+        out = _poly_add(fq, out, [fq.neg(c) for c in term] if j % 2 else term)
+    return out
+
+
+def inverse(fq, A):
+    """Adjugate by cofactors, the inverse of a determinant-one matrix."""
+    m = len(A)
+    out = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(A) if r != i]
+            cof = det(fq, minor)
+            out[j][i] = [fq.neg(c) for c in cof] if (i + j) % 2 else cof
+    return out
+
+
 def _det_one_keys(group, stack):
     """Keys of the matrices of a stack whose determinant is one."""
-    out = set()
-    for rows in stack.tolist():
-        A = tuple(tuple(tuple(entry) for entry in row) for row in rows)
-        if group.det(A) == group.ring.one:
-            out.add(group.key(A))
-    return out
+    one = [1] + [0] * (group.k - 1)
+    return {key_of(A) for A in stack.tolist() if det(group.fq, A) == one}
 
 
 def brute_force_sylow(m, fq, k):

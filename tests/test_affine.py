@@ -2,11 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from kmsylow.affine import (
     AffineMatrixGroup,
-    TruncatedPolyRing,
     affine_cartan_matrix,
     borel_subgroup,
     commutator_identity_check,
@@ -37,9 +37,19 @@ from kmsylow.pgroup import (
     commutator,
     derived_subgroup,
     key_rows,
+    row_keys,
 )
 
-from sylow_enumeration import brute_force_sylow, frattini_dimension_of
+from sylow_enumeration import (
+    brute_force_special_linear,
+    brute_force_sylow,
+    det,
+    frattini_dimension_of,
+    inverse,
+    key_of,
+    matrix_mul,
+    matrix_of,
+)
 
 F2 = FqConfig(2)
 F3 = FqConfig(3)
@@ -47,43 +57,88 @@ F4 = FqConfig(2, 2)
 F9 = FqConfig(3, 2)
 
 
-def test_ring_axioms_random():
-    ring = TruncatedPolyRing(F9, 3)
-    rng = random.Random(5)
-
-    def rand():
-        return tuple(rng.randrange(9) for _ in range(3))
-
-    for _ in range(200):
-        a, b, c = rand(), rand(), rand()
-        assert ring.mul(a, b) == ring.mul(b, a)
-        assert ring.mul(a, ring.add(b, c)) == ring.add(
-            ring.mul(a, b), ring.mul(a, c)
-        )
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-    t = ring.t
-    assert ring.mul(ring.mul(t, t), t) == ring.zero
+def _array(group, key):
+    return key_rows([key], group.width).reshape(group.m, group.m, group.k)
 
 
 def test_matrix_inverse():
-    group = AffineMatrixGroup(2, F3, 3)
     _, table = sylow_table(2, F3, 3)
+    oracle = table.oracle
     rng = random.Random(11)
     for _ in range(60):
         key = table.elements[rng.randrange(table.order)]
-        A = group.element(key)
-        assert group.mul(A, group.inverse(A)) == group.identity
-        assert group.mul(group.inverse(A), A) == group.identity
+        assert oracle.mul(key, oracle.inv(key)) == oracle.identity
+        assert oracle.mul(oracle.inv(key), key) == oracle.identity
+
+
+def _assert_matches_reference(group, keys):
+    # every key against every right factor, one scalar and one bulk call
+    fq, oracle = group.fq, group.oracle()
+    matrices = [matrix_of(group, key) for key in keys]
+    for key, A in zip(keys, matrices):
+        assert oracle.inv(key) == key_of(inverse(fq, A))
+    for g, B in zip(keys, matrices):
+        want = [key_of(matrix_mul(fq, A, B)) for A in matrices]
+        assert [oracle.mul(key, g) for key in keys] == want
+        assert oracle.mul_many(keys, g) == want
+
+
+def _reference_words(group, letters, rng, n, length):
+    """n products of random letters, each formed by the schoolbook product."""
+    out = []
+    for _ in range(n):
+        A = matrix_of(group, group.identity)
+        for _ in range(length):
+            A = matrix_mul(group.fq, A, matrix_of(group, rng.choice(letters)))
+        out.append(key_of(A))
+    return out
+
+
+@pytest.mark.parametrize("m,fq,k", [(2, F9, 3), (3, F3, 2), (3, F2, 2)])
+def test_law_and_inverse_match_schoolbook_on_random_sylow_elements(m, fq, k):
+    # root elementaries 1 + c t^d E_ij of the Sylow, d >= 1 below the diagonal
+    group = AffineMatrixGroup(m, fq, k)
+    roots = [
+        group.elementary(i, j, c, d)
+        for i in range(m)
+        for j in range(m)
+        if i != j
+        for d in range(i > j, k)
+        for c in range(1, fq.q)
+    ]
+    keys = _reference_words(group, roots, random.Random(m * fq.q * k), 24, 3 * m * m)
+    _assert_matches_reference(group, keys)
+
+
+def test_law_and_inverse_match_schoolbook_on_generator_products():
+    group = AffineMatrixGroup(4, F3, 3)
+    gens = sylow_generators(4, F3, 3)
+    keys = _reference_words(group, gens, random.Random(43), 16, 40)
+    _assert_matches_reference(group, keys)
+
+
+@pytest.mark.parametrize(
+    "m,fq", [(2, F3), (3, F2), (2, F4)], ids=["sl2f3", "sl3f2", "sl2f4"]
+)
+def test_law_and_inverse_match_schoolbook_on_all_of_sl(m, fq):
+    # most of these elements are not p-elements
+    group = AffineMatrixGroup(m, fq, 1)
+    _assert_matches_reference(group, sorted(brute_force_special_linear(m, fq)))
+
+
+def test_matrix_law_is_built_once_per_ring():
+    # commutator_identity_check makes a group per case; they share one law
+    first, second = (AffineMatrixGroup(2, F9, 13).oracle() for _ in range(2))
+    assert first.mul is second.mul and first.inv is second.inv
 
 
 def test_membership_examples():
     group = AffineMatrixGroup(2, F2, 2)
-    ring = group.ring
-    assert iwahori_sylow_membership(group, group.identity)
-    lower_const = group.elementary(1, 0, ring.one)
-    assert not iwahori_sylow_membership(group, lower_const)
-    lower_t = group.elementary(1, 0, ring.t)
-    assert iwahori_sylow_membership(group, lower_t)
+    assert iwahori_sylow_membership(group, _array(group, group.identity))
+    lower_const = group.elementary(1, 0, 1)
+    assert not iwahori_sylow_membership(group, _array(group, lower_const))
+    lower_t = group.elementary(1, 0, 1, 1)
+    assert iwahori_sylow_membership(group, _array(group, lower_t))
 
 
 @pytest.mark.parametrize("k, members", [(1, 6), (2, 81)])
@@ -97,11 +152,11 @@ def test_membership_on_a_stack_matches_each_matrix(k, members):
     else:
         _, table = sylow_table(2, F3, k, group=group)
     oracle = table.oracle
-    lower = group.key(group.elementary(1, 0, group.ring.one))
+    lower = group.elementary(1, 0, 1)
     keys = list(table.elements) + [oracle.mul(key, lower) for key in table.elements]
     stack = key_rows(keys, group.width).reshape(-1, 2, 2, k)
     got = iwahori_sylow_membership(group, stack)
-    want = [iwahori_sylow_membership(group, group.element(key)) for key in keys]
+    want = [iwahori_sylow_membership(group, _array(group, key)) for key in keys]
     assert got.shape == (len(keys),)
     assert got.tolist() == [bool(w) for w in want]
     assert sum(want) == members
@@ -113,15 +168,15 @@ def test_sylow_generators_shape():
         assert len(gens) == m * fq.r
         group = AffineMatrixGroup(m, fq, k)
         for A in gens:
-            assert group.det(A) == group.ring.one
-            assert iwahori_sylow_membership(group, A)
+            assert det(fq, matrix_of(group, A)) == [1] + [0] * (k - 1)
+            assert iwahori_sylow_membership(group, _array(group, A))
 
 
 def test_sylow_generators_q2_explicit():
     group = AffineMatrixGroup(2, F2, 2)
     gens = sylow_generators(2, F2, 2)
-    upper = group.elementary(0, 1, group.ring.one)
-    corner = group.elementary(1, 0, group.ring.t)
+    upper = group.elementary(0, 1, 1)
+    corner = group.elementary(1, 0, 1, 1)
     assert gens == [upper, corner]
 
 
@@ -156,9 +211,8 @@ def test_generation_fails_in_characteristic_two_for_m2():
     # index of the generated subgroup grows with k: the pro-2 group behind
     # these truncations is not generated by the m*r standard elements
     for k, closure_order in [(2, 8), (3, 16), (4, 16)]:
-        group = AffineMatrixGroup(2, F2, k)
-        oracle = group.oracle()
-        gens = [group.key(A) for A in sylow_generators(2, F2, k)]
+        oracle = AffineMatrixGroup(2, F2, k).oracle()
+        gens = sylow_generators(2, F2, k)
         table = closure(gens, oracle, p=2)
         assert table.order == closure_order < sylow_order(2, F2, k)
         assert not verify_generation(2, F2, k)
@@ -170,7 +224,7 @@ def test_dropping_corner_generator_loses_elements():
     # acceptance criterion 7 reports as generated
     for m, fq, k in [(2, F3, 2), (2, F3, 3), (3, F2, 2)]:
         group = AffineMatrixGroup(m, fq, k)
-        gens = [group.key(A) for A in sylow_generators(m, fq, k)]
+        gens = sylow_generators(m, fq, k)
         partial = closure(gens[: -fq.r], group.oracle(), p=fq.p)
         assert partial.order < sylow_order(m, fq, k)
 
@@ -295,7 +349,7 @@ def test_scans_across_block_boundaries():
     group, table = pre
     assert verify_generation(2, F3, 4, precomputed=pre)
     # one non-member in the last block fails the membership scan
-    outsider = group.key(group.elementary(1, 0, group.ring.one))
+    outsider = group.elementary(1, 0, 1)
     forged = FiniteGroupTable(table.oracle, (), table.elements[:-1] + (outsider,))
     assert not verify_generation(2, F3, 4, precomputed=(group, forged))
     group, table = enumerate_special_linear(3, F3)
@@ -328,24 +382,28 @@ def test_filtration_lemma_on_congruence_chain():
             assert report["conclusion_holds"]
 
 
+def _reduce(big, small, keys):
+    """Images under the coefficient-truncation homomorphism onto the group
+    over F_q[t]/(t^k') for k' <= k: a slice of the (n, m, m, k) rows."""
+    keys = list(keys)
+    stack = key_rows(keys, big.width).reshape(-1, big.m, big.m, big.k)
+    return row_keys(np.ascontiguousarray(stack[..., : small.k]).reshape(len(keys), -1))
+
+
 def test_reduction_is_homomorphism():
     big = AffineMatrixGroup(2, F3, 3)
     small = AffineMatrixGroup(2, F3, 2)
     _, table = sylow_table(2, F3, 3, group=big)
+    big_mul, small_mul = table.oracle.mul, small.oracle().mul
     rng = random.Random(23)
     for _ in range(200):
-        a = big.element(table.elements[rng.randrange(table.order)])
-        b = big.element(table.elements[rng.randrange(table.order)])
-        lhs = big.reduce_to(big.mul(a, b), small)
-        rhs = small.mul(big.reduce_to(a, small), big.reduce_to(b, small))
-        assert lhs == rhs
+        a = table.elements[rng.randrange(table.order)]
+        b = table.elements[rng.randrange(table.order)]
+        ra, rb, rab = _reduce(big, small, [a, b, big_mul(a, b)])
+        assert rab == small_mul(ra, rb)
     # generators map onto generators
-    gens_big = [big.reduce_to(A, small) for A in sylow_generators(2, F3, 3)]
+    gens_big = _reduce(big, small, sylow_generators(2, F3, 3))
     assert gens_big == sylow_generators(2, F3, 2)
-
-
-def _reduce(big, small, keys):
-    return {small.key(big.reduce_to(big.element(key), small)) for key in keys}
 
 
 def test_reduction_maps_sylow_onto_sylow():
@@ -356,12 +414,12 @@ def test_reduction_maps_sylow_onto_sylow():
     big_sylow = brute_force_sylow(2, F2, 3)
     small_sylow = brute_force_sylow(2, F2, 2)
     assert (len(big_sylow), len(small_sylow)) == (128, 16)
-    assert _reduce(big, small, big_sylow) == small_sylow
+    assert set(_reduce(big, small, big_sylow)) == small_sylow
     # the closures of the standard generators (16 and 8 elements) also
     # reduce onto each other
     _, big_table = sylow_table(2, F2, 3, group=big)
     _, small_table = sylow_table(2, F2, 2, group=small)
-    assert _reduce(big, small, big_table.elements) == set(small_table.elements)
+    assert set(_reduce(big, small, big_table.elements)) == set(small_table.elements)
     # at q = 3 the generated tables are the Sylow subgroups: 2 187 onto 81
     big = AffineMatrixGroup(2, F3, 3)
     small = AffineMatrixGroup(2, F3, 2)
@@ -371,7 +429,7 @@ def test_reduction_maps_sylow_onto_sylow():
         sylow_order(2, F3, 3),
         sylow_order(2, F3, 2),
     ) == (2187, 81)
-    assert _reduce(big, small, big_table.elements) == set(small_table.elements)
+    assert set(_reduce(big, small, big_table.elements)) == set(small_table.elements)
 
 
 def test_bulk_multiplication_matches_scalar():
