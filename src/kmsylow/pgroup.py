@@ -46,35 +46,107 @@ def key_rows(keys, width):
 
 
 def row_keys(rows):
-    """The rows of an (n, width) uint8 array as keys."""
-    flat = rows.tobytes()
-    width = rows.shape[1]
-    return [flat[i : i + width] for i in range(0, len(flat), width)]
+    """The rows of an (n, width) uint8 array as keys.  Each row is read as
+    one void scalar, whose bytes keep trailing zeros (a bytes-string view
+    would strip them)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
+def _reduce(a, p):
+    """a mod p, in place, for a nonnegative int64 array.  numpy divides by
+    a scalar with a multiply and a shift, but takes a remainder with one
+    hardware division per entry, so the floor division is cheaper."""
+    quotient = a // p
+    quotient *= p
+    a -= quotient
+    return a
 
 
 def bulk_hook(fq, right_polys):
-    """A mul_many hook for keys of codes over F_q.  right_polys(g) gives,
-    for each coordinate of a product k g, its polynomial in the coordinates
-    of k: a tuple of (code, variables) terms, each the code times the
-    product of the coordinates named in variables (repeats allowed).  The
-    hook evaluates these polynomials on all keys at once through the lookup
-    tables of fq."""
-    MUL, ADD = fq.MUL, fq.ADD
+    """A mul_many hook for keys of codes over F_q = F_p^r.  right_polys(g)
+    gives, for each coordinate of a product k g, its polynomial in the
+    coordinates of k: a tuple of (code, variables) terms, each the code
+    times the product of the coordinates named in variables (repeats
+    allowed).  The hook evaluates these polynomials on all keys at once.
+
+    Each distinct monomial is formed once per call, as its prefix monomial
+    times one coordinate through the product table of fq.  A term is then
+    one lookup in spread, where spread[c][a] packs the F_p digits of c a
+    into lanes of w = 63 // r bits of an int64, so that adding packed
+    values adds digits lane by lane with no carry between lanes.  Each
+    lane holds lane_terms terms of at most p - 1 before it could overflow;
+    a longer sum is folded (every lane reduced mod p) first.  Each
+    coordinate's sum is unpacked once, with one reduction mod p per lane."""
+    p, q, r = fq.p, fq.q, fq.r
+    w = 63 // r
+    mask = (1 << w) - 1
+    lane_terms = mask // (p - 1)
+    shifts = [w * i for i in range(r)]
+    packed = np.array(
+        [sum(d << s for d, s in zip(fq.decode(a), shifts)) for a in range(q)],
+        dtype=np.int64,
+    )
+    spread = list(packed[fq.MUL])
+    packed = packed.tolist()
+    # product[a * q + b] is the code of a b
+    product = fq.MUL.astype(np.intp).ravel()
+
+    def lanes(acc):
+        """The lanes of packed sums, lowest first, each reduced mod p."""
+        return [_reduce(acc >> s & mask, p) for s in shifts]
+
+    def fold(acc):
+        out = np.zeros_like(acc)
+        for s, lane in zip(shifts, lanes(acc)):
+            out |= lane << s
+        return out
+
+    def unpack(acc):
+        # the code sum digit_i p^i, by Horner's rule from the top lane
+        digits = lanes(acc)
+        code = digits.pop()
+        while digits:
+            code *= p
+            code += digits.pop()
+        return code
 
     def mul_many(keys, g):
         g = bytes(g)
-        columns = key_rows(keys, len(g)).T
+        rows = key_rows(keys, len(g))
+        # every array here holds one coordinate of a block: arrays above
+        # the allocator's mmap threshold would raise it when freed, and
+        # later blocks would then fragment the heap
+        columns = [rows[:, i].astype(np.intp) for i in range(len(g))]
         polys = right_polys(g)
-        out = np.zeros((len(polys), len(keys)), dtype=np.uint8)
-        for row, terms in zip(out, polys):
+        out = np.empty((len(polys), len(keys)), dtype=np.uint8)
+        monomials = {}
+        acc = np.empty(len(keys), dtype=np.int64)
+        term = np.empty_like(acc)
+        for coordinate, terms in zip(out, polys):
+            acc.fill(0)
+            room = lane_terms
             for c, variables in terms:
-                if variables:
-                    t = MUL[c][columns[variables[0]]]
-                    for v in variables[1:]:
-                        t = MUL[t, columns[v]]
-                    row[:] = ADD[row, t]
-                else:
-                    row[:] = ADD[c][row]
+                if not room:
+                    acc[:] = fold(acc)
+                    room = lane_terms - 1
+                room -= 1
+                if not variables:
+                    acc += packed[c]
+                    continue
+                m = monomials.get(variables)
+                if m is None:
+                    m = columns[variables[0]]
+                    for k in range(2, len(variables) + 1):
+                        prefix = variables[:k]
+                        got = monomials.get(prefix)
+                        if got is None:
+                            got = product.take(m * q + columns[variables[k - 1]])
+                            monomials[prefix] = got
+                        m = got
+                spread[c].take(m, out=term)
+                acc += term
+            coordinate[:] = unpack(acc)
         return row_keys(out.T)
 
     return mul_many
@@ -163,13 +235,19 @@ def _bulk(oracle, keys, g):
 
 
 class FiniteGroupTable:
-    """An enumerated (or generator-presented) subgroup over an oracle."""
+    """An enumerated (or generator-presented) subgroup over an oracle.
 
-    def __init__(self, oracle, generators, elements=None, p=None):
+    element_set, when the caller already holds the set of the elements (a
+    closure does), is taken as the table's set instead of building another
+    one; the caller must not change it afterwards."""
+
+    def __init__(self, oracle, generators, elements=None, p=None, element_set=None):
         self.oracle = oracle
         self.generators = tuple(generators)
         self.elements = tuple(elements) if elements is not None else None
-        self.element_set = frozenset(self.elements) if elements is not None else None
+        if element_set is None and elements is not None:
+            element_set = frozenset(self.elements)
+        self.element_set = element_set
         self.p = p
         # seed set -> its normal closure under the generators
         self._normal_closures = {}
@@ -185,36 +263,44 @@ class FiniteGroupTable:
 
 
 class _Closure:
-    """Incrementally grown subgroup closure with cap enforcement."""
+    """Incrementally grown subgroup closure with cap enforcement: the
+    elements in the order found, and their set for membership."""
 
     def __init__(self, oracle, cap):
         self.oracle = oracle
         self.cap = cap
-        self.seen = {oracle.identity: None}
+        self.order = [oracle.identity]
+        self.seen = {oracle.identity}
         self.gens = []
         self._genset = set()
 
     def _absorb(self, keys, g):
         """Add and return, in order, the unseen products k g, formed and
-        held SCAN_BLOCK at a time."""
+        held SCAN_BLOCK at a time.  The keys are distinct and right
+        multiplication is injective, so the products are distinct too and
+        each block is filtered against seen alone."""
         novel = []
         seen = self.seen
         for start in range(0, len(keys), SCAN_BLOCK):
-            for k in _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g):
-                if k not in seen:
-                    if len(seen) >= self.cap:
-                        raise EnumerationCapExceeded(
-                            f"closure exceeded the cap of {self.cap} elements"
-                        )
-                    seen[k] = None
-                    novel.append(k)
+            block = _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g)
+            fresh = [k for k in block if k not in seen]
+            if len(seen) + len(fresh) > self.cap:
+                raise EnumerationCapExceeded(
+                    f"closure exceeded the cap of {self.cap} elements"
+                )
+            seen.update(fresh)
+            self.order += fresh
+            novel += fresh
         return novel
 
-    def take(self):
-        """The elements in the order found; the dict goes first, so no table
-        set is built while it is alive."""
-        seen, self.seen = self.seen, None
-        return tuple(seen)
+    def table(self, generators, p):
+        """The subgroup found, its elements in the order found.  Its set is
+        the closure's own, so no second set of the elements is built."""
+        elements = tuple(self.order)
+        self.order = None
+        return FiniteGroupTable(
+            self.oracle, generators, elements, p=p, element_set=self.seen
+        )
 
     def add_generators(self, new_gens):
         fresh = [
@@ -224,7 +310,7 @@ class _Closure:
         ]
         if not fresh:
             return
-        old = list(self.seen)
+        old = list(self.order)
         self.gens.extend(fresh)
         self._genset.update(fresh)
         frontier = []
@@ -254,7 +340,7 @@ def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
     state = _Closure(oracle, cap)
     state.add_generators(list(generators))
     gens = tuple(dict.fromkeys(generators))
-    return FiniteGroupTable(oracle, gens, state.take(), p=p)
+    return state.table(gens, p)
 
 
 def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=None):
@@ -283,7 +369,7 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
             if x not in state.seen:
                 worklist.append(x)
                 state.add_generators([x])
-    return FiniteGroupTable(oracle, tuple(worklist), state.take(), p=p)
+    return state.table(tuple(worklist), p)
 
 
 def _power(oracle, key, n):
@@ -423,7 +509,7 @@ def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
                 if cand in sub_set:
                     continue
                 probes = _bulk(oracle, reps, oracle.inv(cand))
-                if any(x in sub_set for x in probes):
+                if not sub_set.isdisjoint(probes):
                     continue
                 if len(reps) >= cap:
                     raise EnumerationCapExceeded(

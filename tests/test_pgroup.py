@@ -1,17 +1,24 @@
-"""Tests for the black-box group engine on synthetic oracles."""
+"""Tests for the black-box group engine on synthetic oracles, and for its
+bulk evaluator against the scalar one on random polynomial maps and on both
+models' laws."""
 
+import functools
+import gc
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from kmsylow.affine import AffineMatrixGroup
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 from kmsylow.fields import FqConfig
+from kmsylow.gcm import validate_gcm
 from kmsylow.pgroup import (
     SCAN_BLOCK,
     FiniteGroupTable,
     GroupOracle,
+    PolynomialMap,
     bulk_hook,
     check_filtration_lemma,
     closure,
@@ -28,6 +35,7 @@ from kmsylow.pgroup import (
     select,
     subgroup_index,
 )
+from kmsylow.unipotent import UnipotentModel
 
 
 def vector_oracle(p, d):
@@ -130,12 +138,10 @@ def test_closure_full_vector_group():
     assert orders_are_p_powers(table, 3)
 
 
-def test_closure_multiplies_a_block_at_a_time():
-    # (Z/3)^10 has frontiers above a block; the bulk hook never sees
-    # more than a block of keys, and the order matches the scalar path
-    p, d = 3, 10
+def bulk_vector_oracle(p, d, sizes):
+    """(Z/p)^d with the scalar product of vector_oracle and a bulk hook that
+    records the number of keys of each call in sizes."""
     scalar = vector_oracle(p, d)
-    sizes = []
 
     def right_polys(g):
         return [((1, (k,)), (c, ())) if c else ((1, (k,)),) for k, c in enumerate(g)]
@@ -146,12 +152,40 @@ def test_closure_multiplies_a_block_at_a_time():
         sizes.append(len(keys))
         return hook(keys, g)
 
-    bulk = GroupOracle(scalar.identity, scalar.mul, scalar.inv, mul_many)
+    return GroupOracle(scalar.identity, scalar.mul, scalar.inv, mul_many)
+
+
+def test_closure_multiplies_a_block_at_a_time():
+    # (Z/3)^10 has frontiers above a block; the bulk hook never sees
+    # more than a block of keys, and the order matches the scalar path
+    p, d = 3, 10
+    sizes = []
+    bulk = bulk_vector_oracle(p, d, sizes)
     gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
     table = closure(gens, bulk, p=p)
     assert table.order == p ** d
     assert max(sizes) == SCAN_BLOCK
-    assert table.elements == closure(gens, scalar, p=p).elements
+    assert table.elements == closure(gens, vector_oracle(p, d), p=p).elements
+
+
+def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
+    # a block is filtered before the cap is checked, so the bound is checked
+    # on the whole block's new elements: the group fits a cap of its exact
+    # order and is refused one below it, with the scalar path's message
+    p, d = 3, 10
+    sizes = []
+    bulk = bulk_vector_oracle(p, d, sizes)
+    scalar = vector_oracle(p, d)
+    gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
+    table = closure(gens, bulk, cap=p ** d)
+    assert table.order == p ** d and max(sizes) == SCAN_BLOCK
+    assert table.elements == closure(gens, scalar, cap=p ** d).elements
+    messages = []
+    for oracle in (bulk, scalar):
+        with pytest.raises(EnumerationCapExceeded) as refused:
+            closure(gens, oracle, cap=p ** d - 1)
+        messages.append(str(refused.value))
+    assert messages == [f"closure exceeded the cap of {p ** d - 1} elements"] * 2
 
 
 def test_closure_is_generator_order_independent():
@@ -386,6 +420,98 @@ def test_key_rows_and_row_keys_invert_each_other():
     assert row_keys(rows) == keys
     assert key_rows([], 3).shape == (0, 3)
     assert row_keys(np.zeros((0, 3), dtype=np.uint8)) == []
+
+
+def test_row_keys_keep_trailing_zero_bytes():
+    # a bytes-string view of the rows would strip the trailing zeros
+    keys = [bytes(4), bytes((3, 0, 0, 0)), bytes((0, 7, 1, 0)), bytes((1, 2, 3, 4))]
+    assert row_keys(key_rows(keys, 4)) == keys
+    assert row_keys(key_rows([bytes(6)], 6)) == [bytes(6)]
+
+
+EVALUATOR_QS = [2, 3, 4, 5, 7, 8, 9, 11, 25, 27, 81, 243, 256]
+# the tables of the largest fields take a second or more to build
+field = functools.lru_cache(maxsize=None)(FqConfig.from_q)
+
+
+def _random_polynomial_map(rng, fq, width, coordinates):
+    """Terms of total degree 0 to 4 over variables drawn with repeats from
+    a few coordinates of x and y."""
+    terms = []
+    for _ in range(coordinates):
+        coordinate = []
+        for _ in range(rng.randrange(12)):
+            variables = rng.choices(range(2 * width), k=rng.randrange(5))
+            xs = tuple(v for v in variables if v < width)
+            ys = tuple(v - width for v in variables if v >= width)
+            coordinate.append((rng.randrange(fq.q), xs, ys))
+        terms.append(tuple(coordinate))
+    return PolynomialMap(fq, tuple(terms))
+
+
+@pytest.mark.parametrize("q", EVALUATOR_QS)
+@pytest.mark.parametrize("n", [1, 9, SCAN_BLOCK + 1])
+def test_bulk_hook_equals_the_scalar_evaluator(q, n):
+    fq = field(q)
+    rng = random.Random(1000 * q + n)
+    width = 4
+    law = _random_polynomial_map(rng, fq, width, coordinates=5)
+    hook = bulk_hook(fq, law.at_y)
+    keys = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(n)]
+    for _ in range(3):
+        g = bytes(rng.randrange(q) for _ in range(width))
+        assert hook(keys, g) == [law(k, g) for k in keys]
+
+
+def test_bulk_hook_folds_long_sums_over_f256():
+    # F_256 packs its 8 binary digits into lanes of 7 bits, which overflow
+    # after 127 terms; here one coordinate has every x monomial of degree up
+    # to 4 in 4 variables (341 terms) with a code whose digits are all 1, so
+    # on the all-ones key every lane receives 341 ones
+    fq = field(256)
+    width = 4
+    every = [
+        xs for degree in range(5) for xs in itertools.product(range(width), repeat=degree)
+    ]
+    rng = random.Random(256)
+    law = PolynomialMap(
+        fq,
+        (
+            tuple((255, xs, ()) for xs in every),
+            tuple((rng.randrange(1, 256), xs, (0,)) for xs in every),
+        ),
+    )
+    g = bytes((1, 2, 3, 4))
+    assert all(len(poly) > 127 for poly in law.at_y(g))
+    keys = [bytes((1,) * width)]
+    keys += [bytes(rng.randrange(256) for _ in range(width)) for _ in range(99)]
+    assert bulk_hook(fq, law.at_y)(keys, g) == [law(k, g) for k in keys]
+
+
+def _bch_oracle():
+    return UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4).oracle()
+
+
+def _matrix_oracle():
+    return AffineMatrixGroup(3, FqConfig.from_q(9), 2).oracle()
+
+
+@pytest.mark.parametrize("make_oracle", [_bch_oracle, _matrix_oracle])
+def test_bulk_multiplication_leaves_no_reference_cycles(make_oracle):
+    # a cycle would hold a call's arrays until the collector runs, so the
+    # peak memory of an enumeration would grow with the garbage
+    oracle = make_oracle()
+    rng = random.Random(3)
+    width = len(oracle.identity)
+    keys = [bytes(rng.randrange(5) for _ in range(width)) for _ in range(300)]
+    g = keys.pop()
+    gc.collect()
+    gc.disable()
+    try:
+        oracle.mul_many(keys, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
