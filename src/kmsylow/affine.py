@@ -15,23 +15,18 @@ time.
 """
 
 import time
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import prod
 
 import numpy as np
 
-from .errors import (
-    EnumerationCapExceeded,
-    SylowNotGenerated,
-    TruncationTooShallow,
-)
+from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
     FiniteGroupTable,
     PolynomialMap,
-    _log_exact,
     closure,
     commutator,
     derived_subgroup,
@@ -148,47 +143,49 @@ def sylow_order(m, fq, k):
     return fq.q ** (m * (m - 1) // 2) * fq.q ** ((m * m - 1) * (k - 1))
 
 
-def sylow_table(m, fq, k, cap=DEFAULT_CAP, group=None):
-    """Enumerated Sylow subgroup as a group-engine table."""
-    group = group or AffineMatrixGroup(m, fq, k)
-    return group, closure(sylow_generators(m, fq, k), group.oracle(), cap=cap, p=fq.p)
+class IwahoriSylow:
+    """The Iwahori Sylow of SL_m over F_q[t]/(t^k) under one cap: its group
+    and its order, and on first use its table (the closure of the standard
+    generators) and whether those generators generate it.  Checks that
+    share one list a table that fits under the cap once."""
+
+    def __init__(self, m, fq, k, cap):
+        self.m, self.fq, self.k, self.cap = m, fq, k, cap
+        self.group = AffineMatrixGroup(m, fq, k)
+        self.order = sylow_order(m, fq, k)
+
+    @cached_property
+    def table(self):
+        return sylow_table(self)
+
+    @cached_property
+    def generates(self):
+        return verify_generation(self)
 
 
-def verify_generation(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
+def sylow_table(sylow):
+    """The closure of the standard generators as a group-engine table."""
+    gens = sylow_generators(sylow.m, sylow.fq, sylow.k)
+    return closure(gens, sylow.group.oracle(), cap=sylow.cap, p=sylow.fq.p)
+
+
+def verify_generation(sylow):
     """True iff the standard generators produce exactly the matrices passing
-    the membership test: the closure has the predicted order and every
-    closure element passes membership.  An order above the cap is refused
-    before anything is enumerated; precomputed is the (group, table) pair
-    of sylow_table, enumerated here when not given."""
-    expected = sylow_order(m, fq, k)
-    if expected > cap:
+    the membership test: the table has the Sylow's order and every table
+    element passes membership.  An order above the cap is refused before
+    anything is enumerated."""
+    if sylow.order > sylow.cap:
         raise EnumerationCapExceeded(
-            f"Sylow order {expected} exceeds the cap of {cap}"
+            f"Sylow order {sylow.order} exceeds the cap of {sylow.cap}"
         )
-    group, table = precomputed or sylow_table(m, fq, k, cap=cap)
-    if table.order != expected:
+    table, group = sylow.table, sylow.group
+    if table.order != sylow.order:
         return False
     # the scan ends in the first block holding a non-member
     outsiders = group.select(
         table.elements, lambda A: ~iwahori_sylow_membership(group, A)
     )
     return next(outsiders, None) is None
-
-
-def frattini_dimension_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None):
-    """Black-box Frattini quotient dimension of the enumerated Sylow.
-
-    The enumeration is the closure of the standard generators; when that
-    closure is smaller than sylow_order it is not the Sylow, and
-    SylowNotGenerated is raised instead of reporting its dimension."""
-    _, table = precomputed or sylow_table(m, fq, k, cap=cap)
-    expected = sylow_order(m, fq, k)
-    if table.order != expected:
-        raise SylowNotGenerated(
-            f"the standard generators close up to {table.order} of the "
-            f"{expected} Sylow elements"
-        )
-    return frattini_quotient_dimension(table, cap=cap)
 
 
 def affine_cartan_matrix(m):
@@ -206,20 +203,18 @@ def predicted_h1(m, fq, k):
     return m * fq.r if k >= 2 else (m - 1) * fq.r
 
 
-def verify_theorem1_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None, generates=None):
-    """Theorem 1 for the Iwahori Sylow subgroup of SL_m(F_q[t]/(t^k)), with
-    the report fields of verify_theorem1 (None where this model has no value,
-    no caveat) plus model, m and k.  The hypothesis p > max |a_ij| of
-    A_{m-1}^(1) is checked before anything is enumerated.  precomputed is the
-    (group, table) pair of sylow_table and generates the verdict of
-    verify_generation on it; each is computed when not given."""
+def verify_theorem1_affine(sylow):
+    """Theorem 1 for an IwahoriSylow, with the report fields of
+    verify_theorem1 (None where this model has no value, no caveat) plus
+    model, m and k.  The hypothesis p > max |a_ij| of A_{m-1}^(1) is checked
+    here first, and nowhere else in this model."""
+    m, fq, k, cap = sylow.m, sylow.fq, sylow.k, sylow.cap
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
     t0 = time.perf_counter()
-    group, table = precomputed or sylow_table(m, fq, k, cap=cap)
+    table, generates = sylow.table, sylow.generates
+    h1 = frattini_quotient_dimension(table, cap=cap)
     phi = frattini_subgroup(table, cap=cap)
     derived = derived_subgroup(table, cap=cap)
-    if generates is None:
-        generates = verify_generation(m, fq, k, cap=cap, precomputed=(group, table))
     return {
         "model": "affine_matrix",
         "gcm": None,
@@ -227,7 +222,7 @@ def verify_theorem1_affine(m, fq, k, cap=DEFAULT_CAP, precomputed=None, generate
         "k": k,
         "q": fq.q,
         "H": None,
-        "h1_blackbox": _log_exact(table.order // phi.order, fq.p),
+        "h1_blackbox": h1,
         "h1_linear": None,
         "h1_predicted": predicted_h1(m, fq, k),
         "frattini_eq_derived": phi.element_set == derived.element_set,
@@ -267,15 +262,15 @@ def commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
     return commutator(group.oracle(), x, y) == bytes(rhs)
 
 
-def congruence_subgroup(m, fq, k, i, cap=DEFAULT_CAP, precomputed=None):
-    """Matrices of the Sylow congruent to the identity mod t^i.  The chain
-    K_1 > ... > K_k = 1 refines the Sylow."""
+def congruence_subgroup(sylow, i):
+    """Matrices of the Sylow's table congruent to the identity mod t^i.  The
+    chain K_1 > ... > K_k = 1 refines the Sylow."""
+    m, k, group = sylow.m, sylow.k, sylow.group
     if not 1 <= i <= k:
         raise ValueError("congruence level must satisfy 1 <= i <= k")
-    group, table = precomputed or sylow_table(m, fq, k, cap=cap)
     prefix = np.frombuffer(group.identity, dtype=np.uint8).reshape(m, m, k)[..., :i]
     return group.subtable(
-        table, lambda A: (A[..., :i] == prefix).all(axis=(1, 2, 3))
+        sylow.table, lambda A: (A[..., :i] == prefix).all(axis=(1, 2, 3))
     )
 
 

@@ -10,8 +10,7 @@ series reduces mod p whenever p exceeds the truncation weight.
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import lyndon_words, to_lyndon_coordinates
-from .fields import QQ
+from .lie import lyndon_coordinates, lyndon_words
 
 X = (0,)
 Y = (1,)
@@ -63,9 +62,8 @@ def bch_lyndon_terms(max_weight):
     terms = []
     for length in range(1, max_weight + 1):
         words = lyndon_words(2, length)
-        index = {w: i for i, w in enumerate(words)}
         component = {w: c for w, c in z.items() if len(w) == length}
-        vec = to_lyndon_coordinates(component, words, index, QQ)
+        vec = lyndon_coordinates(component, words)
         for w, c in zip(words, vec):
             if c:
                 terms.append((w, c))

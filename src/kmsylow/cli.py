@@ -7,18 +7,13 @@ import random
 import sys
 
 from .affine import (
-    affine_cartan_matrix,
+    IwahoriSylow,
     borel_subgroup,
     commutator_identity_check,
     congruence_subgroup,
     enumerate_special_linear,
-    frattini_dimension_affine,
     monomial_subgroup,
-    predicted_h1,
     sylow_generators,
-    sylow_order,
-    sylow_table,
-    verify_generation,
     verify_theorem1_affine,
     weyl_representatives,
 )
@@ -30,7 +25,7 @@ from .errors import (
     TruncationTooShallow,
 )
 from .fields import FqConfig
-from .gcm import check_off_diagonal_hypothesis, classify, validate_gcm
+from .gcm import classify, validate_gcm
 from .lie import bracket, build_positive_part
 from .pgroup import (
     DEFAULT_CAP,
@@ -197,15 +192,14 @@ def _parse_campaign(campaign, seed, cap):
 
 class _Instance(dict):
     """The fields of one parsed instance, with its F_q and GCM, the tagged
-    positive roots that its roots and lie checks share, and the Sylow
-    enumeration and generation verdict that its affine checks share, each
-    made on first use.  Every run of an instance makes a new one, so nothing
-    outlives the instance."""
+    positive roots that its roots and lie checks share, and the IwahoriSylow
+    that its affine checks share, each made on first use.  Every run of an
+    instance makes a new one, so nothing outlives the instance."""
 
     def __init__(self, fields, fq, gcm, cap):
         super().__init__(fields)
         self.fq, self.gcm, self.cap = fq, gcm, cap
-        self._roots = self._sylow = self._generates = None
+        self._roots = self._sylow = None
 
     def roots(self):
         if self._roots is None:
@@ -214,16 +208,8 @@ class _Instance(dict):
 
     def sylow(self):
         if self._sylow is None:
-            self._sylow = sylow_table(self["m"], self.fq, self["k"], cap=self.cap)
+            self._sylow = IwahoriSylow(self["m"], self.fq, self["k"], self.cap)
         return self._sylow
-
-    def generates(self):
-        if self._generates is None:
-            m, fq, k = self["m"], self.fq, self["k"]
-            # an order above the cap is refused before anything is enumerated
-            pre = self.sylow() if sylow_order(m, fq, k) <= self.cap else None
-            self._generates = verify_generation(m, fq, k, cap=self.cap, precomputed=pre)
-        return self._generates
 
 
 def _check_roots(inst, seed, cap):
@@ -317,37 +303,28 @@ def _check_theorem1_bch(inst, seed, cap):
 
 
 def _check_theorem1_affine(inst, seed, cap):
-    m, fq, k = inst["m"], inst.fq, inst["k"]
-    # the hypothesis goes before the shared enumeration
-    check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
-    report = verify_theorem1_affine(
-        m, fq, k, cap=cap, precomputed=inst.sylow(), generates=inst.generates()
-    )
+    report = verify_theorem1_affine(inst.sylow())
     ok = report["h1_blackbox"] == report["h1_predicted"]
     return report, ok and report["generators_generate"]
 
 
 def _check_cor_linear(inst, seed, cap):
-    m, fq, k = inst["m"], inst.fq, inst["k"]
-    check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
-    h1 = frattini_dimension_affine(m, fq, k, cap=cap, precomputed=inst.sylow())
-    predicted = predicted_h1(m, fq, k)
-    return {"h1": h1, "predicted": predicted}, h1 == predicted
+    # a view of theorem 1: the same report, read by the same criterion
+    report, ok = _check_theorem1_affine(inst, seed, cap)
+    return {"h1": report["h1_blackbox"], "predicted": report["h1_predicted"]}, ok
 
 
 def _check_generation(inst, seed, cap):
-    m, fq, k = inst["m"], inst.fq, inst["k"]
-    generate = inst.generates()
-    _, table = inst.sylow()
-    gens = sylow_generators(m, fq, k)
-    partial = closure(gens[: -fq.r], table.oracle, cap=cap, p=fq.p)
-    full_order = sylow_order(m, fq, k)
+    sylow, fq = inst.sylow(), inst.fq
+    generate = sylow.generates
+    gens = sylow_generators(sylow.m, fq, sylow.k)
+    partial = closure(gens[: -fq.r], sylow.table.oracle, cap=cap, p=fq.p)
     payload = {
         "generates": generate,
         "partial_order": partial.order,
-        "full_order": full_order,
+        "full_order": sylow.order,
     }
-    return payload, generate and partial.order < full_order
+    return payload, generate and partial.order < sylow.order
 
 
 def _check_commutator(inst, seed, cap):
@@ -366,14 +343,10 @@ def _check_commutator(inst, seed, cap):
 
 
 def _check_filtration(inst, seed, cap):
-    m, fq, k = inst["m"], inst.fq, inst["k"]
-    pre = inst.sylow()
-    _, table = pre
+    sylow = inst.sylow()
+    table = sylow.table
     V = derived_subgroup(table, cap=cap)
-    chain = [
-        congruence_subgroup(m, fq, k, i, cap=cap, precomputed=pre)
-        for i in range(2, k + 1)
-    ]
+    chain = [congruence_subgroup(sylow, i) for i in range(2, sylow.k + 1)]
     report = check_filtration_lemma(table, chain, V)
     ok = (
         all(report["normal"])

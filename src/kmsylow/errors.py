@@ -58,10 +58,6 @@ class EnumerationCapExceeded(KmError):
     pass
 
 
-class SylowNotGenerated(KmError):
-    """The standard generators close up to a proper subgroup of the Sylow."""
-
-
 class NotAPGroup(KmError):
     pass
 

@@ -89,39 +89,14 @@ def poly_commutator(f, g):
     return {w: c for w, c in out.items() if c != 0}
 
 
-def to_lyndon_coordinates(poly, word_list, word_index, fld):
-    """Coordinates of a Lie element on the Lyndon basis of its multidegree.
-
-    Peels off the lexicographically smallest remaining word, which must be
-    Lyndon and appears in exactly one standard bracketing.  A non-Lyndon
-    minimal word means the input was not a Lie element.
-    """
-    coeffs = dict(poly)
-    out = [fld.zero] * len(word_list)
-    while coeffs:
-        w = min(coeffs)
-        c = coeffs.pop(w)
-        if c == fld.zero:
-            continue
-        if w not in word_index:
-            raise AssertionError(f"minimal word {w} is not Lyndon; input was not a Lie element")
-        out[word_index[w]] = fld.add(out[word_index[w]], c)
-        for u, k in rho_expansion(w).items():
-            if u == w:
-                continue
-            coeffs[u] = fld.sub(coeffs.get(u, fld.zero), fld.mul(c, fld.from_int(k)))
-            if coeffs[u] == fld.zero:
-                del coeffs[u]
-    return out
-
-
-def integer_coordinates(poly, words):
-    """Coordinates of an integer Lie element on the sorted Lyndon words of
-    its multidegree, in plain integers.
+def lyndon_coordinates(poly, words):
+    """Coordinates of a Lie element on the sorted Lyndon words of its
+    length or multidegree, exact on int and Fraction coefficients.
 
     Solves the unitriangular system poly = sum_w c_w rho_expansion(w) by
-    visiting the Lyndon words in increasing order; whatever is left over
-    must vanish, or the input was not a Lie element.
+    visiting the Lyndon words in increasing order; each step subtracts a
+    found coefficient times an integer expansion, so nothing is rounded.
+    Whatever is left over must vanish, or the input was not a Lie element.
     """
     coeffs = dict(poly)
     out = []
@@ -254,7 +229,7 @@ def build_positive_part(gcm, cutoff, fld=QQ):
     labels = gcm.labels
 
     def coordinates(poly, words):
-        return [fld.from_int(c) for c in integer_coordinates(poly, words)]
+        return [fld.from_int(c) for c in lyndon_coordinates(poly, words)]
 
     serre_by_degree = {}
     for sp in range(n):

@@ -556,29 +556,6 @@ def is_perfect(G, cap=DEFAULT_CAP):
     return derived_subgroup(G, cap=cap).order == G.order
 
 
-def orders_are_p_powers(G, p, sample=None, seed=0):
-    """Check that element orders are powers of p; exhaustive by default,
-    sampled when a sample size is given."""
-    import random
-
-    keys = G.elements
-    if sample is not None and sample < len(keys):
-        rng = random.Random(seed)
-        keys = [keys[rng.randrange(len(keys))] for _ in range(sample)]
-    bound = _log_exact(len(G.elements), p)
-    if bound is None:
-        return False
-    for k in keys:
-        y = k
-        steps = 0
-        while y != G.oracle.identity:
-            y = _power(G.oracle, y, p)
-            steps += 1
-            if steps > bound:
-                return False
-    return True
-
-
 def _conjugates_inside(oracle, conjugators, members, target):
     """True iff c x c^-1 lies in target for every conjugator c and member
     x; each conjugator is inverted once."""

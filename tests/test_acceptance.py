@@ -14,6 +14,7 @@ from kmsylow import (
     AffineMatrixGroup,
     FqConfig,
     HypothesisViolated,
+    IwahoriSylow,
     IMAGINARY,
     REAL,
     RootVector,
@@ -27,7 +28,6 @@ from kmsylow import (
     congruence_subgroup,
     derived_subgroup,
     enumerate_special_linear,
-    frattini_dimension_affine,
     monomial_subgroup,
     positive_real_roots_up_to_height,
     positive_roots_up_to_height,
@@ -35,17 +35,17 @@ from kmsylow import (
     simple_root,
     sylow_generators,
     sylow_order,
-    sylow_table,
     validate_gcm,
     verify_generation,
     verify_theorem1,
+    verify_theorem1_affine,
     verify_tits_axioms,
     weyl_apply,
     weyl_representatives,
 )
 from kmsylow.affine import affine_cartan_matrix
 from kmsylow.gcm import check_off_diagonal_hypothesis
-from kmsylow.pgroup import _power
+from kmsylow.pgroup import DEFAULT_CAP, _power
 
 from sylow_enumeration import brute_force_sylow, frattini_dimension_of
 
@@ -203,7 +203,8 @@ def test_c06_affine_frattini_dimension():
     details = []
     for m, q, k in ((2, 3, 2), (2, 3, 3), (2, 9, 2), (3, 3, 2)):
         fq = _fq(q)
-        got = frattini_dimension_affine(m, fq, k)
+        sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+        got = verify_theorem1_affine(sylow)["h1_blackbox"]
         ok = ok and got == m * fq.r
         details.append(f"({m},{q},{k}):{got}")
     elapsed = time.perf_counter() - t0
@@ -229,7 +230,7 @@ def test_c07_generating_sets():
     details = []
     for m, q, k in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (3, 2, 2)):
         fq = _fq(q)
-        generated = verify_generation(m, fq, k)
+        generated = verify_generation(IwahoriSylow(m, fq, k, DEFAULT_CAP))
         group = AffineMatrixGroup(m, fq, k)
         gens = sylow_generators(m, fq, k)
         if _off_diagonal_hypothesis_holds(m, fq):
@@ -290,13 +291,10 @@ def test_c09_filtration_lemma():
     details = []
     fq = _fq(3)
     for k in (2, 3, 4):
-        pre = sylow_table(2, fq, k)
-        _, table = pre
+        sylow = IwahoriSylow(2, fq, k, DEFAULT_CAP)
+        table = sylow.table
         V = derived_subgroup(table)
-        chain = [
-            congruence_subgroup(2, fq, k, i, precomputed=pre)
-            for i in range(2, k + 1)
-        ]
+        chain = [congruence_subgroup(sylow, i) for i in range(2, k + 1)]
         res = check_filtration_lemma(table, chain, V)
         good = (
             all(res["normal"])
@@ -371,7 +369,7 @@ def test_c12_property_suites():
         ok = ok and bch.mul(x, bch.inv(x)) == bch.identity
         ok = ok and bch.mul(x, bch.identity) == x
         cases += 3
-    group, table = sylow_table(2, _fq(3), 2)
+    table = IwahoriSylow(2, _fq(3), 2, DEFAULT_CAP).table
     oracle = table.oracle
     elems = table.elements
     for _ in range(200):
@@ -399,11 +397,11 @@ def test_c12_property_suites():
     rng = random.Random(122)
     cases = 0
     ok = True
-    pre = sylow_table(2, _fq(3), 3)
-    _, table3 = pre
+    sylow3 = IwahoriSylow(2, _fq(3), 3, DEFAULT_CAP)
+    table3 = sylow3.table
     oracle3 = table3.oracle
     for i in (2, 3):
-        K = congruence_subgroup(2, _fq(3), 3, i, precomputed=pre)
+        K = congruence_subgroup(sylow3, i)
         for _ in range(500):
             g = rng.choice(table3.elements)
             x = rng.choice(K.elements)
@@ -433,7 +431,7 @@ def test_c12_property_suites():
     cases = 0
     ok = True
     fq3 = _fq(3)
-    _, full = sylow_table(2, fq3, 2)
+    full = IwahoriSylow(2, fq3, 2, DEFAULT_CAP).table
     base = sylow_generators(2, fq3, 2)
     for _ in range(1000):
         gens = list(base)

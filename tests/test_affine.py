@@ -7,12 +7,12 @@ import pytest
 
 from kmsylow.affine import (
     AffineMatrixGroup,
+    IwahoriSylow,
     affine_cartan_matrix,
     borel_subgroup,
     commutator_identity_check,
     congruence_subgroup,
     enumerate_special_linear,
-    frattini_dimension_affine,
     iwahori_sylow_membership,
     monomial_subgroup,
     sylow_generators,
@@ -24,12 +24,12 @@ from kmsylow.affine import (
 from kmsylow.errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
-    SylowNotGenerated,
     TruncationTooShallow,
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import check_off_diagonal_hypothesis
 from kmsylow.pgroup import (
+    DEFAULT_CAP,
     SCAN_BLOCK,
     FiniteGroupTable,
     check_filtration_lemma,
@@ -62,7 +62,7 @@ def _array(group, key):
 
 
 def test_matrix_inverse():
-    _, table = sylow_table(2, F3, 3)
+    table = IwahoriSylow(2, F3, 3, DEFAULT_CAP).table
     oracle = table.oracle
     rng = random.Random(11)
     for _ in range(60):
@@ -150,7 +150,7 @@ def test_membership_on_a_stack_matches_each_matrix(k, members):
     if k == 1:
         _, table = enumerate_special_linear(2, F3)
     else:
-        _, table = sylow_table(2, F3, k, group=group)
+        table = IwahoriSylow(2, F3, k, DEFAULT_CAP).table
     oracle = table.oracle
     lower = group.elementary(1, 0, 1)
     keys = list(table.elements) + [oracle.mul(key, lower) for key in table.elements]
@@ -195,7 +195,7 @@ def test_membership_set_count_matches_formula(m, fq, k):
 
 
 def test_closure_matches_brute_force():
-    _, table = sylow_table(2, F3, 2)
+    table = sylow_table(IwahoriSylow(2, F3, 2, DEFAULT_CAP))
     assert set(table.elements) == brute_force_sylow(2, F3, 2)
 
 
@@ -204,19 +204,23 @@ def test_verify_generation():
     # for 2x2 that entry is 2, so q = 2 instances genuinely fail (q = 4
     # breaks the hypothesis too, yet its generators do generate)
     for m, fq, k in [(2, F3, 2), (2, F3, 3), (3, F2, 2)]:
-        assert verify_generation(m, fq, k)
+        assert verify_generation(IwahoriSylow(m, fq, k, DEFAULT_CAP))
 
 
 def test_generation_fails_in_characteristic_two_for_m2():
     # index of the generated subgroup grows with k: the pro-2 group behind
-    # these truncations is not generated by the m*r standard elements
-    for k, closure_order in [(2, 8), (3, 16), (4, 16)]:
+    # these truncations is not generated by the m*r standard elements.  The
+    # closure has d = 2 = m*r, which would read as a confirmation; the
+    # Sylow itself, enumerated by membership, has d = 3, 4, 4
+    for k, closure_order, d in [(2, 8, 3), (3, 16, 4), (4, 16, 4)]:
         oracle = AffineMatrixGroup(2, F2, k).oracle()
         gens = sylow_generators(2, F2, k)
         table = closure(gens, oracle, p=2)
         assert table.order == closure_order < sylow_order(2, F2, k)
-        assert not verify_generation(2, F2, k)
-        assert set(table.elements) < brute_force_sylow(2, F2, k)
+        assert not verify_generation(IwahoriSylow(2, F2, k, DEFAULT_CAP))
+        sylow = brute_force_sylow(2, F2, k)
+        assert set(table.elements) < sylow
+        assert frattini_dimension_of(sylow, oracle, 2) == d
 
 
 def test_dropping_corner_generator_loses_elements():
@@ -230,34 +234,40 @@ def test_dropping_corner_generator_loses_elements():
 
 
 def test_verify_generation_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        verify_generation(3, F3, 3, cap=1000)
+    sylow = IwahoriSylow(3, F3, 3, 1000)
+    with pytest.raises(EnumerationCapExceeded, match="Sylow order 1162261467 exceeds the cap of 1000"):
+        verify_generation(sylow)
+    # refused before the table was listed
+    assert "table" not in vars(sylow)
+
+
+def test_iwahori_sylow_lists_its_table_on_first_use_only():
+    sylow = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
+    assert sylow.order == sylow_order(2, F3, 2) == 81
+    assert "table" not in vars(sylow)
+    table = sylow.table
+    assert sylow.generates and sylow.table is table
+    with pytest.raises(EnumerationCapExceeded, match="closure exceeded the cap of 80"):
+        IwahoriSylow(2, F3, 2, 80).table
+
+
+def _h1(m, fq, k):
+    return verify_theorem1_affine(IwahoriSylow(m, fq, k, DEFAULT_CAP))["h1_blackbox"]
 
 
 def test_frattini_dimensions():
-    assert frattini_dimension_affine(2, F3, 2) == 2
-    assert frattini_dimension_affine(2, F3, 3) == 2
-    assert frattini_dimension_affine(2, F9, 2) == 4
-    assert frattini_dimension_affine(2, F3, 1) == 1
-    assert frattini_dimension_affine(3, F3, 2) == 3
-
-
-def test_frattini_dimension_refused_when_generators_fall_short():
-    # the closure has d = 2 = m*r, which would pass for a confirmation;
-    # the Sylow itself, enumerated by membership, has d = 3, 4, 4
-    for k, d in [(2, 3), (3, 4), (4, 4)]:
-        with pytest.raises(SylowNotGenerated):
-            frattini_dimension_affine(2, F2, k)
-        sylow = brute_force_sylow(2, F2, k)
-        oracle = AffineMatrixGroup(2, F2, k).oracle()
-        assert frattini_dimension_of(sylow, oracle, 2) == d
+    assert _h1(2, F3, 2) == 2
+    assert _h1(2, F3, 3) == 2
+    assert _h1(2, F9, 2) == 4
+    assert _h1(2, F3, 1) == 1
+    assert _h1(3, F3, 2) == 3
 
 
 def test_frattini_dimension_of_enumeration_matches_generated_sylow():
     sylow = brute_force_sylow(2, F3, 2)
     oracle = AffineMatrixGroup(2, F3, 2).oracle()
     d = frattini_dimension_of(sylow, oracle, 3)
-    assert d == frattini_dimension_affine(2, F3, 2)
+    assert d == _h1(2, F3, 2)
 
 
 def test_affine_hypothesis_bound():
@@ -268,7 +278,7 @@ def test_affine_hypothesis_bound():
 
 @pytest.mark.parametrize("m,h1", [(2, 2), (3, 3)])
 def test_verify_theorem1_affine_matches_reference(m, h1):
-    report = verify_theorem1_affine(m, F3, 2)
+    report = verify_theorem1_affine(IwahoriSylow(m, F3, 2, DEFAULT_CAP))
     assert report.pop("elapsed_ms") >= 0
     assert report == {
         "model": "affine_matrix",
@@ -289,8 +299,8 @@ def test_verify_theorem1_affine_matches_reference(m, h1):
 
 def test_verify_theorem1_affine_hypothesis():
     with pytest.raises(HypothesisViolated, match="off-diagonal size 2"):
-        verify_theorem1_affine(2, F2, 2)
-    report = verify_theorem1_affine(3, F2, 2)
+        verify_theorem1_affine(IwahoriSylow(2, F2, 2, DEFAULT_CAP))
+    report = verify_theorem1_affine(IwahoriSylow(3, F2, 2, DEFAULT_CAP))
     assert report["h1_blackbox"] == report["h1_predicted"] == 3
 
 
@@ -317,11 +327,9 @@ def test_commutator_identity_f4():
 
 
 def test_congruence_chain():
-    pre = sylow_table(2, F3, 3)
-    _, table = pre
-    chain = [
-        congruence_subgroup(2, F3, 3, i, precomputed=pre) for i in (1, 2, 3)
-    ]
+    sylow = IwahoriSylow(2, F3, 3, DEFAULT_CAP)
+    table = sylow.table
+    chain = [congruence_subgroup(sylow, i) for i in (1, 2, 3)]
     assert [K.order for K in chain] == [3 ** 6, 3 ** 3, 1]
     oracle = table.oracle
     for K in chain:
@@ -342,16 +350,17 @@ def test_congruence_chain():
 
 
 def test_scans_across_block_boundaries():
-    pre = sylow_table(2, F3, 4)
-    assert pre[1].order == 3 ** 10 > SCAN_BLOCK
-    chain = [congruence_subgroup(2, F3, 4, i, precomputed=pre) for i in (1, 2, 3, 4)]
+    sylow = IwahoriSylow(2, F3, 4, DEFAULT_CAP)
+    table = sylow.table
+    assert table.order == 3 ** 10 > SCAN_BLOCK
+    chain = [congruence_subgroup(sylow, i) for i in (1, 2, 3, 4)]
     assert [K.order for K in chain] == [3 ** 9, 3 ** 6, 3 ** 3, 1]
-    group, table = pre
-    assert verify_generation(2, F3, 4, precomputed=pre)
+    assert verify_generation(sylow)
     # one non-member in the last block fails the membership scan
-    outsider = group.elementary(1, 0, 1)
-    forged = FiniteGroupTable(table.oracle, (), table.elements[:-1] + (outsider,))
-    assert not verify_generation(2, F3, 4, precomputed=(group, forged))
+    outsider = sylow.group.elementary(1, 0, 1)
+    forged = IwahoriSylow(2, F3, 4, DEFAULT_CAP)
+    forged.table = FiniteGroupTable(table.oracle, (), table.elements[:-1] + (outsider,))
+    assert not verify_generation(forged)
     group, table = enumerate_special_linear(3, F3)
     assert table.order == 5616 > SCAN_BLOCK
     assert borel_subgroup(group, table).order == 108
@@ -359,21 +368,19 @@ def test_scans_across_block_boundaries():
 
 
 def test_congruence_subgroup_validation():
+    sylow = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
     with pytest.raises(ValueError):
-        congruence_subgroup(2, F3, 2, 0)
+        congruence_subgroup(sylow, 0)
     with pytest.raises(ValueError):
-        congruence_subgroup(2, F3, 2, 3)
+        congruence_subgroup(sylow, 3)
 
 
 def test_filtration_lemma_on_congruence_chain():
     for k in (2, 3):
-        pre = sylow_table(2, F3, k)
-        _, table = pre
+        sylow = IwahoriSylow(2, F3, k, DEFAULT_CAP)
+        table = sylow.table
         V = derived_subgroup(table)
-        chain = [
-            congruence_subgroup(2, F3, k, i, precomputed=pre)
-            for i in range(2, k + 1)
-        ]
+        chain = [congruence_subgroup(sylow, i) for i in range(2, k + 1)]
         if not chain:
             continue
         report = check_filtration_lemma(table, chain, V)
@@ -391,9 +398,9 @@ def _reduce(big, small, keys):
 
 
 def test_reduction_is_homomorphism():
-    big = AffineMatrixGroup(2, F3, 3)
+    sylow = IwahoriSylow(2, F3, 3, DEFAULT_CAP)
+    big, table = sylow.group, sylow.table
     small = AffineMatrixGroup(2, F3, 2)
-    _, table = sylow_table(2, F3, 3, group=big)
     big_mul, small_mul = table.oracle.mul, small.oracle().mul
     rng = random.Random(23)
     for _ in range(200):
@@ -417,14 +424,14 @@ def test_reduction_maps_sylow_onto_sylow():
     assert set(_reduce(big, small, big_sylow)) == small_sylow
     # the closures of the standard generators (16 and 8 elements) also
     # reduce onto each other
-    _, big_table = sylow_table(2, F2, 3, group=big)
-    _, small_table = sylow_table(2, F2, 2, group=small)
+    big_table = IwahoriSylow(2, F2, 3, DEFAULT_CAP).table
+    small_table = IwahoriSylow(2, F2, 2, DEFAULT_CAP).table
     assert set(_reduce(big, small, big_table.elements)) == set(small_table.elements)
     # at q = 3 the generated tables are the Sylow subgroups: 2 187 onto 81
     big = AffineMatrixGroup(2, F3, 3)
     small = AffineMatrixGroup(2, F3, 2)
-    _, big_table = sylow_table(2, F3, 3, group=big)
-    _, small_table = sylow_table(2, F3, 2, group=small)
+    big_table = IwahoriSylow(2, F3, 3, DEFAULT_CAP).table
+    small_table = IwahoriSylow(2, F3, 2, DEFAULT_CAP).table
     assert (big_table.order, small_table.order) == (
         sylow_order(2, F3, 3),
         sylow_order(2, F3, 2),
@@ -435,7 +442,7 @@ def test_reduction_maps_sylow_onto_sylow():
 def test_bulk_multiplication_matches_scalar():
     group = AffineMatrixGroup(2, F9, 2)
     oracle = group.oracle()
-    _, table = sylow_table(2, F9, 2, group=group)
+    table = IwahoriSylow(2, F9, 2, DEFAULT_CAP).table
     rng = random.Random(31)
     keys = [table.elements[rng.randrange(table.order)] for _ in range(50)]
     g = table.elements[rng.randrange(table.order)]

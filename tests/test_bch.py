@@ -5,6 +5,8 @@ from fractions import Fraction
 from kmsylow.bch import bch_lyndon_terms
 from kmsylow.lie import rho_expansion
 
+from lyndon_peeling import bch_lyndon_terms_by_peeling
+
 
 def expand_series(terms):
     # associative expansion of the Lyndon-bracket form
@@ -150,3 +152,13 @@ def test_denominators_bounded_by_weight():
                     while d % f == 0:
                         d //= f
                 f += 1
+
+
+def test_lyndon_terms_match_the_peeling_oracle():
+    # the integer-step solve and the field peeling give the same terms,
+    # Fractions and order included
+    for max_weight in range(1, 9):
+        got = bch_lyndon_terms(max_weight)
+        want = bch_lyndon_terms_by_peeling(max_weight)
+        assert got == want
+        assert all(type(c) is Fraction for _, c in got)

@@ -6,6 +6,7 @@ import pytest
 
 from kmsylow import affine, cli, pgroup
 from kmsylow.cli import DEFAULT_CAMPAIGN, main, run_campaign
+from kmsylow.fields import FqConfig
 
 A2 = [[2, -1], [-1, 2]]
 AFF = [[2, -2], [-2, 2]]
@@ -379,19 +380,52 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
         return wrapper
 
     for name in calls:
-        wrapper = counting(name)
-        monkeypatch.setattr(affine, name, wrapper)
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(affine, name, counting(name))
+    # checks -> verify_generation calls per run; the table is listed once
+    cases = [
+        (["theorem1", "cor_linear", "generation", "filtration"], 1),
+        (["cor_linear"], 1),
+        (["filtration"], 0),
+    ]
+    for checks, generation_calls in cases:
+        campaign = {
+            "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
+        }
+        for runs in (1, 2):
+            report = run_campaign(campaign)
+            statuses = [r["status"] for r in report["instances"][0]["results"]]
+            assert statuses == ["pass"] * len(checks)
+            assert calls == {
+                "sylow_table": runs,
+                "verify_generation": runs * generation_calls,
+            }
+        calls.update(dict.fromkeys(calls, 0))
+
+
+def test_cor_linear_is_a_view_of_theorem1(monkeypatch):
     campaign = {
         "instances": [
-            {"model": "affine", "m": 2, "q": 3, "k": 2,
-             "checks": ["theorem1", "cor_linear", "generation", "filtration"]},
+            {"model": "affine", "m": 2, "q": 3, "k": 2, "checks": ["theorem1", "cor_linear"]},
         ],
     }
-    for runs in (1, 2):
-        report = run_campaign(campaign)
-        assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 4
-        assert calls == {"sylow_table": runs, "verify_generation": runs}
+    theorem1, cor_linear = run_campaign(campaign)["instances"][0]["results"]
+    assert cor_linear["payload"] == {
+        "h1": theorem1["payload"]["h1_blackbox"],
+        "predicted": theorem1["payload"]["h1_predicted"],
+    } == {"h1": 2, "predicted": 2}
+    # agreeing numbers without generation fail both checks
+    monkeypatch.setattr(affine, "verify_generation", lambda sylow: False)
+    results = run_campaign(campaign)["instances"][0]["results"]
+    assert [r["status"] for r in results] == ["fail", "fail"]
+    assert results[1]["payload"] == {"h1": 2, "predicted": 2}
+    # a closure short of the Sylow is a failed check, not an error
+    monkeypatch.undo()
+    upper = affine.sylow_generators(2, FqConfig(3), 2)[:1]
+    monkeypatch.setattr(affine, "sylow_generators", lambda m, fq, k: upper)
+    results = run_campaign(campaign)["instances"][0]["results"]
+    assert [r["status"] for r in results] == ["fail", "fail"]
+    assert results[0]["payload"]["generators_generate"] is False
+    assert results[1]["payload"] == {"h1": 1, "predicted": 2}
 
 
 def test_bch_instance_enumerates_its_roots_once_per_run(monkeypatch):

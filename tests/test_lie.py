@@ -12,16 +12,17 @@ from kmsylow.gcm import validate_gcm
 from kmsylow.lie import (
     bracket,
     build_positive_part,
-    integer_coordinates,
     is_lyndon,
     lyndon_words,
     poly_commutator,
     rho_expansion,
     root_multiplicity,
+    lyndon_coordinates,
     standard_factorization,
-    to_lyndon_coordinates,
 )
 from kmsylow.roots import REAL, RootVector, positive_roots_up_to_height, simple_root
+
+from lyndon_peeling import to_lyndon_coordinates
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
 B2S = validate_gcm([[2, -1], [-2, 2]])
@@ -270,7 +271,7 @@ def test_duval_words_equal_the_filtered_product_in_order():
 
 def test_integer_coordinates_match_field_coordinates():
     # every pairwise commutator of basis expansions, through plain integers
-    # and through the field peeling that the BCH layer uses
+    # and through the field peeling of the test oracle
     algebra = build_positive_part(AFF3, 5)
     expansions = [rho_expansion(b.word) for b in algebra.basis]
     words_of = {}
@@ -286,7 +287,7 @@ def test_integer_coordinates_match_field_coordinates():
                                     if tuple(w.count(s) for s in range(3)) == degree]
             words = words_of[degree]
             index = {w: k for k, w in enumerate(words)}
-            ints = integer_coordinates(comm, words)
+            ints = lyndon_coordinates(comm, words)
             for fld in (QQ, PrimeField(7)):
                 poly = {w: fld.from_int(c) for w, c in comm.items()}
                 want = to_lyndon_coordinates(poly, words, index, fld)
@@ -295,4 +296,4 @@ def test_integer_coordinates_match_field_coordinates():
 
 def test_integer_coordinates_refuse_a_non_lie_element():
     with pytest.raises(AssertionError):
-        integer_coordinates({(0, 1): 1}, lyndon_words(2, 2))
+        lyndon_coordinates({(0, 1): 1}, lyndon_words(2, 2))

@@ -30,7 +30,6 @@ from kmsylow.pgroup import (
     key_rows,
     layered_order,
     normal_closure,
-    orders_are_p_powers,
     row_keys,
     select,
     subgroup_index,
@@ -135,7 +134,6 @@ def test_closure_full_vector_group():
     oracle = vector_oracle(3, 2)
     table = closure([bytes((1, 0)), bytes((0, 1))], oracle, p=3)
     assert table.order == 9
-    assert orders_are_p_powers(table, 3)
 
 
 def bulk_vector_oracle(p, d, sizes):
@@ -298,15 +296,6 @@ def test_frattini_requires_prime():
     table = closure([bytes((1, 0))], oracle)
     with pytest.raises(NotAPGroup):
         frattini_quotient_dimension(table)
-
-
-def test_orders_are_p_powers():
-    z6 = cyclic_oracle(6)
-    table = closure([bytes([1])], z6, p=2)
-    assert not orders_are_p_powers(table, 2)
-    z8 = cyclic_oracle(8)
-    table = closure([bytes([1])], z8, p=2)
-    assert orders_are_p_powers(table, 2)
 
 
 def test_frattini_dimension_is_minimal_generator_count():
