@@ -209,18 +209,28 @@ def test_verify_generation():
 
 def test_generation_fails_in_characteristic_two_for_m2():
     # index of the generated subgroup grows with k: the pro-2 group behind
-    # these truncations is not generated by the m*r standard elements.  The
-    # closure has d = 2 = m*r, which would read as a confirmation; the
-    # Sylow itself, enumerated by membership, has d = 3, 4, 4
-    for k, closure_order, d in [(2, 8, 3), (3, 16, 4), (4, 16, 4)]:
+    # these truncations is not generated by the m*r standard elements
+    for k, closure_order in [(2, 8), (3, 16), (4, 16)]:
         oracle = AffineMatrixGroup(2, F2, k).oracle()
         gens = sylow_generators(2, F2, k)
         table = closure(gens, oracle, p=2)
         assert table.order == closure_order < sylow_order(2, F2, k)
         assert not verify_generation(IwahoriSylow(2, F2, k, DEFAULT_CAP))
-        sylow = brute_force_sylow(2, F2, k)
-        assert set(table.elements) < sylow
-        assert frattini_dimension_of(sylow, oracle, 2) == d
+        assert set(table.elements) < brute_force_sylow(2, F2, k)
+
+
+def test_frattini_dimension_refused_when_generators_fall_short():
+    # the closure has d = 2 = m*r, which would pass for a confirmation, so
+    # theorem 1 refuses to report it; the Sylow itself, enumerated by
+    # membership, has d = 3, 4, 4
+    for k, d in [(2, 3), (3, 4), (4, 4)]:
+        sylow = IwahoriSylow(2, F2, k, DEFAULT_CAP)
+        with pytest.raises(HypothesisViolated, match="off-diagonal size 2"):
+            verify_theorem1_affine(sylow)
+        assert not verify_generation(sylow)
+        members = brute_force_sylow(2, F2, k)
+        oracle = AffineMatrixGroup(2, F2, k).oracle()
+        assert frattini_dimension_of(members, oracle, 2) == d
 
 
 def test_dropping_corner_generator_loses_elements():
