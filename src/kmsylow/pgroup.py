@@ -15,12 +15,15 @@ law specialized at each right factor.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
-multiplied in.  A model that also supplies a leading-term map for a central
-filtration gets exact subgroup orders from the layered engine, which lists
-no elements and so has no cap.
+multiplied in.  A closure records its members in a bitmap with one bit per
+code vector when the oracle names q and q^width is at most BITMAP_CODES,
+and in a set of keys otherwise.  A model that also supplies a leading-term
+map for a central filtration gets exact subgroup orders from the layered
+engine, which lists no elements and so has no cap.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -29,6 +32,9 @@ from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 
 DEFAULT_CAP = 2 ** 21
 SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
+# largest key space q^width whose members a closure marks in a bitmap, one
+# bit per code vector (8 MiB); larger spaces keep a set of keys
+BITMAP_CODES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,7 @@ class GroupOracle:
     mul: object  # (key, key) -> key
     inv: object  # key -> key
     mul_many: object = None  # optional: (list of keys, key) -> list of keys
+    q: int = None  # optional: keys are code vectors over F_q, bytes below q
 
 
 def key_rows(keys, width):
@@ -216,7 +223,7 @@ def law_oracle(fq, identity, law, inverse):
     """The oracle of a group whose product is the polynomial map law at
     (x, y) = (a, b) and whose inverse is the polynomial map inverse at
     x = a; right multiplication in bulk evaluates law.at_y(g)."""
-    return GroupOracle(identity, law, inverse, bulk_hook(fq, law.at_y))
+    return GroupOracle(identity, law, inverse, bulk_hook(fq, law.at_y), fq.q)
 
 
 def select(keys, width, predicate):
@@ -237,18 +244,18 @@ def _bulk(oracle, keys, g):
 class FiniteGroupTable:
     """An enumerated (or generator-presented) subgroup over an oracle.
 
-    element_set, when the caller already holds the set of the elements (a
-    closure does), is taken as the table's set instead of building another
-    one; the caller must not change it afterwards."""
+    members, when given, answers membership tests: a closure passes the
+    key set or code bitmap it filled.  Without it the table answers from
+    element_set, the elements as a set, which is built on first use unless
+    members already holds one; the caller must not change members
+    afterwards."""
 
-    def __init__(self, oracle, generators, elements=None, p=None, element_set=None):
+    def __init__(self, oracle, generators, elements=None, p=None, members=None):
         self.oracle = oracle
         self.generators = tuple(generators)
         self.elements = tuple(elements) if elements is not None else None
-        if element_set is None and elements is not None:
-            element_set = frozenset(self.elements)
-        self.element_set = element_set
         self.p = p
+        self._members = members
         # seed set -> its normal closure under the generators
         self._normal_closures = {}
 
@@ -258,19 +265,98 @@ class FiniteGroupTable:
             raise ValueError("group not enumerated")
         return len(self.elements)
 
+    @cached_property
+    def element_set(self):
+        if isinstance(self._members, _KeySet):
+            return self._members.set
+        return frozenset(self.elements)
+
+    @property
+    def members(self):
+        """The table's membership structure: a set, a _KeySet or a
+        _CodeBitmap, each with `in` and isdisjoint."""
+        return self.element_set if self._members is None else self._members
+
     def __contains__(self, key):
-        return key in self.element_set
+        return key in self.members
+
+
+class _KeySet:
+    """Membership by a set of the keys themselves, for any key space.  The
+    set is held, not subclassed: `in` on a set subclass is about twice as
+    slow as on a set."""
+
+    def __init__(self):
+        self.set = set()
+
+    def take_new(self, keys):
+        """The keys not yet members, in order, now made members.  The keys
+        must be distinct."""
+        members = self.set
+        fresh = [k for k in keys if k not in members]
+        members.update(fresh)
+        return fresh
+
+    def isdisjoint(self, keys):
+        return self.set.isdisjoint(keys)
+
+    def __contains__(self, key):
+        return key in self.set
+
+
+class _CodeBitmap:
+    """Membership of keys over F_q of one width by one bit per code vector:
+    key k is bit sum k[i] q^i, so q^width bits hold every possible key."""
+
+    def __init__(self, q, width):
+        self.width = width
+        self.weights = q ** np.arange(width, dtype=np.int64)
+        self.bits = np.zeros(-(-(q ** width) // 8), dtype=np.uint8)
+
+    def _codes(self, keys):
+        return key_rows(keys, self.width) @ self.weights
+
+    def _marked(self, codes):
+        return (self.bits[codes >> 3] >> (codes & 7).astype(np.uint8)) & 1
+
+    def take_new(self, keys):
+        """The keys not yet members, in order, now made members.  The keys
+        must be distinct."""
+        codes = self._codes(keys)
+        new = self._marked(codes) == 0
+        codes = codes[new]
+        np.bitwise_or.at(
+            self.bits, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8)
+        )
+        return list(compress(keys, new))
+
+    def isdisjoint(self, keys):
+        """True iff none of a list of keys is a member."""
+        return not self._marked(self._codes(keys)).any()
+
+    def __contains__(self, key):
+        return bool(self._marked(self._codes([key]))[0])
+
+
+def _membership(oracle):
+    """A code bitmap when the oracle's keys are code vectors over F_q with
+    q^width at most BITMAP_CODES, else a set of keys."""
+    width = len(oracle.identity)
+    if oracle.q is not None and oracle.q ** width <= BITMAP_CODES:
+        return _CodeBitmap(oracle.q, width)
+    return _KeySet()
 
 
 class _Closure:
     """Incrementally grown subgroup closure with cap enforcement: the
-    elements in the order found, and their set for membership."""
+    elements in the order found, and their membership structure."""
 
     def __init__(self, oracle, cap):
         self.oracle = oracle
         self.cap = cap
         self.order = [oracle.identity]
-        self.seen = {oracle.identity}
+        self.members = _membership(oracle)
+        self.members.take_new(self.order)
         self.gens = []
         self._genset = set()
 
@@ -278,28 +364,28 @@ class _Closure:
         """Add and return, in order, the unseen products k g, formed and
         held SCAN_BLOCK at a time.  The keys are distinct and right
         multiplication is injective, so the products are distinct too and
-        each block is filtered against seen alone."""
+        each block is filtered against the members alone.  A block that
+        passes the cap is marked before the refusal, but a closure that
+        refused is never read again."""
         novel = []
-        seen = self.seen
         for start in range(0, len(keys), SCAN_BLOCK):
             block = _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g)
-            fresh = [k for k in block if k not in seen]
-            if len(seen) + len(fresh) > self.cap:
+            fresh = self.members.take_new(block)
+            if len(self.order) + len(fresh) > self.cap:
                 raise EnumerationCapExceeded(
                     f"closure exceeded the cap of {self.cap} elements"
                 )
-            seen.update(fresh)
             self.order += fresh
             novel += fresh
         return novel
 
     def table(self, generators, p):
-        """The subgroup found, its elements in the order found.  Its set is
-        the closure's own, so no second set of the elements is built."""
+        """The subgroup found, its elements in the order found, with the
+        closure's membership structure."""
         elements = tuple(self.order)
         self.order = None
         return FiniteGroupTable(
-            self.oracle, generators, elements, p=p, element_set=self.seen
+            self.oracle, generators, elements, p=p, members=self.members
         )
 
     def add_generators(self, new_gens):
@@ -366,7 +452,7 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
         i += 1
         for c, c_inv in conjs:
             x = oracle.mul(oracle.mul(c_inv, t), c)
-            if x not in state.seen:
+            if x not in state.members:
                 worklist.append(x)
                 state.add_generators([x])
     return state.table(tuple(worklist), p)
@@ -498,7 +584,7 @@ def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
     """
     if order is not None:
         _refuse_known(order // sub.order, cap, "index")
-    sub_set = sub.element_set
+    members = sub.members
     reps = [oracle.identity]
     frontier = [oracle.identity]
     while frontier:
@@ -506,10 +592,10 @@ def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
         for r in frontier:
             for g in group_generators:
                 cand = oracle.mul(r, g)
-                if cand in sub_set:
+                if cand in members:
                     continue
                 probes = _bulk(oracle, reps, oracle.inv(cand))
-                if not sub_set.isdisjoint(probes):
+                if not members.isdisjoint(probes):
                     continue
                 if len(reps) >= cap:
                     raise EnumerationCapExceeded(

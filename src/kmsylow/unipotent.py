@@ -365,7 +365,9 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
         lhs_order = frattini_order
     else:
         group_engine = "enumeration"
-        frattini_eq_derived = derived.element_set == frattini.element_set
+        frattini_eq_derived = (
+            derived is frattini or derived.element_set == frattini.element_set
+        )
         h1_blackbox = _log_exact(index, p)
         lhs_order = frattini.order
         rhs_order = rhs.order

@@ -40,6 +40,7 @@ from kmsylow.pgroup import (
     row_keys,
 )
 
+from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
     brute_force_sylow,
@@ -259,6 +260,15 @@ def test_iwahori_sylow_lists_its_table_on_first_use_only():
     assert sylow.generates and sylow.table is table
     with pytest.raises(EnumerationCapExceeded, match="closure exceeded the cap of 80"):
         IwahoriSylow(2, F3, 2, 80).table
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 1)])
+def test_bitmap_and_key_set_closures_agree(m, k):
+    # the Iwahori Sylow and, for the Tits check, SL_m(F_3) itself
+    oracle = AffineMatrixGroup(m, F3, k).oracle()
+    assert_membership_paths_agree(oracle, sylow_generators(m, F3, k), 3)
+    group, table = enumerate_special_linear(m, F3)
+    assert_membership_paths_agree(group.oracle(), table.generators, 3)
 
 
 def _h1(m, fq, k):

@@ -402,6 +402,36 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
 
 
+def test_affine_instance_lists_its_sylow_once_per_run_when_refused(monkeypatch):
+    calls = []
+    original = affine.sylow_table
+
+    def counting(sylow):
+        calls.append(sylow.cap)
+        return original(sylow)
+
+    monkeypatch.setattr(affine, "sylow_table", counting)
+    checks = ["theorem1", "cor_linear", "generation", "filtration"]
+    campaign = {
+        "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
+    }
+    listed = "closure exceeded the cap of 50 elements"
+    # the Sylow has order 81; generation refuses on that order alone
+    details = [listed, listed, "Sylow order 81 exceeds the cap of 50", listed]
+    for runs in (1, 2):
+        results = run_campaign(campaign, cap=50)["instances"][0]["results"]
+        assert results == [
+            {
+                "check": check,
+                "status": "skipped",
+                "reason": "EnumerationCapExceeded",
+                "detail": detail,
+            }
+            for check, detail in zip(checks, details)
+        ]
+        assert calls == [50] * runs
+
+
 def test_cor_linear_is_a_view_of_theorem1(monkeypatch):
     campaign = {
         "instances": [

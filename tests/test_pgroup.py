@@ -2,6 +2,7 @@
 bulk evaluator against the scalar one on random polynomial maps and on both
 models' laws."""
 
+import dataclasses
 import functools
 import gc
 import itertools
@@ -15,10 +16,12 @@ from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
 from kmsylow.pgroup import (
+    BITMAP_CODES,
     SCAN_BLOCK,
     FiniteGroupTable,
     GroupOracle,
     PolynomialMap,
+    _CodeBitmap,
     bulk_hook,
     check_filtration_lemma,
     closure,
@@ -177,13 +180,37 @@ def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
     gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
     table = closure(gens, bulk, cap=p ** d)
     assert table.order == p ** d and max(sizes) == SCAN_BLOCK
-    assert table.elements == closure(gens, scalar, cap=p ** d).elements
+    elements = closure(gens, scalar, cap=p ** d).elements
+    assert table.elements == elements
+    # with q set, the same closure marks its members in a code bitmap
+    bitmap = dataclasses.replace(bulk, q=p)
+    table = closure(gens, bitmap, cap=p ** d)
+    assert type(table.members) is _CodeBitmap and table.elements == elements
     messages = []
-    for oracle in (bulk, scalar):
+    for oracle in (bulk, scalar, bitmap):
         with pytest.raises(EnumerationCapExceeded) as refused:
             closure(gens, oracle, cap=p ** d - 1)
         messages.append(str(refused.value))
-    assert messages == [f"closure exceeded the cap of {p ** d - 1} elements"] * 2
+    assert messages == [f"closure exceeded the cap of {p ** d - 1} elements"] * 3
+
+
+@pytest.mark.parametrize("width,path", [(26, "_CodeBitmap"), (27, "_KeySet")])
+def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
+    assert BITMAP_CODES == 2 ** 26
+    oracle = dataclasses.replace(vector_oracle(2, width), q=2)
+    ones, top = bytes([1]) * width, bytes(width - 1) + bytes([1])
+    table = closure([ones], oracle, p=2)
+    assert type(table.members).__name__ == path
+    assert table.elements == (bytes(width), ones)
+    assert ones in table and top not in table
+    assert table.members.isdisjoint([top])
+    assert not table.members.isdisjoint([top, ones])
+
+
+def test_bitmap_codes_are_exact_at_the_limit():
+    keys = [bytes([1]) * 26, bytes(25) + bytes([1]), bytes([1]) + bytes(25)]
+    assert _CodeBitmap(2, 26)._codes(keys).tolist() == [2 ** 26 - 1, 2 ** 25, 1]
+    assert _CodeBitmap(256, 3)._codes([bytes([255]) * 3]).tolist() == [2 ** 24 - 1]
 
 
 def test_closure_is_generator_order_independent():

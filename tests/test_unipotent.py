@@ -32,6 +32,8 @@ from kmsylow.unipotent import (
     verify_theorem1,
 )
 
+from membership_paths import assert_membership_paths_agree
+
 A2 = validate_gcm([[2, -1], [-1, 2]])
 B2S = validate_gcm([[2, -1], [-2, 2]])
 G2S = validate_gcm([[2, -1], [-3, 2]])
@@ -512,6 +514,16 @@ def test_enumeration_layered_and_lazard_agree(inst):
 
     oracle = model.oracle()
     assert layered_order(gens, oracle, model.lead, p) == order
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_bitmap_and_key_set_closures_agree(inst):
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    model, gens, _ = _model_and_generators(gcm, fq, H)
+    oracle = model.oracle()
+    order = layered_order(gens, oracle, model.lead, fq.p)
+    assert_membership_paths_agree(oracle, gens, fq.p, order)
 
 
 def _refuse_enumeration(monkeypatch):
