@@ -14,7 +14,6 @@ filters read the keys as (n, m, m, k) coefficient stacks, one block at a
 time.
 """
 
-import time
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import prod
@@ -218,7 +217,6 @@ def verify_theorem1_affine(sylow):
     here first, and nowhere else in this model."""
     m, fq, k, cap = sylow.m, sylow.fq, sylow.k, sylow.cap
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
-    t0 = time.perf_counter()
     table, generates = sylow.table, sylow.generates
     h1 = frattini_quotient_dimension(table, cap=cap)
     phi = frattini_subgroup(table, cap=cap)
@@ -238,7 +236,6 @@ def verify_theorem1_affine(sylow):
         "thm_ii_lhs_order": None,
         "thm_ii_rhs_order": None,
         "generators_generate": generates,
-        "elapsed_ms": int(round((time.perf_counter() - t0) * 1000)),
     }
 
 

@@ -5,6 +5,7 @@ import argparse
 import json
 import random
 import sys
+import time
 
 from .affine import (
     IwahoriSylow,
@@ -382,25 +383,24 @@ def _run_instance(index, parsed, seed, cap):
     model = inst["model"]
     results = []
     for name in inst["checks"]:
+        t0 = time.perf_counter()
         try:
             payload, ok = CHECKS[(model, name)](inst, seed + index, cap)
         except SKIP_ERRORS as err:
-            results.append(
-                {
-                    "check": name,
-                    "status": "skipped",
-                    "reason": type(err).__name__,
-                    "detail": str(err),
-                }
-            )
-            continue
-        results.append(
-            {
+            result = {
+                "check": name,
+                "status": "skipped",
+                "reason": type(err).__name__,
+                "detail": str(err),
+            }
+        else:
+            result = {
                 "check": name,
                 "status": "pass" if ok else "fail",
                 "payload": payload,
             }
-        )
+        result["elapsed_ms"] = int(round((time.perf_counter() - t0) * 1000))
+        results.append(result)
     params = {k: v for k, v in inst.items() if k not in ("model", "checks")}
     return {"index": index, "model": model, "params": params, "results": results}
 

@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic: rationals, prime fields, table-driven F_q.
+"""Exact scalar arithmetic: rationals and table-driven F_q.
 
-The Lie-algebra layer does Gaussian elimination over a field protocol
-(RationalField or PrimeField).  The group layers work over F_q through
-FqConfig, which encodes field elements as integers 0..q-1 in the power basis
-of a deterministically chosen irreducible polynomial, and exposes numpy
-lookup tables for vectorized arithmetic.
+The Lie-algebra layer does Gaussian elimination over a field protocol with
+two implementations: QQ (RationalField) for Q, and FqConfig for every finite
+field, F_p being FqConfig(p).  FqConfig encodes field elements as integers
+0..q-1 in the power basis of a deterministically chosen irreducible
+polynomial; nested-list tables drive its scalar arithmetic, and its one
+numpy table, the product table MUL, feeds the bulk evaluator
+pgroup.bulk_hook.
 """
 
 from bisect import bisect
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# codes of F_q live in the uint8 lookup tables
+# codes of F_q are bytes: key coordinates and entries of the uint8 table MUL
 MAX_Q = 256
 
 
@@ -64,44 +66,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class PrimeField:
-    """Z/pZ with elements the ints 0..p-1."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) % self.char
-
-    def neg(self, a):
-        return (-a) % self.char
-
-    def inv(self, a):
-        a %= self.char
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.char - 2, self.char)
-
-    def from_int(self, n):
-        return n % self.char
-
-    def from_fraction(self, fr):
-        fr = Fraction(fr)
-        if fr.denominator % self.char == 0:
-            raise ZeroDivisionError(f"denominator {fr.denominator} vanishes mod {self.char}")
-        return self.mul(fr.numerator % self.char, self.inv(fr.denominator % self.char))
 
 
 def rref(rows, fld):
@@ -218,7 +182,8 @@ class FqConfig:
     The element sum a_i x^i is encoded as sum a_i p^i, so codes run over
     0..q-1, the prime subfield is the codes 0..p-1, and the power basis
     v_1 = 1, v_2 = x, ..., v_r = x^(r-1) has codes 1, p, ..., p^(r-1).
-    Lookup tables (numpy uint8) drive both scalar and bulk arithmetic.
+    The arithmetic keeps the prime subfield and agrees there with
+    arithmetic mod p, so FqConfig(p) is F_p and char is p.
     """
 
     def __init__(self, p, r=1):
@@ -228,8 +193,8 @@ class FqConfig:
             raise ValueError("r must be >= 1")
         q = p ** r
         if q > MAX_Q:
-            raise ValueError(f"q > {MAX_Q} not supported by the uint8 tables")
-        self.p = p
+            raise ValueError(f"q > {MAX_Q} not supported: codes are bytes")
+        self.p = self.char = p
         self.r = r
         self.q = q
         self.poly = smallest_irreducible(p, r)
@@ -248,10 +213,7 @@ class FqConfig:
         for a in range(1, q):
             inv[a] = next(b for b in range(1, q) if mul_rows[a][b] == 1)
         self._inv = inv
-        self.ADD = np.array(add_rows, dtype=np.uint8)
         self.MUL = np.array(mul_rows, dtype=np.uint8)
-        self.NEG = np.array(self._neg, dtype=np.uint8)
-        self.INV = np.array(inv, dtype=np.uint8)
 
     @classmethod
     def from_q(cls, q):

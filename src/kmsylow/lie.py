@@ -209,7 +209,7 @@ def serre_element(gcm, s_pos, t_pos, a_st):
 
 
 def build_positive_part(gcm, cutoff, fld=QQ):
-    """Construct the truncated positive part over Q or a prime field.
+    """Construct the truncated positive part over Q or F_q.
 
     Processes multidegrees in height order.  At each degree the ideal
     component is spanned by the Serre elements of that degree together with

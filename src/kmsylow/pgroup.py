@@ -242,7 +242,7 @@ def _bulk(oracle, keys, g):
 
 
 class FiniteGroupTable:
-    """An enumerated (or generator-presented) subgroup over an oracle.
+    """An enumerated subgroup over an oracle.
 
     members, when given, answers membership tests: a closure passes the
     key set or code bitmap it filled.  Without it the table answers from
@@ -250,10 +250,10 @@ class FiniteGroupTable:
     members already holds one; the caller must not change members
     afterwards."""
 
-    def __init__(self, oracle, generators, elements=None, p=None, members=None):
+    def __init__(self, oracle, generators, elements, p=None, members=None):
         self.oracle = oracle
         self.generators = tuple(generators)
-        self.elements = tuple(elements) if elements is not None else None
+        self.elements = tuple(elements)
         self.p = p
         self._members = members
         # seed set -> its normal closure under the generators
@@ -261,8 +261,6 @@ class FiniteGroupTable:
 
     @property
     def order(self):
-        if self.elements is None:
-            raise ValueError("group not enumerated")
         return len(self.elements)
 
     @cached_property
@@ -623,12 +621,9 @@ def frattini_quotient_dimension(G, cap=DEFAULT_CAP):
     if G.p is None:
         raise NotAPGroup("the table carries no prime p")
     phi = frattini_subgroup(G, cap=cap)
-    if G.elements is not None:
-        if len(G.elements) % len(phi.elements):
-            raise NotAPGroup("Frattini order does not divide the group order")
-        index = len(G.elements) // len(phi.elements)
-    else:
-        index = subgroup_index(phi, G.generators, G.oracle, cap=cap)
+    if G.order % phi.order:
+        raise NotAPGroup("Frattini order does not divide the group order")
+    index = G.order // phi.order
     d = _log_exact(index, G.p)
     if d is None:
         raise NotAPGroup(f"Frattini index {index} is not a power of {G.p}")
@@ -637,8 +632,6 @@ def frattini_quotient_dimension(G, cap=DEFAULT_CAP):
 
 def is_perfect(G, cap=DEFAULT_CAP):
     """True iff the derived subgroup is the whole group."""
-    if G.elements is None:
-        G = closure(G.generators, G.oracle, cap=cap, p=G.p)
     return derived_subgroup(G, cap=cap).order == G.order
 
 

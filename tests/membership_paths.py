@@ -7,12 +7,13 @@ import dataclasses
 
 from kmsylow.pgroup import (
     DEFAULT_CAP,
-    FiniteGroupTable,
+    _power,
     closure,
     commutator,
     derived_subgroup,
     frattini_quotient_dimension,
     frattini_subgroup,
+    generator_commutators,
     normal_closure,
     subgroup_index,
 )
@@ -20,24 +21,32 @@ from kmsylow.pgroup import (
 
 def enumerations(oracle, gens, p, order=None):
     """What the engine lists and counts for the group the generators
-    generate; order, when given, is the group's order, and a group over the
-    default cap is left generator-presented, as theorem 1 leaves it."""
+    generate; order, when given, is the group's order.  A group over the
+    default cap is not listed: its derived and Frattini subgroups are the
+    normal closures of the generator commutators and, for the Frattini
+    subgroup, the generators' p-th powers, as in BCH theorem 1."""
     if order is None or order <= DEFAULT_CAP:
         G = closure(gens, oracle, p=p)
+        phi = frattini_subgroup(G)
+        out = {
+            "closure": G.elements,
+            "derived_subgroup": derived_subgroup(G).elements,
+            "frattini_quotient_dimension": frattini_quotient_dimension(G),
+        }
     else:
-        G = FiniteGroupTable(oracle, gens, p=p)
-    phi = frattini_subgroup(G)
+        comms = generator_commutators(oracle, gens)
+        powers = [_power(oracle, g, p) for g in gens]
+        phi = normal_closure(comms + powers, gens, oracle, p=p)
+        out = {"derived_subgroup": normal_closure(comms, gens, oracle, p=p).elements}
     # a third commutator, whose normal closure is not the Frattini subgroup
     seeds = [commutator(oracle, commutator(oracle, gens[0], gens[1]), gens[0])]
-    return {
-        "closure": G.elements,
-        "members": type(closure(gens[:1], oracle).members).__name__,
-        "normal_closure": normal_closure(seeds, gens, oracle, p=p).elements,
-        "derived_subgroup": derived_subgroup(G).elements,
-        "frattini_subgroup": phi.elements,
-        "subgroup_index": subgroup_index(phi, gens, oracle),
-        "frattini_quotient_dimension": frattini_quotient_dimension(G),
-    }
+    return dict(
+        out,
+        members=type(closure(gens[:1], oracle).members).__name__,
+        normal_closure=normal_closure(seeds, gens, oracle, p=p).elements,
+        frattini_subgroup=phi.elements,
+        subgroup_index=subgroup_index(phi, gens, oracle),
+    )
 
 
 def assert_membership_paths_agree(oracle, gens, p, order=None):

@@ -255,7 +255,9 @@ def test_verify_report_ignores_timing(tmp_path, capsys):
     assert run(["verify", path, "--out", str(out_path)]) == 0
     capsys.readouterr()
     stored = json.loads(out_path.read_text())
-    stored["instances"][0]["results"][0]["payload"]["elapsed_ms"] = 10 ** 9
+    result = stored["instances"][0]["results"][0]
+    result["elapsed_ms"] = 10 ** 9
+    result["payload"]["elapsed_ms"] = 10 ** 9
     out_path.write_text(json.dumps(stored))
     assert run(["verify", path, "--verify-report", str(out_path)]) == 0
     assert "report matches" in capsys.readouterr().out
@@ -293,13 +295,24 @@ def test_seed_flag_overrides_campaign_seed(tmp_path):
     assert report["seed"] == 1
 
 
-def test_default_campaign_passes(capsys):
-    assert run(["verify"]) == 0
+def test_default_campaign_passes(tmp_path, capsys):
+    out_path = tmp_path / "default.json"
+    assert run(["verify", "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert out.count("[SKIP]") == 2
     assert "CharacteristicTooSmall" in out
     assert "HypothesisViolated" in out
+    # every result, skipped ones included, carries its own wall time
+    results = [
+        res
+        for inst in json.loads(out_path.read_text())["instances"]
+        for res in inst["results"]
+    ]
+    assert len(results) == 30
+    assert {res["status"] for res in results} == {"pass", "skipped"}
+    for res in results:
+        assert type(res["elapsed_ms"]) is int and res["elapsed_ms"] >= 0
 
 
 def test_default_campaign_covers_every_check():
@@ -420,7 +433,7 @@ def test_affine_instance_lists_its_sylow_once_per_run_when_refused(monkeypatch):
     details = [listed, listed, "Sylow order 81 exceeds the cap of 50", listed]
     for runs in (1, 2):
         results = run_campaign(campaign, cap=50)["instances"][0]["results"]
-        assert results == [
+        assert cli._strip_volatile(results) == [
             {
                 "check": check,
                 "status": "skipped",

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from kmsylow.errors import CharacteristicTooSmall, HeightExceedsCutoff
-from kmsylow.fields import PrimeField, QQ
+from kmsylow.fields import FqConfig, QQ
 from kmsylow.gcm import validate_gcm
 from kmsylow.lie import (
     bracket,
@@ -229,26 +229,36 @@ def test_prime_field_dimensions_match_rationals():
         for p in (5, 7):
             if p <= cutoff:
                 continue
-            over_p = build_positive_part(gcm, cutoff, PrimeField(p))
+            over_p = build_positive_part(gcm, cutoff, FqConfig(p))
             assert over_p.dimensions_per_height() == over_q.dimensions_per_height()
 
 
 def test_structure_constants_reduce_mod_p():
+    # over F_5^r the constants lie in the prime subfield, codes 0..4
     over_q = build_positive_part(AFF, 4)
-    f5 = PrimeField(5)
-    over_5 = build_positive_part(AFF, 4, f5)
-    assert [b.root for b in over_5.basis] == [b.root for b in over_q.basis]
-    for (i, j), pairs in over_q.structure.items():
-        got = dict(over_5.structure.get((i, j), ()))
-        want = {k: f5.from_fraction(c) for k, c in pairs if f5.from_fraction(c) != 0}
-        assert got == want
+    f5 = FqConfig(5)
+    for fld in (f5, FqConfig(5, 2), FqConfig(5, 3)):
+        over_5 = build_positive_part(AFF, 4, fld)
+        # a basis element is its index, root and Lyndon word
+        assert over_5.basis == over_q.basis
+        for (i, j), pairs in over_q.structure.items():
+            got = dict(over_5.structure.get((i, j), ()))
+            want = {k: f5.from_fraction(c) for k, c in pairs if f5.from_fraction(c) != 0}
+            assert got == want
+        assert all(
+            (i, j) in over_q.structure and 0 <= c < 5
+            for (i, j), pairs in over_5.structure.items()
+            for _, c in pairs
+        )
 
 
 def test_characteristic_too_small():
     with pytest.raises(CharacteristicTooSmall):
-        build_positive_part(A2, 3, PrimeField(3))
+        build_positive_part(A2, 3, FqConfig(3))
     with pytest.raises(CharacteristicTooSmall):
-        build_positive_part(AFF, 4, PrimeField(2))
+        build_positive_part(AFF, 4, FqConfig(2))
+    with pytest.raises(CharacteristicTooSmall):
+        build_positive_part(A2, 3, FqConfig(3, 2))
 
 
 def test_height_one_component_is_generators():
@@ -288,7 +298,7 @@ def test_integer_coordinates_match_field_coordinates():
             words = words_of[degree]
             index = {w: k for k, w in enumerate(words)}
             ints = lyndon_coordinates(comm, words)
-            for fld in (QQ, PrimeField(7)):
+            for fld in (QQ, FqConfig(7)):
                 poly = {w: fld.from_int(c) for w, c in comm.items()}
                 want = to_lyndon_coordinates(poly, words, index, fld)
                 assert [fld.from_int(c) for c in ints] == want

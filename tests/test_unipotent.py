@@ -320,7 +320,6 @@ def test_verify_theorem1_a2():
         "thm_ii_rhs_order_linear",
         "generators_generate_linear",
         "group_engine",
-        "elapsed_ms",
         "caveat",
     }
     assert report["h1_layered"] == 2
@@ -590,7 +589,7 @@ def test_preflight_boundary(monkeypatch):
     assert layered["h1_blackbox"] is None
     for report in (cosets, layered):
         for key in full:
-            if key not in ("h1_blackbox", "group_engine", "elapsed_ms"):
+            if key not in ("h1_blackbox", "group_engine"):
                 assert report[key] == full[key], key
     assert full["h1_blackbox"] == cosets["h1_blackbox"] == layered["h1_layered"]
 
@@ -614,6 +613,6 @@ def test_small_cap_keeps_every_theorem1_number():
         engines.add(pb["group_engine"])
         assert pb["h1_blackbox"] in (None, pa["h1_blackbox"])
         for key in pa:
-            if key not in ("h1_blackbox", "group_engine", "elapsed_ms"):
+            if key not in ("h1_blackbox", "group_engine"):
                 assert pa[key] == pb[key], key
     assert engines == {"enumeration", "layered"}
