@@ -15,8 +15,13 @@ law specialized at each right factor.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
-multiplied in.  A closure records its members in a bitmap with one bit per
-code vector when the oracle names q and q^width is at most BITMAP_CODES,
+multiplied in.  A closure adds its generators one at a time.  Below a
+block of SCAN_BLOCK elements it grows breadth-first; from there on it
+follows Dimino's algorithm and lists each new coset of the subgroup found
+so far with one bulk right multiplication, so an element is formed about
+once however many generators there are.  A closure records its members in a
+bitmap with one bit per code vector when the oracle names q and q^width is
+at most BITMAP_CODES, in sorted int64 codes while q^width is at most 2^63,
 and in a set of keys otherwise.  A model that also supplies a leading-term
 map for a central filtration gets exact subgroup orders from the layered
 engine, which lists no elements and so has no cap.
@@ -25,6 +30,7 @@ engine, which lists no elements and so has no cap.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import mul
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 DEFAULT_CAP = 2 ** 21
 SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
 # largest key space q^width whose members a closure marks in a bitmap, one
-# bit per code vector (8 MiB); larger spaces keep a set of keys
+# bit per code vector (8 MiB); larger spaces keep sorted codes or keys
 BITMAP_CODES = 2 ** 26
 
 
@@ -245,7 +251,7 @@ class FiniteGroupTable:
     """An enumerated subgroup over an oracle.
 
     members, when given, answers membership tests: a closure passes the
-    key set or code bitmap it filled.  Without it the table answers from
+    membership structure it filled.  Without it the table answers from
     element_set, the elements as a set, which is built on first use unless
     members already holds one; the caller must not change members
     afterwards."""
@@ -271,8 +277,8 @@ class FiniteGroupTable:
 
     @property
     def members(self):
-        """The table's membership structure: a set, a _KeySet or a
-        _CodeBitmap, each with `in` and isdisjoint."""
+        """The table's membership structure: a set, a _KeySet, a
+        _CodeBitmap or a _CodeSet, each with `in` and isdisjoint."""
         return self.element_set if self._members is None else self._members
 
     def __contains__(self, key):
@@ -302,30 +308,31 @@ class _KeySet:
         return key in self.set
 
 
-class _CodeBitmap:
-    """Membership of keys over F_q of one width by one bit per code vector:
-    key k is bit sum k[i] q^i, so q^width bits hold every possible key."""
+class _Codes:
+    """Membership of keys over F_q of one width by their codes: key k is
+    code sum k[i] q^(width - 1 - i), exact in int64 while q^width is at
+    most 2^63.  Both models put their leading coordinates first (the BCH
+    model its coordinates by height, the matrix model each entry's constant
+    term first), so a subgroup deep in a filtration, such as a Frattini or
+    congruence subgroup, has codes in a short prefix of the range, and a
+    bitmap over it touches only that prefix's pages.  A block of keys is
+    coded by one matrix product; one key is coded in plain Python, so a
+    probe of one key makes no numpy call but the lookup."""
 
     def __init__(self, q, width):
         self.width = width
-        self.weights = q ** np.arange(width, dtype=np.int64)
-        self.bits = np.zeros(-(-(q ** width) // 8), dtype=np.uint8)
+        self.weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self._weights = self.weights.tolist()
 
     def _codes(self, keys):
         return key_rows(keys, self.width) @ self.weights
-
-    def _marked(self, codes):
-        return (self.bits[codes >> 3] >> (codes & 7).astype(np.uint8)) & 1
 
     def take_new(self, keys):
         """The keys not yet members, in order, now made members.  The keys
         must be distinct."""
         codes = self._codes(keys)
-        new = self._marked(codes) == 0
-        codes = codes[new]
-        np.bitwise_or.at(
-            self.bits, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8)
-        )
+        new = ~self._marked(codes)
+        self._mark(codes[new])
         return list(compress(keys, new))
 
     def isdisjoint(self, keys):
@@ -333,16 +340,81 @@ class _CodeBitmap:
         return not self._marked(self._codes(keys)).any()
 
     def __contains__(self, key):
-        return bool(self._marked(self._codes([key]))[0])
+        return self._holds(sum(map(mul, key, self._weights)))
+
+
+class _CodeBitmap(_Codes):
+    """Membership by one bit per code vector, so q^width bits hold every
+    possible key."""
+
+    def __init__(self, q, width):
+        super().__init__(q, width)
+        self.bits = np.zeros(-(-(q ** width) // 8), dtype=np.uint8)
+
+    def _marked(self, codes):
+        return (self.bits[codes >> 3] >> (codes & 7).astype(np.uint8)) & 1 == 1
+
+    def _mark(self, codes):
+        np.bitwise_or.at(
+            self.bits, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8)
+        )
+
+    def _holds(self, code):
+        return bool(self.bits[code >> 3] >> (code & 7) & 1)
+
+
+def _sorted_holds(sorted_codes, codes):
+    """Where the codes occur in a sorted int64 array."""
+    if not len(sorted_codes):
+        return np.zeros(len(codes), dtype=bool)
+    at = sorted_codes.searchsorted(codes)
+    return sorted_codes.take(at, mode="clip") == codes
+
+
+class _CodeSet(_Codes):
+    """Membership by the members' codes in sorted int64 arrays, eight bytes
+    a member, for key spaces too large for a bitmap.  A block's new codes
+    are merged into a small array, and the small array into the large one
+    once it holds more than a quarter of it plus a block: the large array
+    grows by at least a quarter each time, so it is rebuilt O(log n) times,
+    and the small one stays below n / 4 + SCAN_BLOCK codes.  Each merge sorts
+    two sorted runs, which the stable sort (timsort for int64) does in
+    linear time."""
+
+    def __init__(self, q, width):
+        super().__init__(q, width)
+        self.large = self.small = np.empty(0, dtype=np.int64)
+
+    def _marked(self, codes):
+        return _sorted_holds(self.large, codes) | _sorted_holds(self.small, codes)
+
+    def _mark(self, codes):
+        small = np.concatenate([self.small, np.sort(codes)])
+        small.sort(kind="stable")
+        if len(small) > len(self.large) // 4 + SCAN_BLOCK:
+            self.large = np.concatenate([self.large, small])
+            self.large.sort(kind="stable")
+            small = np.empty(0, dtype=np.int64)
+        self.small = small
+
+    def _holds(self, code):
+        for codes in (self.large, self.small):
+            at = codes.searchsorted(code)
+            if at < len(codes) and codes[at] == code:
+                return True
+        return False
 
 
 def _membership(oracle):
-    """A code bitmap when the oracle's keys are code vectors over F_q with
-    q^width at most BITMAP_CODES, else a set of keys."""
+    """For keys that are code vectors over F_q (the oracle names q), a code
+    bitmap while q^width is at most BITMAP_CODES and sorted codes while it
+    is at most 2^63; a set of keys otherwise."""
     width = len(oracle.identity)
-    if oracle.q is not None and oracle.q ** width <= BITMAP_CODES:
+    if oracle.q is None or oracle.q ** width > 2 ** 63:
+        return _KeySet()
+    if oracle.q ** width <= BITMAP_CODES:
         return _CodeBitmap(oracle.q, width)
-    return _KeySet()
+    return _CodeSet(oracle.q, width)
 
 
 class _Closure:
@@ -356,7 +428,6 @@ class _Closure:
         self.members = _membership(oracle)
         self.members.take_new(self.order)
         self.gens = []
-        self._genset = set()
 
     def _absorb(self, keys, g):
         """Add and return, in order, the unseen products k g, formed and
@@ -387,24 +458,47 @@ class _Closure:
         )
 
     def add_generators(self, new_gens):
-        fresh = [
-            g
-            for g in dict.fromkeys(new_gens)
-            if g != self.oracle.identity and g not in self._genset
-        ]
-        if not fresh:
-            return
-        old = list(self.order)
-        self.gens.extend(fresh)
-        self._genset.update(fresh)
-        frontier = []
-        for g in fresh:
-            frontier.extend(self._absorb(old, g))
+        """Add the generators one at a time; one already a member costs no
+        product.  While the subgroup found so far is smaller than a block,
+        a generator is added breadth-first, every new element times every
+        generator, because its cosets would each be a small bulk call; from
+        a block on, by one Dimino stage."""
+        for g in new_gens:
+            if g in self.members:
+                continue
+            self.gens.append(g)
+            if len(self.order) < SCAN_BLOCK:
+                self._breadth_first(g)
+            else:
+                self._dimino(g)
+
+    def _breadth_first(self, g):
+        frontier = self._absorb(list(self.order), g)
         while frontier:
             nxt = []
-            for g in self.gens:
-                nxt.extend(self._absorb(frontier, g))
+            for s in self.gens:
+                nxt += self._absorb(frontier, s)
             frontier = nxt
+
+    def _dimino(self, g):
+        """Extend the subgroup H found so far, generated by the earlier
+        generators, by g (Dimino's algorithm; G. Butler, Fundamental
+        Algorithms for Permutation Groups, LNCS 559, 1991): the new
+        subgroup is a union of right cosets H r, each listed as H times r
+        in bulk.  Each representative r times each generator s is one
+        scalar product, and when r s is new the whole coset H r s is,
+        because right cosets of H are equal or disjoint.  Once every such
+        product is a member, the union is closed under right
+        multiplication by the generators, so it is the subgroup."""
+        subgroup = list(self.order)
+        reps = [g]
+        self._absorb(subgroup, g)
+        for r in reps:
+            for s in self.gens:
+                e = self.oracle.mul(r, s)
+                if e not in self.members:
+                    self._absorb(subgroup, e)
+                    reps.append(e)
 
 
 def _refuse_known(order, cap, what):
@@ -414,8 +508,9 @@ def _refuse_known(order, cap, what):
 
 
 def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
-    """Subgroup generated by the given keys, enumerated breadth-first in a
-    deterministic order.
+    """Subgroup generated by the given keys, listed in a deterministic order:
+    breadth-first while it is smaller than a block, then coset by coset
+    (_Closure.add_generators).
 
     order, when known (say from layered_order), is the subgroup's exact
     order; an order over the cap refuses before any multiplication.

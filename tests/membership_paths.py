@@ -1,10 +1,14 @@
-"""The enumeration engine run twice on one polynomial-law oracle: once as
-given, so that closures mark their members in a code bitmap, and once with
-q unset, so that they keep a set of keys.  The two runs must list the same
-elements in the same order and count the same cosets."""
+"""The enumeration engine run three times on one polynomial-law oracle:
+once as given, so that closures mark their members in a code bitmap; once
+with a bitmap limit of one code, so that they keep sorted codes; and once
+with q unset, so that they keep a set of keys.  The three runs must list
+the same elements in the same order and count the same cosets."""
 
 import dataclasses
 
+import pytest
+
+from kmsylow import pgroup
 from kmsylow.pgroup import (
     DEFAULT_CAP,
     _power,
@@ -51,6 +55,10 @@ def enumerations(oracle, gens, p, order=None):
 
 def assert_membership_paths_agree(oracle, gens, p, order=None):
     bitmap = enumerations(oracle, gens, p, order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pgroup, "BITMAP_CODES", 1)
+        codeset = enumerations(oracle, gens, p, order)
     keyset = enumerations(dataclasses.replace(oracle, q=None), gens, p, order)
-    assert (bitmap.pop("members"), keyset.pop("members")) == ("_CodeBitmap", "_KeySet")
-    assert bitmap == keyset
+    paths = [run.pop("members") for run in (bitmap, codeset, keyset)]
+    assert paths == ["_CodeBitmap", "_CodeSet", "_KeySet"]
+    assert bitmap == codeset == keyset

@@ -1,5 +1,8 @@
 """Tests for the truncated-polynomial matrix Sylow model."""
 
+import glob
+import json
+import os
 import random
 
 import numpy as np
@@ -21,6 +24,7 @@ from kmsylow.affine import (
     verify_generation,
     verify_theorem1_affine,
 )
+from kmsylow.cli import DEFAULT_CAMPAIGN
 from kmsylow.errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
@@ -40,6 +44,7 @@ from kmsylow.pgroup import (
     row_keys,
 )
 
+from breadth_first import assert_closures_agree
 from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
@@ -269,6 +274,37 @@ def test_bitmap_and_key_set_closures_agree(m, k):
     assert_membership_paths_agree(oracle, sylow_generators(m, F3, k), 3)
     group, table = enumerate_special_linear(m, F3)
     assert_membership_paths_agree(group.oracle(), table.generators, 3)
+
+
+CAMPAIGNS = os.path.join(os.path.dirname(__file__), "..", "bench", "campaigns")
+
+
+def matrix_sylow_instances():
+    """(m, q, k) of every Iwahori Sylow that the tests or the campaigns
+    list, as far as it fits the default cap."""
+    found = {
+        (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 4), (3, 2, 2)
+    }
+    campaigns = [DEFAULT_CAMPAIGN]
+    for path in sorted(glob.glob(f"{CAMPAIGNS}/*.json")):
+        with open(path) as fh:
+            campaigns.append(json.load(fh))
+    for campaign in campaigns:
+        for inst in campaign["instances"]:
+            if inst["model"] == "affine" and "k" in inst:
+                found.add((inst["m"], inst["q"], inst["k"]))
+    return sorted(
+        (m, q, k)
+        for m, q, k in found
+        if sylow_order(m, FqConfig.from_q(q), k) <= DEFAULT_CAP
+    )
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_dimino_and_breadth_first_closures_agree(m, q, k):
+    fq = FqConfig.from_q(q)
+    oracle = AffineMatrixGroup(m, fq, k).oracle()
+    assert_closures_agree(sylow_generators(m, fq, k), oracle, fq.p)
 
 
 def _h1(m, fq, k):

@@ -169,6 +169,53 @@ def test_closure_multiplies_a_block_at_a_time():
     assert table.elements == closure(gens, vector_oracle(p, d), p=p).elements
 
 
+def counting_vector_oracle(p, d, products):
+    """bulk_vector_oracle, counting in products[0] every product it forms,
+    in bulk or one at a time."""
+    sizes = []
+    bulk = bulk_vector_oracle(p, d, sizes)
+
+    def mul(a, b):
+        products[0] += 1
+        return bulk.mul(a, b)
+
+    def mul_many(keys, g):
+        products[0] += len(keys)
+        return bulk.mul_many(keys, g)
+
+    return dataclasses.replace(bulk, mul=mul, mul_many=mul_many)
+
+
+def test_closure_forms_each_element_about_once():
+    # breadth-first, (Z/3)^10 would multiply every element by each of its
+    # 10 unit vectors, about 10 * 3^10 products; coset by coset, each
+    # element is one bulk product of its coset and a generator
+    p, d = 3, 10
+    products = [0]
+    oracle = counting_vector_oracle(p, d, products)
+    gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
+    assert closure(gens, oracle, p=p).order == p ** d
+    assert products[0] < 2 * p ** d
+
+
+def test_a_generator_already_a_member_costs_no_products():
+    # the sum of two unit vectors while the closure is below a block, and
+    # the sum of all ten, a repeat and the identity above it
+    p, d = 3, 10
+    units = [bytes(int(i == j) for j in range(d)) for i in range(d)]
+    pair, total = bytes([1, 1] + [0] * (d - 2)), bytes([1] * d)
+    runs = []
+    for gens in (
+        units,
+        units[:2] + [pair] + units[2:],
+        units + [total, units[3], bytes(d)],
+    ):
+        products = [0]
+        table = closure(gens, counting_vector_oracle(p, d, products), p=p)
+        runs.append((table.elements, products[0]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
     # a block is filtered before the cap is checked, so the bound is checked
     # on the whole block's new elements: the group fits a cap of its exact
@@ -194,8 +241,12 @@ def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
     assert messages == [f"closure exceeded the cap of {p ** d - 1} elements"] * 3
 
 
-@pytest.mark.parametrize("width,path", [(26, "_CodeBitmap"), (27, "_KeySet")])
+@pytest.mark.parametrize(
+    "width,path",
+    [(26, "_CodeBitmap"), (27, "_CodeSet"), (63, "_CodeSet"), (64, "_KeySet")],
+)
 def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
+    # beyond the bitmap, codes below 2^63 are kept sorted
     assert BITMAP_CODES == 2 ** 26
     oracle = dataclasses.replace(vector_oracle(2, width), q=2)
     ones, top = bytes([1]) * width, bytes(width - 1) + bytes([1])
@@ -209,7 +260,8 @@ def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
 
 def test_bitmap_codes_are_exact_at_the_limit():
     keys = [bytes([1]) * 26, bytes(25) + bytes([1]), bytes([1]) + bytes(25)]
-    assert _CodeBitmap(2, 26)._codes(keys).tolist() == [2 ** 26 - 1, 2 ** 25, 1]
+    # the first coordinate is the most significant
+    assert _CodeBitmap(2, 26)._codes(keys).tolist() == [2 ** 26 - 1, 1, 2 ** 25]
     assert _CodeBitmap(256, 3)._codes([bytes([255]) * 3]).tolist() == [2 ** 24 - 1]
 
 

@@ -12,7 +12,15 @@ from kmsylow.affine import (
 )
 from kmsylow.errors import EnumerationCapExceeded
 from kmsylow.fields import FqConfig
-from kmsylow.pgroup import FiniteGroupTable, GroupOracle, is_perfect, verify_tits_axioms
+from kmsylow.pgroup import (
+    FiniteGroupTable,
+    GroupOracle,
+    closure,
+    is_perfect,
+    verify_tits_axioms,
+)
+
+from breadth_first import assert_same_subgroup, breadth_first_closure
 from sylow_enumeration import brute_force_special_linear
 
 F2 = FqConfig(2)
@@ -29,16 +37,34 @@ def sl_data(m, fq):
     return group, table, B, N, weyl_representatives(group)
 
 
-@pytest.mark.parametrize(
+SPECIAL_LINEAR = pytest.mark.parametrize(
     "m,fq,order",
     [(2, F2, 6), (2, F3, 24), (3, F2, 168), (2, F4, 60), (2, F5, 120),
      (2, F9, 720), (3, F3, 5616)],
     ids=["sl2f2", "sl2f3", "sl3f2", "sl2f4", "sl2f5", "sl2f9", "sl3f3"],
 )
+
+
+@SPECIAL_LINEAR
 def test_special_linear_equals_determinant_filter(m, fq, order):
     _, table = enumerate_special_linear(m, fq)
     assert table.order == special_linear_order(m, fq) == order
     assert table.element_set == brute_force_special_linear(m, fq)
+
+
+@SPECIAL_LINEAR
+def test_dimino_and_breadth_first_closures_agree(m, fq, order):
+    # SL_m itself from its transvections, and the two closures of the Tits
+    # check: B and N, which generate G, and the torus and the reflections,
+    # which generate N; every Tits group of the tests and campaigns is here
+    group, table, B, N, s_reps = sl_data(m, fq)
+    torus = [k for k in N.elements if k in B.element_set]
+    oracle = group.oracle()
+    for gens in (table.generators, B.elements + N.elements, torus + s_reps):
+        assert_same_subgroup(
+            lambda cap: closure(gens, oracle, cap=cap),
+            lambda cap: breadth_first_closure(gens, oracle, cap=cap),
+        )
 
 
 def test_special_linear_cap_is_checked_before_enumeration(monkeypatch):

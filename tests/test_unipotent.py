@@ -32,6 +32,7 @@ from kmsylow.unipotent import (
     verify_theorem1,
 )
 
+from breadth_first import assert_closures_agree
 from membership_paths import assert_membership_paths_agree
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
@@ -523,6 +524,16 @@ def test_bitmap_and_key_set_closures_agree(inst):
     oracle = model.oracle()
     order = layered_order(gens, oracle, model.lead, fq.p)
     assert_membership_paths_agree(oracle, gens, fq.p, order)
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_dimino_and_breadth_first_closures_agree(inst):
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    model, gens, _ = _model_and_generators(gcm, fq, H)
+    oracle = model.oracle()
+    order = layered_order(gens, oracle, model.lead, fq.p)
+    assert_closures_agree(gens, oracle, fq.p, order)
 
 
 def _refuse_enumeration(monkeypatch):
