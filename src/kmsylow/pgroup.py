@@ -19,12 +19,15 @@ multiplied in.  A closure adds its generators one at a time.  Below a
 block of SCAN_BLOCK elements it grows breadth-first; from there on it
 follows Dimino's algorithm and lists each new coset of the subgroup found
 so far with one bulk right multiplication, so an element is formed about
-once however many generators there are.  A closure records its members in a
-bitmap with one bit per code vector when the oracle names q and q^width is
-at most BITMAP_CODES, in sorted int64 codes while q^width is at most 2^63,
-and in a set of keys otherwise.  A model that also supplies a leading-term
-map for a central filtration gets exact subgroup orders from the layered
-engine, which lists no elements and so has no cap.
+once however many generators there are.  subgroup_index runs the same
+stages over the right cosets of a subgroup, so each coset but the
+identity's is listed by one bulk product, and only a product that misses
+its own coset is probed against every coset found.  A closure records its
+members in a bitmap with one bit per code vector when the oracle names q
+and q^width is at most BITMAP_CODES, in sorted int64 codes while q^width is
+at most 2^63, and in a set of keys otherwise.  A model that also supplies
+a leading-term map for a central filtration gets exact subgroup orders from
+the layered engine, which lists no elements and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -667,36 +670,63 @@ def frattini_subgroup(G, cap=DEFAULT_CAP):
 
 
 def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
-    """Number of right cosets of an enumerated subgroup inside the group the
-    given keys generate.  The subgroup must lie inside that group.
+    """Number of right cosets of an enumerated subgroup S inside the group
+    the given keys generate.  S must lie inside that group, and S's table
+    must list generators of S, as every table that closure and
+    normal_closure return does; a table of order above 1 that lists none,
+    such as one filtered from a larger table by membership, is refused.
 
-    Coset identification tests sub . candidate = sub . rep via
-    rep . candidate^-1 in sub, evaluated in bulk across known reps.
+    Dimino's algorithm over the cosets of S, with no normality assumed:
+    H_i = <S, g_1, ..., g_i> is held as representatives of the cosets of S
+    it holds.  A generator g_i in H_(i-1) adds nothing; otherwise H_i is a
+    union of right cosets H_(i-1) r, each listed as the representatives of
+    H_(i-1) times r in one bulk product.  Each such r times each generator
+    s of S and each g_j kept so far is one scalar product e, tested for a
+    listed coset of S: first r's own, by e r^-1 in S (which holds whenever
+    S is normal and s lies in S), then every listed representative x at
+    once, by x e^-1 in S in one bulk product.  Once every such e lies in a
+    listed coset, the union is closed under right multiplication by the
+    generators of H_i, so it is H_i.
+
     order, when known, is the order of the generated group; an index
-    order / |sub| over the cap refuses before any coset is formed.
+    order / |S| over the cap refuses before any coset is formed.
     """
     if order is not None:
         _refuse_known(order // sub.order, cap, "index")
+    if sub.order > 1 and not sub.generators:
+        raise ValueError(
+            f"subgroup_index needs generators of the subgroup: its table "
+            f"of order {sub.order} lists none"
+        )
     members = sub.members
     reps = [oracle.identity]
-    frontier = [oracle.identity]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in group_generators:
-                cand = oracle.mul(r, g)
-                if cand in members:
-                    continue
-                probes = _bulk(oracle, reps, oracle.inv(cand))
-                if not members.isdisjoint(probes):
-                    continue
-                if len(reps) >= cap:
-                    raise EnumerationCapExceeded(
-                        f"coset count exceeded the cap of {cap}"
-                    )
-                reps.append(cand)
-                nxt.append(cand)
-        frontier = nxt
+    gens = list(sub.generators)
+
+    def listed(e, r_inv):
+        """True iff e lies in a listed coset, r's (r_inv is r^-1) or any."""
+        if oracle.mul(e, r_inv) in members:
+            return True
+        return not members.isdisjoint(_bulk(oracle, reps, oracle.inv(e)))
+
+    def list_coset(subgroup, r):
+        if len(reps) + len(subgroup) > cap:
+            raise EnumerationCapExceeded(f"coset count exceeded the cap of {cap}")
+        reps.extend(_bulk(oracle, subgroup, r))
+
+    for g in group_generators:
+        if listed(g, oracle.identity):
+            continue
+        gens.append(g)
+        subgroup = list(reps)
+        list_coset(subgroup, g)
+        cosets = [g]
+        for r in cosets:
+            r_inv = oracle.inv(r)
+            for s in gens:
+                e = oracle.mul(r, s)
+                if not listed(e, r_inv):
+                    list_coset(subgroup, e)
+                    cosets.append(e)
     return len(reps)
 
 

@@ -2,7 +2,9 @@
 once as given, so that closures mark their members in a code bitmap; once
 with a bitmap limit of one code, so that they keep sorted codes; and once
 with q unset, so that they keep a set of keys.  The three runs must list
-the same elements in the same order and count the same cosets."""
+the same elements in the same order and count the same cosets: of the
+Frattini subgroup and, while the index is small, of the first generator's
+closure, which need not be normal."""
 
 import dataclasses
 
@@ -22,6 +24,11 @@ from kmsylow.pgroup import (
     subgroup_index,
 )
 
+# the largest index of the first generator's closure whose cosets are
+# counted: where the closure is not normal, each count probes every listed
+# representative, so the work grows with the square of the index
+LINE_INDEX_LIMIT = 625
+
 
 def enumerations(oracle, gens, p, order=None):
     """What the engine lists and counts for the group the generators
@@ -31,6 +38,7 @@ def enumerations(oracle, gens, p, order=None):
     subgroup, the generators' p-th powers, as in BCH theorem 1."""
     if order is None or order <= DEFAULT_CAP:
         G = closure(gens, oracle, p=p)
+        order = G.order
         phi = frattini_subgroup(G)
         out = {
             "closure": G.elements,
@@ -44,9 +52,12 @@ def enumerations(oracle, gens, p, order=None):
         out = {"derived_subgroup": normal_closure(comms, gens, oracle, p=p).elements}
     # a third commutator, whose normal closure is not the Frattini subgroup
     seeds = [commutator(oracle, commutator(oracle, gens[0], gens[1]), gens[0])]
+    line = closure(gens[:1], oracle)
+    if order // line.order <= LINE_INDEX_LIMIT:
+        out["line_index"] = subgroup_index(line, gens, oracle)
     return dict(
         out,
-        members=type(closure(gens[:1], oracle).members).__name__,
+        members=type(line.members).__name__,
         normal_closure=normal_closure(seeds, gens, oracle, p=p).elements,
         frattini_subgroup=phi.elements,
         subgroup_index=subgroup_index(phi, gens, oracle),

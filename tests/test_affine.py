@@ -40,11 +40,13 @@ from kmsylow.pgroup import (
     closure,
     commutator,
     derived_subgroup,
+    frattini_subgroup,
     key_rows,
     row_keys,
 )
 
 from breadth_first import assert_closures_agree
+from coset_probe import assert_same_indices
 from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
@@ -305,6 +307,19 @@ def test_dimino_and_breadth_first_closures_agree(m, q, k):
     fq = FqConfig.from_q(q)
     oracle = AffineMatrixGroup(m, fq, k).oracle()
     assert_closures_agree(sylow_generators(m, fq, k), oracle, fq.p)
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_dimino_and_probe_coset_counts_agree(m, q, k):
+    # the Frattini and derived subgroups, and the closures of the first
+    # standard generator and of every other one, which need not be normal
+    fq = FqConfig.from_q(q)
+    oracle = AffineMatrixGroup(m, fq, k).oracle()
+    gens = sylow_generators(m, fq, k)
+    G = closure(gens, oracle, p=fq.p)
+    subgroups = [frattini_subgroup(G), derived_subgroup(G)]
+    subgroups += [closure(gens[:1], oracle), closure(gens[::2], oracle)]
+    assert assert_same_indices(subgroups, gens, oracle, G.order) >= 1
 
 
 def _h1(m, fq, k):

@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from kmsylow import pgroup
 from kmsylow.affine import AffineMatrixGroup
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 from kmsylow.fields import FqConfig
@@ -29,6 +30,7 @@ from kmsylow.pgroup import (
     derived_subgroup,
     frattini_quotient_dimension,
     frattini_subgroup,
+    generator_commutators,
     is_perfect,
     key_rows,
     layered_order,
@@ -37,7 +39,9 @@ from kmsylow.pgroup import (
     select,
     subgroup_index,
 )
-from kmsylow.unipotent import UnipotentModel
+from kmsylow.unipotent import UnipotentModel, standard_generators
+
+from coset_probe import assert_same_index
 
 
 def vector_oracle(p, d):
@@ -169,21 +173,24 @@ def test_closure_multiplies_a_block_at_a_time():
     assert table.elements == closure(gens, vector_oracle(p, d), p=p).elements
 
 
-def counting_vector_oracle(p, d, products):
-    """bulk_vector_oracle, counting in products[0] every product it forms,
-    in bulk or one at a time."""
-    sizes = []
-    bulk = bulk_vector_oracle(p, d, sizes)
+def counting_oracle(oracle, products):
+    """The oracle, counting in products[0] every product it forms, in bulk
+    or one at a time."""
 
     def mul(a, b):
         products[0] += 1
-        return bulk.mul(a, b)
+        return oracle.mul(a, b)
 
     def mul_many(keys, g):
         products[0] += len(keys)
-        return bulk.mul_many(keys, g)
+        return oracle.mul_many(keys, g)
 
-    return dataclasses.replace(bulk, mul=mul, mul_many=mul_many)
+    return dataclasses.replace(oracle, mul=mul, mul_many=mul_many)
+
+
+def counting_vector_oracle(p, d, products):
+    """bulk_vector_oracle, counting in products[0] every product it forms."""
+    return counting_oracle(bulk_vector_oracle(p, d, []), products)
 
 
 def test_closure_forms_each_element_about_once():
@@ -401,13 +408,85 @@ def test_subgroup_index():
     assert subgroup_index(sub, [bytes((1, 0)), bytes((0, 1))], oracle) == 5
 
     h = heisenberg_oracle(3)
+    h_gens = [bytes((1, 0, 0)), bytes((0, 1, 0))]
     center = closure([bytes((0, 0, 1))], h)
-    assert subgroup_index(center, [bytes((1, 0, 0)), bytes((0, 1, 0))], h) == 9
+    assert subgroup_index(center, h_gens, h) == 9
+    # a line that is not normal: its conjugates move it off its own coset
+    assert assert_same_index(closure(h_gens[:1], h), h_gens, h) == 9
 
     # right cosets are counted without any normality assumption
     s3 = symmetric_oracle()
     sub = closure([bytes((1, 0, 2))], s3)
     assert subgroup_index(sub, [bytes((1, 0, 2)), bytes((1, 2, 0))], s3) == 3
+    assert assert_same_index(sub, [bytes((1, 2, 0)), bytes((1, 0, 2))], s3) == 3
+
+
+class _Probed:
+    """A membership structure that keeps each list of keys tested at once."""
+
+    def __init__(self, members):
+        self.members = members
+        self.probed = []
+
+    def __contains__(self, key):
+        return key in self.members
+
+    def isdisjoint(self, keys):
+        self.probed.append(keys)
+        return self.members.isdisjoint(keys)
+
+
+def test_coset_count_lists_each_coset_once(monkeypatch):
+    # A4 at q = 5, H = 4 has 625 Frattini cosets.  Probing every candidate
+    # against every representative took 941 426 products; by Dimino stages
+    # each coset but the identity's is listed by one product, and the
+    # scalar products and probes of representatives times generators stay
+    # about index times generators
+    a4 = validate_gcm([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    model = UnipotentModel(a4, FqConfig(5), 4)
+    gens = standard_generators(model)
+    plain = model.oracle()
+    # the generators' 5th powers are trivial, so this is the Frattini subgroup
+    phi = normal_closure(generator_commutators(plain, gens), gens, plain, p=5)
+    assert phi.order == 5 ** 6
+    probed = _Probed(phi.members)
+    sub = FiniteGroupTable(plain, phi.generators, phi.elements, p=5, members=probed)
+
+    bulk_rows = [0]
+    real_bulk = pgroup._bulk
+
+    def counted_bulk(oracle, keys, g):
+        bulk_rows[0] += len(keys)
+        return real_bulk(oracle, keys, g)
+
+    monkeypatch.setattr(pgroup, "_bulk", counted_bulk)
+    products = [0]
+    assert subgroup_index(sub, gens, counting_oracle(plain, products)) == 625
+    listing = bulk_rows[0] - sum(map(len, probed.probed))
+    assert listing == 624
+    assert products[0] < 2 * 10 ** 4
+
+
+def test_coset_count_meets_the_cap_without_a_known_order():
+    plain = vector_oracle(5, 2)
+    gens = [bytes((1, 0)), bytes((0, 1))]
+    line = closure(gens[:1], plain)
+    with pytest.raises(EnumerationCapExceeded, match="coset count exceeded the cap of 4$"):
+        subgroup_index(line, gens, plain, cap=4)
+    assert subgroup_index(line, gens, plain, cap=5) == 5
+
+
+def test_coset_count_needs_the_subgroups_generators():
+    # a table filtered by membership lists no generators, so the Dimino
+    # stages could not close the union of its cosets under them
+    plain = vector_oracle(5, 2)
+    gens = [bytes((1, 0)), bytes((0, 1))]
+    scanned = FiniteGroupTable(plain, (), closure(gens[:1], plain).elements)
+    with pytest.raises(ValueError, match="table of order 5 lists none"):
+        subgroup_index(scanned, gens, plain)
+    # the trivial subgroup needs none
+    trivial = FiniteGroupTable(plain, (), (plain.identity,))
+    assert subgroup_index(trivial, gens, plain) == 25
 
 
 def test_is_perfect():

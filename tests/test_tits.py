@@ -17,10 +17,12 @@ from kmsylow.pgroup import (
     GroupOracle,
     closure,
     is_perfect,
+    subgroup_index,
     verify_tits_axioms,
 )
 
 from breadth_first import assert_same_subgroup, breadth_first_closure
+from coset_probe import assert_same_indices
 from sylow_enumeration import brute_force_special_linear
 
 F2 = FqConfig(2)
@@ -65,6 +67,18 @@ def test_dimino_and_breadth_first_closures_agree(m, fq, order):
             lambda cap: closure(gens, oracle, cap=cap),
             lambda cap: breadth_first_closure(gens, oracle, cap=cap),
         )
+
+
+@SPECIAL_LINEAR
+def test_dimino_and_probe_count_the_cosets_of_b(m, fq, order):
+    # B as filtered from the table by membership lists no generators, which
+    # the Dimino stages need; as a closure it lists its elements
+    group, table, B, _, _ = sl_data(m, fq)
+    oracle = group.oracle()
+    with pytest.raises(ValueError, match="lists none"):
+        subgroup_index(B, table.generators, oracle)
+    borel = closure(B.elements, oracle)
+    assert assert_same_indices([borel], table.generators, oracle, order) == 1
 
 
 def test_special_linear_cap_is_checked_before_enumeration(monkeypatch):

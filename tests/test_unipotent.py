@@ -21,7 +21,14 @@ from kmsylow.errors import (
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
 from kmsylow.lie import bracket, standard_factorization
-from kmsylow.pgroup import _power, closure, commutator, layered_order, normal_closure
+from kmsylow.pgroup import (
+    _power,
+    closure,
+    commutator,
+    generator_commutators,
+    layered_order,
+    normal_closure,
+)
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
     UnipotentModel,
@@ -33,6 +40,7 @@ from kmsylow.unipotent import (
 )
 
 from breadth_first import assert_closures_agree
+from coset_probe import assert_same_indices
 from membership_paths import assert_membership_paths_agree
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
@@ -534,6 +542,29 @@ def test_dimino_and_breadth_first_closures_agree(inst):
     oracle = model.oracle()
     order = layered_order(gens, oracle, model.lead, fq.p)
     assert_closures_agree(gens, oracle, fq.p, order)
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_dimino_and_probe_coset_counts_agree(inst):
+    # the Frattini and derived subgroups, which are normal, and three
+    # subgroups that need not be: the closures of the first generator, of a
+    # commutator and of the right side of theorem 1, each compared while its
+    # index is small
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    p = fq.p
+    model, gens, rhs = _model_and_generators(gcm, fq, H)
+    oracle = model.oracle()
+    order = layered_order(gens, oracle, model.lead, p)
+    comms = generator_commutators(oracle, gens)
+    powers = [_power(oracle, g, p) for g in gens]
+    frattini = normal_closure(comms + powers, gens, oracle, p=p)
+    derived = normal_closure(comms, gens, oracle, p=p)
+    subgroups = [frattini, derived] + [
+        closure(keys, oracle, p=p)
+        for keys in (gens[:1], [commutator(oracle, gens[0], gens[1])], rhs)
+    ]
+    assert assert_same_indices(subgroups, gens, oracle, order) >= 1
 
 
 def _refuse_enumeration(monkeypatch):
