@@ -7,11 +7,11 @@ the corner matrix without that factor fails the mod-t membership test.
 
 Elements are byte keys of entry coefficients.  The product is a fixed
 bilinear map in those coefficients and, determinants being one, the inverse
-is the adjugate, a fixed polynomial map of degree m-1; both are built once
-per (m, F_q, k) as pgroup polynomial maps, which give the group oracle its
-scalar product, its inverse and its bulk right multiplication.  Subgroup
-filters read the keys as (n, m, m, k) coefficient stacks, one block at a
-time.
+is the adjugate, a fixed polynomial map of degree m-1; both are pgroup
+polynomial maps, which give the group oracle its scalar product, its
+inverse and its bulk right multiplication, and the oracle is built once
+per (m, F_q, k).  Subgroup filters read the keys as (n, m, m, k)
+coefficient stacks, one block at a time.
 """
 
 from functools import cached_property, lru_cache
@@ -26,11 +26,10 @@ from .pgroup import (
     DEFAULT_CAP,
     FiniteGroupTable,
     PolynomialMap,
+    _power,
     closure,
     commutator,
-    derived_subgroup,
     frattini_quotient_dimension,
-    frattini_subgroup,
     law_oracle,
     select,
 )
@@ -65,8 +64,7 @@ class AffineMatrixGroup:
         return bytes(out)
 
     def oracle(self):
-        law, adjugate = _matrix_laws(self.m, self.fq, self.k)
-        return law_oracle(self.fq, self.identity, law, adjugate)
+        return _matrix_oracle(self.m, self.fq, self.k, self.identity)
 
     def select(self, keys, predicate):
         """pgroup.select with predicate applied to (n, m, m, k) coefficient
@@ -81,9 +79,10 @@ class AffineMatrixGroup:
 
 
 @lru_cache(maxsize=None)
-def _matrix_laws(m, fq, k):
-    """The product and the inverse of SL_m over F_q[t]/(t^k) as polynomial
-    maps in the key coefficients, built once per (m, fq, k).
+def _matrix_oracle(m, fq, k, identity):
+    """The group oracle of SL_m over F_q[t]/(t^k), built once per (m, fq, k)
+    (the identity key follows from m and k): its product and its inverse
+    are polynomial maps in the key coefficients.
 
     The product is the convolution (AB)[i,j,d] = sum over l and e <= d of
     A[i,l,e] B[l,j,d-e].  Determinants are one, so the inverse is the
@@ -117,7 +116,8 @@ def _matrix_laws(m, fq, k):
                         pos(r, cols[c], e) for r, c, e in zip(rows, perm, degrees)
                     )
                     adjugate[pos(j, i, sum(degrees))].append((code, xs, ()))
-    return PolynomialMap(fq, law), PolynomialMap(fq, tuple(map(tuple, adjugate)))
+    inverse = PolynomialMap(fq, tuple(map(tuple, adjugate)))
+    return law_oracle(fq, identity, PolynomialMap(fq, law), inverse)
 
 
 def iwahori_sylow_membership(group, A):
@@ -219,9 +219,11 @@ def verify_theorem1_affine(sylow):
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
     table, generates = sylow.table, sylow.generates
     h1 = frattini_quotient_dimension(table, cap=cap)
-    phi = frattini_subgroup(table, cap=cap)
-    derived = derived_subgroup(table, cap=cap)
-    frattini_eq_derived = phi is derived or phi.element_set == derived.element_set
+    oracle = table.oracle
+    # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
+    frattini_eq_derived = all(
+        _power(oracle, g, fq.p) == oracle.identity for g in table.generators
+    )
     return {
         "model": "affine_matrix",
         "gcm": None,

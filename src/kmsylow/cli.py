@@ -509,6 +509,10 @@ def _cmd_verify(args, out):
                 campaign = json.load(fh)
         else:
             campaign = DEFAULT_CAMPAIGN
+        # a stored report that cannot be read is refused before any check
+        if args.verify_report:
+            with open(args.verify_report) as fh:
+                stored = json.load(fh)
         report = run_campaign(campaign, seed=args.seed, cap=args.cap)
     except CampaignError as err:
         for problem in err.args:
@@ -518,16 +522,14 @@ def _cmd_verify(args, out):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.verify_report:
         try:
-            with open(args.verify_report) as fh:
-                stored = json.load(fh)
-        except (OSError, ValueError) as err:
+            with open(args.out, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG
+    if args.verify_report:
         same = _strip_volatile(stored) == _strip_volatile(report)
         print(
             "report matches" if same else "report mismatch",

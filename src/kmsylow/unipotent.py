@@ -299,19 +299,21 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
 
     Reports the first-homology dimension four ways (enumeration, the layered
     engine, bracket-span linear algebra and the predicted value size * r),
-    whether the Frattini subgroup equals the derived subgroup, the orders of
-    both sides of the non-simple real-root comparison, and whether the
-    standard generators generate the whole group; the last three from the
-    group engine named in group_engine, and the orders and generation also
-    by the Lazard correspondence.
+    whether the Frattini subgroup equals the derived subgroup (read from
+    the standard generators' p-th powers), the orders of both sides of the
+    non-simple real-root comparison, and whether the standard generators
+    generate the whole group; the orders and generation from the group
+    engine named in group_engine, and also by the Lazard correspondence.
 
     The layered orders are an exact preflight: each enumeration call gets
     the known order of its table and refuses before any multiplication when
-    that order is over the cap.  The Frattini subgroup, which holds the
-    derived subgroup, is listed first and the group or its Frattini cosets
-    next, so only a coset count over the cap (or a right side larger than
-    the Frattini subgroup) refuses after a table was listed.  On a refusal
-    h1_blackbox is None and the group fields come from the layered engine.
+    that order is over the cap.  Enumeration lists the Frattini subgroup and
+    counts its cosets, so the group itself is never listed: h1_blackbox is
+    log_p of the index, and the generators generate when |Phi| times the
+    index is |G|.  Only a coset count over the cap (or a right side larger
+    than the Frattini subgroup) refuses after a table was listed.  On a
+    refusal h1_blackbox is None and the group fields come from the layered
+    engine.
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)
@@ -325,47 +327,31 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
 
     comms = generator_commutators(oracle, gens)
     powers = [_power(oracle, g, p) for g in gens]
-    # adding identities to the seeds cannot change a normal closure
-    powers_trivial = all(x == oracle.identity for x in powers)
 
     def layered(keys, conjugators=()):
         return layered_order(keys, oracle, model.lead, p, conjugators)
 
     order = layered(gens)
-    derived_order = layered(comms, gens)
-    frattini_order = derived_order if powers_trivial else layered(comms + powers, gens)
+    frattini_order = layered(comms + powers, gens)
     rhs_order = layered(rhs_gens)
-    index = order // frattini_order
-    h1_layered = _log_exact(index, p)
+    h1_layered = _log_exact(order // frattini_order, p)
+    # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
+    frattini_eq_derived = all(x == oracle.identity for x in powers)
 
     try:
         frattini = normal_closure(
             comms + powers, gens, oracle, cap=cap, p=p, order=frattini_order
         )
-        # the group itself while it fits, else its Frattini cosets
-        if order <= cap:
-            G = closure(gens, oracle, cap=cap, p=p, order=order)
-            generators_generate = G.order == full_order
-            index = G.order // frattini.order
-        else:
-            index = subgroup_index(frattini, gens, oracle, cap=cap, order=order)
-            generators_generate = frattini.order * index == full_order
-        if powers_trivial:
-            derived = frattini
-        else:
-            derived = normal_closure(comms, gens, oracle, cap=cap, p=p, order=derived_order)
+        index = subgroup_index(frattini, gens, oracle, cap=cap, order=order)
         rhs = closure(rhs_gens, oracle, cap=cap, p=p, order=rhs_order)
     except EnumerationCapExceeded:
         group_engine = "layered"
-        frattini_eq_derived = derived_order == frattini_order
         generators_generate = order == full_order
         h1_blackbox = None
         lhs_order = frattini_order
     else:
         group_engine = "enumeration"
-        frattini_eq_derived = (
-            derived is frattini or derived.element_set == frattini.element_set
-        )
+        generators_generate = frattini.order * index == full_order
         h1_blackbox = _log_exact(index, p)
         lhs_order = frattini.order
         rhs_order = rhs.order

@@ -135,9 +135,12 @@ def test_law_and_inverse_match_schoolbook_on_all_of_sl(m, fq):
 
 
 def test_matrix_law_is_built_once_per_ring():
-    # commutator_identity_check makes a group per case; they share one law
+    # commutator_identity_check makes a group per case; they share one
+    # oracle, bulk hook included
     first, second = (AffineMatrixGroup(2, F9, 13).oracle() for _ in range(2))
+    assert first is second
     assert first.mul is second.mul and first.inv is second.inv
+    assert first.mul_many is second.mul_many
 
 
 def test_membership_examples():

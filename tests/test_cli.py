@@ -510,19 +510,54 @@ def test_affine_instance_lists_its_frattini_subgroup_once_per_run(monkeypatch):
         assert len(calls) == runs
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_verify_rejects_a_cap_below_one(tmp_path, capsys, monkeypatch, cap):
+def _forbid_checks(monkeypatch):
     def must_not_run(inst, seed, cap):
         raise AssertionError("a check ran")
 
     for key in list(cli.CHECKS):
         monkeypatch.setitem(cli.CHECKS, key, must_not_run)
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_a_cap_below_one(tmp_path, capsys, monkeypatch, cap):
+    _forbid_checks(monkeypatch)
     assert run(["verify", "--cap", cap]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: cap must be an integer of at least 1, got {cap}"
     ]
+
+
+@pytest.mark.parametrize("stored", [None, "", "{not json", "[1, 2"])
+def test_verify_rejects_an_unreadable_stored_report_before_running(
+    tmp_path, capsys, monkeypatch, stored
+):
+    # a missing or malformed stored report is found before any check runs
+    _forbid_checks(monkeypatch)
+    path = tmp_path / "stored.json"
+    if stored is not None:
+        path.write_text(stored)
+    assert run(["verify", "--verify-report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    if stored is None:
+        assert str(path) in line
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_verify_reports_an_unwritable_out_path(tmp_path, capsys, where):
+    # a report that cannot be written is a configuration error, not a
+    # failed check, and it leaves no traceback
+    campaign = write_json(tmp_path, "empty.json", {"instances": []})
+    out_path = tmp_path / where
+    assert run(["verify", campaign, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out_path) in line
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, 2.0, "10"])

@@ -442,6 +442,8 @@ def _ident(inst):
 def test_instances_cover_the_campaigns():
     # q = 4 and q = 25 are covered; the campaigns' q = 4 instance has p <= H
     assert {q for _, q, _ in UNDER_CAP} >= {4, 5, 7, 25}
+    # bch_stretch instance 5, whose group has 5^8 = 390 625 elements
+    assert _instance_key(C2S, 25, 3) in {_instance_key(*inst) for inst in UNDER_CAP}
     assert len(INSTANCES) - len(UNDER_CAP) == 2
     keys = {_instance_key(*inst) for inst in INSTANCES}
     assert _instance_key(*BEYOND_CAP) in keys
@@ -457,20 +459,44 @@ def test_every_way_refuses_a_characteristic_below_the_cutoff():
                 verify_theorem1(gcm, FqConfig.from_q(q), H)
 
 
-# uncapped theorem-1 results by instance; the enumerations are the slowest
-# part of this module, so the tests that compare with them share one run
+# uncapped theorem-1 results by instance, and the tables each run listed;
+# the enumerations are the slowest part of this module, so the tests that
+# compare with them share one run
 _UNCAPPED = {}
+_LISTED = {}
+
+
+def _instance_json_key(inst):
+    return (json.dumps(inst["gcm"]), inst["q"], inst["H"])
 
 
 def uncapped_theorem1(inst):
     """The result of the cli theorem-1 check on a campaign instance (a dict
     with gcm, q and H), run without a cap once per test session."""
-    key = (json.dumps(inst["gcm"]), inst["q"], inst["H"])
+    key = _instance_json_key(inst)
     if key not in _UNCAPPED:
+        listed = _LISTED[key] = []
         campaign = {"instances": [dict(inst, model="bch", checks=["theorem1"])]}
-        (result,) = run_campaign(campaign)["instances"][0]["results"]
+        with pytest.MonkeyPatch.context() as m:
+            for name in ("closure", "normal_closure"):
+                m.setattr(unipotent, name, _recording(name, listed))
+            (result,) = run_campaign(campaign)["instances"][0]["results"]
         _UNCAPPED[key] = result
     return _UNCAPPED[key]
+
+
+def _recording(name, listed):
+    """unipotent's closure or normal_closure, appending (name, its keys,
+    the order of the table it returns) to listed."""
+    original = getattr(unipotent, name)
+
+    def wrapper(keys, *args, **kwargs):
+        keys = tuple(keys)
+        table = original(keys, *args, **kwargs)
+        listed.append((name, keys, table.order))
+        return table
+
+    return wrapper
 
 
 def _model_and_generators(gcm, fq, H):
@@ -522,6 +548,24 @@ def test_enumeration_layered_and_lazard_agree(inst):
 
     oracle = model.oracle()
     assert layered_order(gens, oracle, model.lead, p) == order
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_theorem1_lists_the_frattini_subgroup_and_the_right_side_only(inst):
+    # the group is never listed: its Frattini cosets are counted instead,
+    # and closure runs once, on the right side of the comparison
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    _, gens, rhs = _model_and_generators(gcm, fq, H)
+    json_inst = {"gcm": [list(r) for r in gcm.rows], "q": q, "H": H}
+    report = uncapped_theorem1(json_inst)["payload"]
+    assert report["group_engine"] == "enumeration"
+    listed = _LISTED[_instance_json_key(json_inst)]
+    closures = [keys for name, keys, _ in listed if name == "closure"]
+    assert closures == [tuple(rhs)]
+    assert tuple(gens) not in closures
+    largest = max(report["thm_ii_lhs_order"], report["thm_ii_rhs_order"])
+    assert max(order for _, _, order in listed) <= largest
 
 
 @pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
@@ -621,7 +665,8 @@ def test_preflight_boundary(monkeypatch):
     full = verify_theorem1(G2S, fq, 4, cap=5 ** 5)
     assert full["group_engine"] == "enumeration"
     assert (full["thm_ii_lhs_order"], full["thm_ii_rhs_order"]) == (125, 125)
-    # under |G| the coset count replaces the closure of the group
+    # a cap of |Phi| still enumerates: the group itself is never listed,
+    # only its Frattini cosets are counted
     cosets = verify_theorem1(G2S, fq, 4, cap=125)
     assert cosets["group_engine"] == "enumeration"
     with monkeypatch.context() as m:
