@@ -2,7 +2,9 @@
 campaigns with JSON reports."""
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 import time
@@ -502,6 +504,22 @@ def _cmd_roots(args, out):
     return EXIT_OK
 
 
+def _refuse_unwritable(path):
+    """Raise the OSError that opening path for writing would raise when it
+    names a directory or its parent is missing or not a directory; nothing
+    is created or truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_verify(args, out):
     try:
         if args.campaign_file:
@@ -513,6 +531,9 @@ def _cmd_verify(args, out):
         if args.verify_report:
             with open(args.verify_report) as fh:
                 stored = json.load(fh)
+        # so is a report path that cannot be written
+        if args.out:
+            _refuse_unwritable(args.out)
         report = run_campaign(campaign, seed=args.seed, cap=args.cap)
     except CampaignError as err:
         for problem in err.args:

@@ -24,10 +24,11 @@ stages over the right cosets of a subgroup, so each coset but the
 identity's is listed by one bulk product, and only a product that misses
 its own coset is probed against every coset found.  A closure records its
 members in a bitmap with one bit per code vector when the oracle names q
-and q^width is at most BITMAP_CODES, in sorted int64 codes while q^width is
-at most 2^63, and in a set of keys otherwise.  A model that also supplies
-a leading-term map for a central filtration gets exact subgroup orders from
-the layered engine, which lists no elements and so has no cap.
+and q^width is at most BITMAP_CODES, in a hash table of int64 codes while
+q^width is at most 2^63, and in a set of keys otherwise.  A model that
+also supplies a leading-term map for a central filtration gets exact
+subgroup orders from the layered engine, which lists no elements and so
+has no cap.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
 DEFAULT_CAP = 2 ** 21
 SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
 # largest key space q^width whose members a closure marks in a bitmap, one
-# bit per code vector (8 MiB); larger spaces keep sorted codes or keys
+# bit per code vector (8 MiB); larger spaces keep a hash table of codes or
+# a set of keys
 BITMAP_CODES = 2 ** 26
 
 
@@ -93,7 +95,10 @@ def bulk_hook(fq, right_polys):
     values adds digits lane by lane with no carry between lanes.  Each
     lane holds lane_terms terms of at most p - 1 before it could overflow;
     a longer sum is folded (every lane reduced mod p) first.  Each
-    coordinate's sum is unpacked once, with one reduction mod p per lane."""
+    coordinate's sum is unpacked once, with one reduction mod p per lane.
+    A coordinate whose polynomial is zero or one term of degree at most one
+    (a constant c, or c x_v) is written directly: filled with c, a copy of
+    column v, or column v through the row of c in the product table."""
     p, q, r = fq.p, fq.q, fq.r
     w = 63 // r
     mask = (1 << w) - 1
@@ -140,6 +145,18 @@ def bulk_hook(fq, right_polys):
         acc = np.empty(len(keys), dtype=np.int64)
         term = np.empty_like(acc)
         for coordinate, terms in zip(out, polys):
+            if not terms:
+                coordinate.fill(0)
+                continue
+            if len(terms) == 1 and len(terms[0][1]) <= 1:
+                ((c, variables),) = terms
+                if not variables:
+                    coordinate.fill(c)
+                elif c == 1:
+                    coordinate[:] = rows[:, variables[0]]
+                else:
+                    fq.MUL[c].take(columns[variables[0]], out=coordinate)
+                continue
             acc.fill(0)
             room = lane_terms
             for c, variables in terms:
@@ -281,7 +298,7 @@ class FiniteGroupTable:
     @property
     def members(self):
         """The table's membership structure: a set, a _KeySet, a
-        _CodeBitmap or a _CodeSet, each with `in` and isdisjoint."""
+        _CodeBitmap or a _CodeHash, each with `in` and isdisjoint."""
         return self.element_set if self._members is None else self._members
 
     def __contains__(self, key):
@@ -333,10 +350,7 @@ class _Codes:
     def take_new(self, keys):
         """The keys not yet members, in order, now made members.  The keys
         must be distinct."""
-        codes = self._codes(keys)
-        new = ~self._marked(codes)
-        self._mark(codes[new])
-        return list(compress(keys, new))
+        return list(compress(keys, self._take_codes(self._codes(keys))))
 
     def isdisjoint(self, keys):
         """True iff none of a list of keys is a member."""
@@ -357,67 +371,137 @@ class _CodeBitmap(_Codes):
     def _marked(self, codes):
         return (self.bits[codes >> 3] >> (codes & 7).astype(np.uint8)) & 1 == 1
 
-    def _mark(self, codes):
+    def _take_codes(self, codes):
+        new = ~self._marked(codes)
+        codes = codes[new]
         np.bitwise_or.at(
             self.bits, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8)
         )
+        return new
 
     def _holds(self, code):
         return bool(self.bits[code >> 3] >> (code & 7) & 1)
 
 
-def _sorted_holds(sorted_codes, codes):
-    """Where the codes occur in a sorted int64 array."""
-    if not len(sorted_codes):
-        return np.zeros(len(codes), dtype=bool)
-    at = sorted_codes.searchsorted(codes)
-    return sorted_codes.take(at, mode="clip") == codes
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): a code's home slot is the top
+# bits of its product with 2^64 / golden ratio, modulo 2^64
+_FIBONACCI = 0x9E3779B97F4A7C15
+_EMPTY = -1  # a free slot of a _CodeHash; codes are nonnegative
+_FEW = 32  # codes still walking that a _CodeHash probe walks one at a time
 
 
-class _CodeSet(_Codes):
-    """Membership by the members' codes in sorted int64 arrays, eight bytes
-    a member, for key spaces too large for a bitmap.  A block's new codes
-    are merged into a small array, and the small array into the large one
-    once it holds more than a quarter of it plus a block: the large array
-    grows by at least a quarter each time, so it is rebuilt O(log n) times,
-    and the small one stays below n / 4 + SCAN_BLOCK codes.  Each merge sorts
-    two sorted runs, which the stable sort (timsort for int64) does in
-    linear time."""
+class _CodeHash(_Codes):
+    """Membership by the members' codes in an open-addressing hash table
+    with linear probing, one int64 slot each, for key spaces too large for
+    a bitmap.  The table is kept at most three quarters full, so it costs
+    between 10.7 and 21.3 bytes a member; when a block would fill it past
+    that, it doubles and the members are inserted again.
+
+    A block is probed once: each code walks from its home slot until its
+    slot holds the code (a member) or is empty, the codes still walking
+    stepping together.  take_new then writes each new code into the empty
+    slot its probe ended at; where several new codes share a slot one
+    write wins, and the others walk on to the next empty slot and write
+    again, until every code is placed.  No block is sorted."""
+
+    MIN_BITS = 10
 
     def __init__(self, q, width):
         super().__init__(q, width)
-        self.large = self.small = np.empty(0, dtype=np.int64)
+        self.size = 0
+        self._allocate(self.MIN_BITS)
+
+    def _allocate(self, bits):
+        self.slots = np.full(1 << bits, _EMPTY, dtype=np.int64)
+        self._mask = (1 << bits) - 1
+        self._limit = 3 << (bits - 2)
+        self._shift = 64 - bits
+
+    def _home(self, codes):
+        # uint64 operands throughout, so numpy 1.x and 2.x agree
+        hashed = codes.view(np.uint64) * np.uint64(_FIBONACCI)
+        return (hashed >> np.uint64(self._shift)).astype(np.intp)
+
+    def _probe(self, codes, at):
+        """Walk each code on from its slot at (updated in place) to the
+        first slot that holds it or is empty: a step for all walking codes
+        at once while many walk, and the last few, whose clusters can run
+        long, one at a time."""
+        slots, mask = self.slots, self._mask
+        found = slots.take(at)
+        walking = np.flatnonzero((found != codes) & (found != _EMPTY))
+        while len(walking) > _FEW:
+            step = at.take(walking)
+            step += 1
+            step &= mask
+            at[walking] = step
+            found = slots.take(step)
+            walking = walking[(found != codes.take(walking)) & (found != _EMPTY)]
+        for i in walking.tolist():
+            at[i] = self._walk(codes.item(i), at.item(i))
+        return at
+
+    def _walk(self, code, at):
+        """The first slot from at on that holds code or is empty."""
+        slots, mask = self.slots, self._mask
+        found = slots.item(at)
+        while found != code and found != _EMPTY:
+            at = (at + 1) & mask
+            found = slots.item(at)
+        return at
+
+    def _place(self, codes, at):
+        """Write distinct codes, none a member, each at is an empty slot on
+        its path, into the table."""
+        slots = self.slots
+        while len(codes):
+            slots[at] = codes
+            lost = slots.take(at) != codes
+            codes = codes[lost]
+            at = self._probe(codes, at[lost])
+
+    def _grow(self, fresh):
+        """Double the table until the members and the fresh codes fit, and
+        insert them all; the old slots are freed before the new ones are
+        made."""
+        codes = np.concatenate([self.slots[self.slots != _EMPTY], fresh])
+        bits = self._mask.bit_length()
+        while len(codes) > 3 << (bits - 2):
+            bits += 1
+        self.slots = None
+        self._allocate(bits)
+        # every home slot of an empty table is free
+        self._place(codes, self._home(codes))
 
     def _marked(self, codes):
-        return _sorted_holds(self.large, codes) | _sorted_holds(self.small, codes)
+        return self.slots.take(self._probe(codes, self._home(codes))) == codes
 
-    def _mark(self, codes):
-        small = np.concatenate([self.small, np.sort(codes)])
-        small.sort(kind="stable")
-        if len(small) > len(self.large) // 4 + SCAN_BLOCK:
-            self.large = np.concatenate([self.large, small])
-            self.large.sort(kind="stable")
-            small = np.empty(0, dtype=np.int64)
-        self.small = small
+    def _take_codes(self, codes):
+        at = self._probe(codes, self._home(codes))
+        new = self.slots.take(at) != codes
+        fresh = codes[new]
+        self.size += len(fresh)
+        if self.size > self._limit:
+            self._grow(fresh)
+        else:
+            self._place(fresh, at[new])
+        return new
 
     def _holds(self, code):
-        for codes in (self.large, self.small):
-            at = codes.searchsorted(code)
-            if at < len(codes) and codes[at] == code:
-                return True
-        return False
+        home = (code * _FIBONACCI & 0xFFFFFFFFFFFFFFFF) >> self._shift
+        return self.slots.item(self._walk(code, home)) == code
 
 
 def _membership(oracle):
     """For keys that are code vectors over F_q (the oracle names q), a code
-    bitmap while q^width is at most BITMAP_CODES and sorted codes while it
-    is at most 2^63; a set of keys otherwise."""
+    bitmap while q^width is at most BITMAP_CODES and a hash table of codes
+    while it is at most 2^63; a set of keys otherwise."""
     width = len(oracle.identity)
     if oracle.q is None or oracle.q ** width > 2 ** 63:
         return _KeySet()
     if oracle.q ** width <= BITMAP_CODES:
         return _CodeBitmap(oracle.q, width)
-    return _CodeSet(oracle.q, width)
+    return _CodeHash(oracle.q, width)
 
 
 class _Closure:

@@ -1,7 +1,7 @@
 """The enumeration engine run three times on one polynomial-law oracle:
 once as given, so that closures mark their members in a code bitmap; once
-with a bitmap limit of one code, so that they keep sorted codes; and once
-with q unset, so that they keep a set of keys.  The three runs must list
+with a bitmap limit of one code, so that they keep a hash table of codes;
+and once with q unset, so that they keep a set of keys.  The three runs must list
 the same elements in the same order and count the same cosets: of the
 Frattini subgroup and, while the index is small, of the first generator's
 closure, which need not be normal."""
@@ -68,8 +68,8 @@ def assert_membership_paths_agree(oracle, gens, p, order=None):
     bitmap = enumerations(oracle, gens, p, order)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pgroup, "BITMAP_CODES", 1)
-        codeset = enumerations(oracle, gens, p, order)
+        hashed = enumerations(oracle, gens, p, order)
     keyset = enumerations(dataclasses.replace(oracle, q=None), gens, p, order)
-    paths = [run.pop("members") for run in (bitmap, codeset, keyset)]
-    assert paths == ["_CodeBitmap", "_CodeSet", "_KeySet"]
-    assert bitmap == codeset == keyset
+    paths = [run.pop("members") for run in (bitmap, hashed, keyset)]
+    assert paths == ["_CodeBitmap", "_CodeHash", "_KeySet"]
+    assert bitmap == hashed == keyset

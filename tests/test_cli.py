@@ -547,17 +547,35 @@ def test_verify_rejects_an_unreadable_stored_report_before_running(
         assert str(path) in line
 
 
-@pytest.mark.parametrize("where", ["missing/report.json", "."])
-def test_verify_reports_an_unwritable_out_path(tmp_path, capsys, where):
+@pytest.mark.parametrize(
+    "where", ["missing/report.json", ".", "empty.json/report.json"]
+)
+def test_verify_reports_an_unwritable_out_path(tmp_path, capsys, monkeypatch, where):
     # a report that cannot be written is a configuration error, not a
-    # failed check, and it leaves no traceback
-    campaign = write_json(tmp_path, "empty.json", {"instances": []})
+    # failed check, found before any check runs and with no traceback
+    _forbid_checks(monkeypatch)
+    write_json(tmp_path, "empty.json", {"instances": []})
     out_path = tmp_path / where
-    assert run(["verify", campaign, "--out", str(out_path)]) == 2
+    assert run(["verify", "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and str(out_path) in line
+
+
+@pytest.mark.parametrize("old", [None, "an earlier report\n"])
+def test_verify_leaves_the_out_file_alone_when_refused(tmp_path, capsys, old):
+    # the report file is opened only once there is a report to write
+    campaign = write_json(tmp_path, "bad.json", {"instances": [{"model": "nope"}]})
+    out_path = tmp_path / "report.json"
+    if old is not None:
+        out_path.write_text(old)
+    assert run(["verify", campaign, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().out == ""
+    if old is None:
+        assert not out_path.exists()
+    else:
+        assert out_path.read_text() == old
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, 2.0, "10"])

@@ -7,6 +7,7 @@ import functools
 import gc
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from kmsylow.pgroup import (
     FiniteGroupTable,
     GroupOracle,
     PolynomialMap,
+    _FIBONACCI,
     _CodeBitmap,
+    _CodeHash,
     bulk_hook,
     check_filtration_lemma,
     closure,
@@ -250,10 +253,10 @@ def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
 
 @pytest.mark.parametrize(
     "width,path",
-    [(26, "_CodeBitmap"), (27, "_CodeSet"), (63, "_CodeSet"), (64, "_KeySet")],
+    [(26, "_CodeBitmap"), (27, "_CodeHash"), (63, "_CodeHash"), (64, "_KeySet")],
 )
 def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
-    # beyond the bitmap, codes below 2^63 are kept sorted
+    # beyond the bitmap, codes below 2^63 are kept in a hash table
     assert BITMAP_CODES == 2 ** 26
     oracle = dataclasses.replace(vector_oracle(2, width), q=2)
     ones, top = bytes([1]) * width, bytes(width - 1) + bytes([1])
@@ -270,6 +273,71 @@ def test_bitmap_codes_are_exact_at_the_limit():
     # the first coordinate is the most significant
     assert _CodeBitmap(2, 26)._codes(keys).tolist() == [2 ** 26 - 1, 1, 2 ** 25]
     assert _CodeBitmap(256, 3)._codes([bytes([255]) * 3]).tolist() == [2 ** 24 - 1]
+
+
+def _code_keys(codes):
+    """Keys over F_2 of width 63 with the given codes."""
+    codes = np.array(codes, dtype=np.int64)
+    bits = codes[:, None] >> np.arange(62, -1, -1, dtype=np.int64) & 1
+    return row_keys(bits.astype(np.uint8))
+
+
+def _codes_homed_at(rng, slot, bits, count):
+    """count codes below 2^63 whose home in a table of 2^bits slots is
+    slot: the Fibonacci multiplier is odd, so its inverse mod 2^64 maps a
+    chosen hash back to a code."""
+    inverse = pow(_FIBONACCI, -1, 2 ** 64)
+    codes = []
+    while len(codes) < count:
+        hashed = slot << (64 - bits) | rng.getrandbits(64 - bits)
+        code = hashed * inverse % 2 ** 64
+        if code < 2 ** 63:
+            codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("few", [0, pgroup._FEW, 2 ** 20])
+def test_code_hash_agrees_with_a_set(monkeypatch, few):
+    # blocks of random codes grow the table from its smallest size through
+    # five doublings; the first block piles 40 codes onto the last slot, so
+    # their chain wraps round to slot 0, and holds the codes 0 and 2^63 - 1;
+    # probes walk in numpy steps, one code at a time, or both
+    monkeypatch.setattr(pgroup, "_FEW", few)
+    rng = random.Random(17)
+    table = _CodeHash(2, 63)
+    bits = _CodeHash.MIN_BITS
+    assert len(table.slots) == 2 ** bits
+    blocks = [[0, 2 ** 63 - 1] + _codes_homed_at(rng, 2 ** bits - 1, bits, 40)]
+    for size in (1, 700, 300, 4096, 4096, 4096, 4096):
+        blocks.append([rng.getrandbits(63) for _ in range(size)])
+    members, wrapped = set(), False
+    for block in blocks:
+        # every later block repeats some members, in a shuffled order
+        block += rng.sample(sorted(members), len(members) // 9)
+        block = list(dict.fromkeys(block))
+        rng.shuffle(block)
+        keys = _code_keys(block)
+        strangers = [rng.getrandbits(63) for _ in range(50)]
+        assert table.isdisjoint(_code_keys(strangers)) is members.isdisjoint(strangers)
+        assert table.take_new(keys) == [
+            k for k, c in zip(keys, block) if c not in members
+        ]
+        members.update(block)
+        slots = table.slots
+        assert table.size == len(members) <= 3 * len(slots) // 4
+        assert set(slots[slots != -1].tolist()) == members
+        at = np.flatnonzero(slots != -1)
+        wrapped |= bool((at < table._home(slots[at])).any())
+        probes = rng.sample(sorted(members), 30) + strangers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [k in table for k in _code_keys(probes)] == [
+                c in members for c in probes
+            ]
+        assert not table.isdisjoint(_code_keys(strangers[:5] + probes[:1]))
+    assert wrapped and len(table.slots) == 2 ** (bits + 5)
+    assert _code_keys([2 ** 63 - 1])[0] in table
+    assert bytes(63) in table
 
 
 def test_closure_is_generator_order_independent():
@@ -607,6 +675,35 @@ def test_bulk_hook_equals_the_scalar_evaluator(q, n):
     keys = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(n)]
     for _ in range(3):
         g = bytes(rng.randrange(q) for _ in range(width))
+        assert hook(keys, g) == [law(k, g) for k in keys]
+
+
+@pytest.mark.parametrize("q", EVALUATOR_QS)
+@pytest.mark.parametrize("n", [1, 9, SCAN_BLOCK + 1])
+def test_bulk_hook_writes_single_term_coordinates_directly(q, n):
+    # at y = g each coordinate is zero, a constant, x_v or c x_v: the
+    # evaluator writes these without the packed sums
+    fq = field(q)
+    rng = random.Random(q + 7 * n)
+    width = 4
+    c = [rng.randrange(2, q) if q > 2 else 1 for _ in range(4)]
+    law = PolynomialMap(
+        fq,
+        (
+            (),
+            ((c[0], (), ()),),
+            ((c[1], (), (2,)),),
+            ((1, (3,), ()),),
+            ((c[2], (0,), ()),),
+            ((c[3], (1,), (2,)),),
+        ),
+    )
+    hook = bulk_hook(fq, law.at_y)
+    keys = [bytes(width)]
+    keys += [bytes(rng.randrange(q) for _ in range(width)) for _ in range(n - 1)]
+    for g in (bytes(width), bytes((1, 0, 1, 0)), bytes((0, 0, q - 1, 0))):
+        polys = law.at_y(g)
+        assert all(len(poly) <= 1 and len(poly[0][1]) <= 1 for poly in polys if poly)
         assert hook(keys, g) == [law(k, g) for k in keys]
 
 
