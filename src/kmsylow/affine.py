@@ -26,10 +26,11 @@ from .pgroup import (
     DEFAULT_CAP,
     FiniteGroupTable,
     PolynomialMap,
+    _log_exact,
     _power,
     closure,
     commutator,
-    frattini_quotient_dimension,
+    frattini_index,
     law_oracle,
     select,
 )
@@ -145,10 +146,10 @@ def sylow_order(m, fq, k):
 class IwahoriSylow:
     """The Iwahori Sylow of SL_m over F_q[t]/(t^k) under one cap: its group
     and its order, and on first use its table (the closure of the standard
-    generators) and whether those generators generate it.  Checks that
-    share one list the table once: a table that fits is kept, and a
-    closure that passes the cap is refused again, with the same message,
-    without listing it a second time."""
+    generators) and the Frattini count of that closure.  Checks that share
+    one count it once: the pair (|Phi|, [G : Phi]) is kept, without Phi's
+    table, and a count that passes the cap is refused again, with the same
+    message, without counting it a second time."""
 
     def __init__(self, m, fq, k, cap):
         self.m, self.fq, self.k, self.cap = m, fq, k, cap
@@ -158,16 +159,21 @@ class IwahoriSylow:
 
     @cached_property
     def table(self):
-        if self._refusal is None:
-            try:
-                return sylow_table(self)
-            except EnumerationCapExceeded as refusal:
-                self._refusal = str(refusal)
-        raise EnumerationCapExceeded(self._refusal)
+        return sylow_table(self)
 
     @cached_property
-    def generates(self):
-        return verify_generation(self)
+    def frattini(self):
+        if self._refusal is None:
+            gens = sylow_generators(self.m, self.fq, self.k)
+            try:
+                phi, index = frattini_index(
+                    gens, self.group.oracle(), self.fq.p, cap=self.cap
+                )
+            except EnumerationCapExceeded as refusal:
+                self._refusal = str(refusal)
+            else:
+                return phi.order, index
+        raise EnumerationCapExceeded(self._refusal)
 
 
 def sylow_table(sylow):
@@ -214,15 +220,21 @@ def verify_theorem1_affine(sylow):
     """Theorem 1 for an IwahoriSylow, with the report fields of
     verify_theorem1 (None where this model has no value, no caveat) plus
     model, m and k.  The hypothesis p > max |a_ij| of A_{m-1}^(1) is checked
-    here first, and nowhere else in this model."""
-    m, fq, k, cap = sylow.m, sylow.fq, sylow.k, sylow.cap
+    here first, and nowhere else in this model.
+
+    As in verify_theorem1, the Frattini subgroup of the closure of the
+    standard generators is listed and its cosets counted, and the Sylow is
+    never listed: h1_blackbox is log_p of the index, and the generators,
+    which lie in the Sylow by construction, generate it when |Phi| times
+    the index is the Sylow's order."""
+    m, fq, k = sylow.m, sylow.fq, sylow.k
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
-    table, generates = sylow.table, sylow.generates
-    h1 = frattini_quotient_dimension(table, cap=cap)
-    oracle = table.oracle
+    frattini_order, index = sylow.frattini
+    oracle = sylow.group.oracle()
     # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
     frattini_eq_derived = all(
-        _power(oracle, g, fq.p) == oracle.identity for g in table.generators
+        _power(oracle, g, fq.p) == oracle.identity
+        for g in sylow_generators(m, fq, k)
     )
     return {
         "model": "affine_matrix",
@@ -231,13 +243,13 @@ def verify_theorem1_affine(sylow):
         "k": k,
         "q": fq.q,
         "H": None,
-        "h1_blackbox": h1,
+        "h1_blackbox": _log_exact(index, fq.p),
         "h1_linear": None,
         "h1_predicted": predicted_h1(m, fq, k),
         "frattini_eq_derived": frattini_eq_derived,
         "thm_ii_lhs_order": None,
         "thm_ii_rhs_order": None,
-        "generators_generate": generates,
+        "generators_generate": frattini_order * index == sylow.order,
     }
 
 

@@ -17,6 +17,7 @@ from .affine import (
     enumerate_special_linear,
     monomial_subgroup,
     sylow_generators,
+    verify_generation,
     verify_theorem1_affine,
     weyl_representatives,
 )
@@ -319,9 +320,9 @@ def _check_cor_linear(inst, seed, cap):
 
 def _check_generation(inst, seed, cap):
     sylow, fq = inst.sylow(), inst.fq
-    generate = sylow.generates
+    generate = verify_generation(sylow)
     gens = sylow_generators(sylow.m, fq, sylow.k)
-    partial = closure(gens[: -fq.r], sylow.table.oracle, cap=cap, p=fq.p)
+    partial = closure(gens[: -fq.r], sylow.group.oracle(), cap=cap, p=fq.p)
     payload = {
         "generates": generate,
         "partial_order": partial.order,

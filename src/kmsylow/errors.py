@@ -58,10 +58,6 @@ class EnumerationCapExceeded(KmError):
     pass
 
 
-class NotAPGroup(KmError):
-    pass
-
-
 class ChainNotNested(KmError):
     pass
 

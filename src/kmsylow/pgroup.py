@@ -3,9 +3,11 @@
 Groups are presented by an oracle over canonical byte keys: identity,
 multiplication, inversion, and an optional bulk right-multiplication hook
 that vectorized callers can supply.  Everything downstream (closures, normal
-closures, derived and Frattini subgroups, coset counting, filtration and
-Tits-axiom checks) works purely through the oracle, so the same engine
-serves coordinate groups and matrix groups.
+closures, the derived subgroup, coset counting, the Frattini index,
+filtration and Tits-axiom checks) works purely through the oracle, so the
+same engine serves coordinate groups and matrix groups.  frattini_index is
+theorem 1's one enumeration in both models: it lists the Frattini subgroup
+and counts its cosets, and never lists the group itself.
 
 Both models have a polynomial law: their product and inverse are fixed
 polynomial maps over F_q in the key coefficients.  PolynomialMap holds such
@@ -38,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
+from .errors import ChainNotNested, EnumerationCapExceeded
 
 DEFAULT_CAP = 2 ** 21
 SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
@@ -282,8 +284,6 @@ class FiniteGroupTable:
         self.elements = tuple(elements)
         self.p = p
         self._members = members
-        # seed set -> its normal closure under the generators
-        self._normal_closures = {}
 
     @property
     def order(self):
@@ -717,40 +717,10 @@ def layered_order(generators, oracle, lead, p, conjugators=()):
     return p ** len(sequence)
 
 
-def _generator_normal_closure(G, seeds, cap):
-    """Normal closure of the seeds under the generators of G, listed once
-    per table and seed set.  normal_closure drops identity seeds, so the
-    set leaves them out, and when every generator's p-th power is trivial
-    the Frattini and derived subgroups are one listing."""
-    key = frozenset(seeds) - {G.oracle.identity}
-    table = G._normal_closures.get(key)
-    if table is None:
-        table = normal_closure(seeds, G.generators, G.oracle, cap=cap, p=G.p)
-        G._normal_closures[key] = table
-    else:
-        _refuse_known(table.order, cap, "normal closure order")
-    return table
-
-
 def derived_subgroup(G, cap=DEFAULT_CAP):
     """Normal closure of the commutators of generator pairs."""
     comms = generator_commutators(G.oracle, G.generators)
-    return _generator_normal_closure(G, comms, cap)
-
-
-def frattini_subgroup(G, cap=DEFAULT_CAP):
-    """For a p-group: normal closure of generator commutators and p-th powers.
-
-    Modulo the derived group the quotient is abelian, so the p-th powers of
-    the generators generate its p-th power subgroup; together they generate
-    the agreement subgroup of all maximal subgroups.
-    """
-    if G.p is None:
-        raise NotAPGroup("the table carries no prime p")
-    gens = G.generators
-    seeds = generator_commutators(G.oracle, gens)
-    seeds += [_power(G.oracle, g, G.p) for g in gens]
-    return _generator_normal_closure(G, seeds, cap)
+    return normal_closure(comms, G.generators, G.oracle, cap=cap, p=G.p)
 
 
 def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
@@ -824,19 +794,25 @@ def _log_exact(value, base):
     return d if value == 1 else None
 
 
-def frattini_quotient_dimension(G, cap=DEFAULT_CAP):
-    """log_p of the index of the Frattini subgroup; the minimal number of
-    generators of a finite p-group."""
-    if G.p is None:
-        raise NotAPGroup("the table carries no prime p")
-    phi = frattini_subgroup(G, cap=cap)
-    if G.order % phi.order:
-        raise NotAPGroup("Frattini order does not divide the group order")
-    index = G.order // phi.order
-    d = _log_exact(index, G.p)
-    if d is None:
-        raise NotAPGroup(f"Frattini index {index} is not a power of {G.p}")
-    return d
+def frattini_index(
+    generators, oracle, p, cap=DEFAULT_CAP, order=None, frattini_order=None
+):
+    """The Frattini subgroup Phi of the p-group G the generators generate,
+    as a table, and its index [G : Phi], found without listing G.
+
+    Phi = [G, G] G^p is the normal closure of the generator commutators and
+    p-th powers: modulo [G, G] the group is abelian, so the generators'
+    p-th powers generate its p-th power subgroup.  Its right cosets are
+    counted by subgroup_index, and log_p of the count is the minimal number
+    of generators of G (Burnside basis theorem).  order and frattini_order,
+    when known, are |G| and |Phi|; an index or a Phi over the cap then
+    refuses before any multiplication, as in subgroup_index and
+    normal_closure.
+    """
+    gens = list(generators)
+    seeds = generator_commutators(oracle, gens) + [_power(oracle, g, p) for g in gens]
+    phi = normal_closure(seeds, gens, oracle, cap=cap, p=p, order=frattini_order)
+    return phi, subgroup_index(phi, gens, oracle, cap=cap, order=order)
 
 
 def is_perfect(G, cap=DEFAULT_CAP):

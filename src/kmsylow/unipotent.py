@@ -30,11 +30,10 @@ from .pgroup import (
     _log_exact,
     _power,
     closure,
+    frattini_index,
     generator_commutators,
     law_oracle,
     layered_order,
-    normal_closure,
-    subgroup_index,
 )
 from .roots import REAL, positive_real_roots_up_to_height, root_status, simple_root
 
@@ -308,12 +307,12 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     The layered orders are an exact preflight: each enumeration call gets
     the known order of its table and refuses before any multiplication when
     that order is over the cap.  Enumeration lists the Frattini subgroup and
-    counts its cosets, so the group itself is never listed: h1_blackbox is
-    log_p of the index, and the generators generate when |Phi| times the
-    index is |G|.  Only a coset count over the cap (or a right side larger
-    than the Frattini subgroup) refuses after a table was listed.  On a
-    refusal h1_blackbox is None and the group fields come from the layered
-    engine.
+    counts its cosets (pgroup.frattini_index, as in the matrix model), so
+    the group itself is never listed: h1_blackbox is log_p of the index,
+    and the generators generate when |Phi| times the index is |G|.  Only a
+    coset count over the cap (or a right side larger than the Frattini
+    subgroup) refuses after a table was listed.  On a refusal h1_blackbox
+    is None and the group fields come from the layered engine.
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)
@@ -339,10 +338,9 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     frattini_eq_derived = all(x == oracle.identity for x in powers)
 
     try:
-        frattini = normal_closure(
-            comms + powers, gens, oracle, cap=cap, p=p, order=frattini_order
+        frattini, index = frattini_index(
+            gens, oracle, p, cap=cap, order=order, frattini_order=frattini_order
         )
-        index = subgroup_index(frattini, gens, oracle, cap=cap, order=order)
         rhs = closure(rhs_gens, oracle, cap=cap, p=p, order=rhs_order)
     except EnumerationCapExceeded:
         group_engine = "layered"

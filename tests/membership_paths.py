@@ -13,16 +13,15 @@ import pytest
 from kmsylow import pgroup
 from kmsylow.pgroup import (
     DEFAULT_CAP,
-    _power,
     closure,
     commutator,
-    derived_subgroup,
-    frattini_quotient_dimension,
-    frattini_subgroup,
+    frattini_index,
     generator_commutators,
     normal_closure,
     subgroup_index,
 )
+
+from sylow_enumeration import frattini_quotient_dimension
 
 # the largest index of the first generator's closure whose cosets are
 # counted: where the closure is not normal, each count probes every listed
@@ -33,23 +32,17 @@ LINE_INDEX_LIMIT = 625
 def enumerations(oracle, gens, p, order=None):
     """What the engine lists and counts for the group the generators
     generate; order, when given, is the group's order.  A group over the
-    default cap is not listed: its derived and Frattini subgroups are the
-    normal closures of the generator commutators and, for the Frattini
-    subgroup, the generators' p-th powers, as in BCH theorem 1."""
+    default cap is not listed, as in theorem 1: its derived subgroup is the
+    normal closure of the generator commutators, and its Frattini subgroup
+    and index come from frattini_index."""
+    comms = generator_commutators(oracle, gens)
+    out = {"derived_subgroup": normal_closure(comms, gens, oracle, p=p).elements}
+    phi, index = frattini_index(gens, oracle, p)
     if order is None or order <= DEFAULT_CAP:
         G = closure(gens, oracle, p=p)
         order = G.order
-        phi = frattini_subgroup(G)
-        out = {
-            "closure": G.elements,
-            "derived_subgroup": derived_subgroup(G).elements,
-            "frattini_quotient_dimension": frattini_quotient_dimension(G),
-        }
-    else:
-        comms = generator_commutators(oracle, gens)
-        powers = [_power(oracle, g, p) for g in gens]
-        phi = normal_closure(comms + powers, gens, oracle, p=p)
-        out = {"derived_subgroup": normal_closure(comms, gens, oracle, p=p).elements}
+        out["closure"] = G.elements
+        out["frattini_quotient_dimension"] = frattini_quotient_dimension(G)
     # a third commutator, whose normal closure is not the Frattini subgroup
     seeds = [commutator(oracle, commutator(oracle, gens[0], gens[1]), gens[0])]
     line = closure(gens[:1], oracle)
@@ -60,7 +53,7 @@ def enumerations(oracle, gens, p, order=None):
         members=type(line.members).__name__,
         normal_closure=normal_closure(seeds, gens, oracle, p=p).elements,
         frattini_subgroup=phi.elements,
-        subgroup_index=subgroup_index(phi, gens, oracle),
+        subgroup_index=index,
     )
 
 

@@ -8,12 +8,23 @@ way by its determinant alone, so it does not depend on its generators either.
 
 The determinant, product and inverse here are schoolbook arithmetic on
 nested lists, the reference for the polynomial maps of the group oracle.
+
+frattini_quotient_dimension is the slower way to the Frattini quotient: it
+needs the group listed and divides its order by the Frattini subgroup's,
+where pgroup.frattini_index counts cosets instead.  It is the oracle that
+theorem 1's enumeration is compared with.
 """
 
 import numpy as np
 
 from kmsylow.affine import AffineMatrixGroup, iwahori_sylow_membership
-from kmsylow.pgroup import closure, frattini_quotient_dimension
+from kmsylow.pgroup import (
+    _log_exact,
+    _power,
+    closure,
+    generator_commutators,
+    normal_closure,
+)
 
 
 def _candidates(group):
@@ -122,3 +133,16 @@ def frattini_dimension_of(elements, oracle, p):
             table = closure(gens, oracle, p=p)
     assert table.element_set == set(elements), "the keys are not a group"
     return frattini_quotient_dimension(table)
+
+
+def frattini_quotient_dimension(G):
+    """log_p |G / Phi(G)| for an enumerated p-group table G that carries
+    its prime: Phi(G) is listed as the normal closure of the generator
+    commutators and p-th powers, and its order divides |G|."""
+    oracle, gens, p = G.oracle, G.generators, G.p
+    seeds = generator_commutators(oracle, gens) + [_power(oracle, g, p) for g in gens]
+    phi = normal_closure(seeds, gens, oracle, p=p)
+    assert G.order % phi.order == 0, "Frattini order does not divide |G|"
+    d = _log_exact(G.order // phi.order, p)
+    assert d is not None, "Frattini index is not a power of p"
+    return d

@@ -40,7 +40,7 @@ from kmsylow.pgroup import (
     closure,
     commutator,
     derived_subgroup,
-    frattini_subgroup,
+    frattini_index,
     key_rows,
     row_keys,
 )
@@ -53,6 +53,7 @@ from sylow_enumeration import (
     brute_force_sylow,
     det,
     frattini_dimension_of,
+    frattini_quotient_dimension,
     inverse,
     key_of,
     matrix_mul,
@@ -265,9 +266,11 @@ def test_verify_generation_cap():
 def test_iwahori_sylow_lists_its_table_on_first_use_only():
     sylow = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
     assert sylow.order == sylow_order(2, F3, 2) == 81
+    # the Frattini count lists Phi, not the Sylow
+    assert sylow.frattini == (9, 9)
     assert "table" not in vars(sylow)
     table = sylow.table
-    assert sylow.generates and sylow.table is table
+    assert verify_generation(sylow) and sylow.table is table
     with pytest.raises(EnumerationCapExceeded, match="closure exceeded the cap of 80"):
         IwahoriSylow(2, F3, 2, 80).table
 
@@ -320,9 +323,23 @@ def test_dimino_and_probe_coset_counts_agree(m, q, k):
     oracle = AffineMatrixGroup(m, fq, k).oracle()
     gens = sylow_generators(m, fq, k)
     G = closure(gens, oracle, p=fq.p)
-    subgroups = [frattini_subgroup(G), derived_subgroup(G)]
+    subgroups = [frattini_index(gens, oracle, fq.p)[0], derived_subgroup(G)]
     subgroups += [closure(gens[:1], oracle), closure(gens[::2], oracle)]
     assert assert_same_indices(subgroups, gens, oracle, G.order) >= 1
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_frattini_count_matches_table_division(m, q, k):
+    # theorem 1's coset count against the slower way, which lists the
+    # closure of the standard generators and divides its order by |Phi|;
+    # generation against the membership scan of the listed closure
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    frattini_order, index = sylow.frattini
+    G = sylow_table(sylow)
+    assert index == fq.p ** frattini_quotient_dimension(G)
+    assert frattini_order == G.order // index
+    assert (frattini_order * index == sylow.order) is verify_generation(sylow)
 
 
 def _h1(m, fq, k):

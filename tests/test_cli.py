@@ -383,8 +383,8 @@ def test_verify_names_each_problem(tmp_path, capsys, instance, problem):
 def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
     calls = {"sylow_table": 0, "verify_generation": 0}
 
-    def counting(name):
-        original = getattr(affine, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -392,15 +392,17 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(affine, name, counting(name))
-    # checks -> verify_generation calls per run; the table is listed once
+    monkeypatch.setattr(affine, "sylow_table", counting(affine, "sylow_table"))
+    monkeypatch.setattr(cli, "verify_generation", counting(cli, "verify_generation"))
+    # checks -> (sylow_table, verify_generation) calls per run: theorem 1
+    # counts Frattini cosets and lists no Sylow, and generation and
+    # filtration share one listing
     cases = [
-        (["theorem1", "cor_linear", "generation", "filtration"], 1),
-        (["cor_linear"], 1),
-        (["filtration"], 0),
+        (["theorem1", "cor_linear", "generation", "filtration"], (1, 1)),
+        (["cor_linear"], (0, 0)),
+        (["filtration"], (1, 0)),
     ]
-    for checks, generation_calls in cases:
+    for checks, (table_calls, generation_calls) in cases:
         campaign = {
             "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
         }
@@ -409,7 +411,7 @@ def test_affine_instance_enumerates_its_sylow_once_per_run(monkeypatch):
             statuses = [r["status"] for r in report["instances"][0]["results"]]
             assert statuses == ["pass"] * len(checks)
             assert calls == {
-                "sylow_table": runs,
+                "sylow_table": runs * table_calls,
                 "verify_generation": runs * generation_calls,
             }
         calls.update(dict.fromkeys(calls, 0))
@@ -428,21 +430,73 @@ def test_affine_instance_lists_its_sylow_once_per_run_when_refused(monkeypatch):
     campaign = {
         "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
     }
-    listed = "closure exceeded the cap of 50 elements"
-    # the Sylow has order 81; generation refuses on that order alone
-    details = [listed, listed, "Sylow order 81 exceeds the cap of 50", listed]
+    # the Sylow has order 81 and Phi order 9 and index 9, so theorem 1 fits
+    # the cap; generation refuses on the order alone, and filtration lists
+    # the closure until it passes the cap
+    skipped = [
+        ("generation", "Sylow order 81 exceeds the cap of 50"),
+        ("filtration", "closure exceeded the cap of 50 elements"),
+    ]
     for runs in (1, 2):
         results = run_campaign(campaign, cap=50)["instances"][0]["results"]
-        assert cli._strip_volatile(results) == [
+        assert [r["status"] for r in results[:2]] == ["pass", "pass"]
+        assert cli._strip_volatile(results[2:]) == [
             {
                 "check": check,
                 "status": "skipped",
                 "reason": "EnumerationCapExceeded",
                 "detail": detail,
             }
-            for check, detail in zip(checks, details)
+            for check, detail in skipped
         ]
         assert calls == [50] * runs
+
+
+def test_affine_theorem1_refused_once_per_run(monkeypatch):
+    # Phi has order 9 above a cap of 5: its normal closure refuses once, and
+    # cor_linear is refused again from the kept message
+    calls = []
+    original = pgroup.normal_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgroup, "normal_closure", counting)
+    checks = ["theorem1", "cor_linear"]
+    campaign = {
+        "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
+    }
+    for runs in (1, 2):
+        results = run_campaign(campaign, cap=5)["instances"][0]["results"]
+        assert cli._strip_volatile(results) == [
+            {
+                "check": check,
+                "status": "skipped",
+                "reason": "EnumerationCapExceeded",
+                "detail": "closure exceeded the cap of 5 elements",
+            }
+            for check in checks
+        ]
+        assert len(calls) == runs
+
+
+@pytest.mark.parametrize("m,q,k", [(3, 5, 2), (2, 5, 4)])
+def test_affine_theorem1_past_the_cap_lists_no_sylow(monkeypatch, m, q, k):
+    # Sylows of 5^11 and 5^10 elements, over the default cap; Phi and its
+    # 5^(m r) cosets fit under it
+    def must_not_list(sylow):
+        raise AssertionError("the Sylow was listed")
+
+    monkeypatch.setattr(affine, "sylow_table", must_not_list)
+    assert affine.sylow_order(m, FqConfig(q), k) > cli.DEFAULT_CAP
+    campaign = {
+        "instances": [{"model": "affine", "m": m, "q": q, "k": k, "checks": ["theorem1"]}],
+    }
+    (result,) = run_campaign(campaign)["instances"][0]["results"]
+    assert result["status"] == "pass"
+    assert result["payload"]["h1_blackbox"] == result["payload"]["h1_predicted"] == m
+    assert result["payload"]["generators_generate"] is True
 
 
 def test_cor_linear_is_a_view_of_theorem1(monkeypatch):
@@ -456,10 +510,17 @@ def test_cor_linear_is_a_view_of_theorem1(monkeypatch):
         "h1": theorem1["payload"]["h1_blackbox"],
         "predicted": theorem1["payload"]["h1_predicted"],
     } == {"h1": 2, "predicted": 2}
-    # agreeing numbers without generation fail both checks
-    monkeypatch.setattr(affine, "verify_generation", lambda sylow: False)
+    # theorem 1 reads no membership scan; agreeing numbers without
+    # generation (|Phi| [G : Phi] short of a Sylow order made larger) fail
+    # both checks
+    def must_not_scan(sylow):
+        raise AssertionError("theorem 1 ran the membership scan")
+
+    monkeypatch.setattr(affine, "verify_generation", must_not_scan)
+    monkeypatch.setattr(affine, "sylow_order", lambda m, fq, k: 3 ** 5)
     results = run_campaign(campaign)["instances"][0]["results"]
     assert [r["status"] for r in results] == ["fail", "fail"]
+    assert results[0]["payload"]["generators_generate"] is False
     assert results[1]["payload"] == {"h1": 2, "predicted": 2}
     # a closure short of the Sylow is a failed check, not an error
     monkeypatch.undo()
@@ -488,8 +549,8 @@ def test_bch_instance_enumerates_its_roots_once_per_run(monkeypatch):
 
 
 def test_affine_instance_lists_its_frattini_subgroup_once_per_run(monkeypatch):
-    # the Frattini and derived subgroups of the Sylow are one normal closure,
-    # shared by the theorem1, cor_linear and filtration checks
+    # theorem1 and cor_linear share one Frattini count; filtration lists
+    # the derived subgroup of the listed Sylow itself
     calls = []
     original = pgroup.normal_closure
 
@@ -507,7 +568,7 @@ def test_affine_instance_lists_its_frattini_subgroup_once_per_run(monkeypatch):
     for runs in (1, 2):
         report = run_campaign(campaign)
         assert [r["status"] for r in report["instances"][0]["results"]] == ["pass"] * 3
-        assert len(calls) == runs
+        assert len(calls) == 2 * runs
 
 
 def _forbid_checks(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 from kmsylow import pgroup
 from kmsylow.affine import AffineMatrixGroup
-from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAPGroup
+from kmsylow.errors import ChainNotNested, EnumerationCapExceeded
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
 from kmsylow.pgroup import (
@@ -31,8 +31,7 @@ from kmsylow.pgroup import (
     closure,
     commutator,
     derived_subgroup,
-    frattini_quotient_dimension,
-    frattini_subgroup,
+    frattini_index,
     generator_commutators,
     is_perfect,
     key_rows,
@@ -419,37 +418,32 @@ def test_derived_subgroup_is_normal_and_quotient_abelian():
 
 
 def test_frattini_dimensions():
+    # (|Phi|, [G : Phi]); the index is p to the Frattini quotient dimension
     oracle = vector_oracle(3, 4)
     gens = [bytes([1 if i == j else 0 for j in range(4)]) for i in range(4)]
-    assert frattini_quotient_dimension(closure(gens, oracle, p=3)) == 4
+    phi, index = frattini_index(gens, oracle, 3)
+    assert (phi.order, index) == (1, 3 ** 4)
 
-    z9 = cyclic_oracle(9)
-    table = closure([bytes([1])], z9, p=3)
-    assert frattini_quotient_dimension(table) == 1
-    assert frattini_subgroup(table).order == 3
+    phi, index = frattini_index([bytes([1])], cyclic_oracle(9), 3)
+    assert (phi.order, index) == (3, 3)
 
     h = heisenberg_oracle(5)
-    table = closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h, p=5)
-    assert frattini_quotient_dimension(table) == 2
+    phi, index = frattini_index([bytes((1, 0, 0)), bytes((0, 1, 0))], h, 5)
+    assert (phi.order, index) == (5, 5 ** 2)
 
 
-def test_frattini_and_derived_subgroups_share_one_listing():
+def test_frattini_subgroup_is_derived_when_generator_powers_vanish():
     # every generator of UT_3(F_3) has order 3, so both are the normal
-    # closure of the generator commutators; a lower cap still refuses
+    # closure of the generator commutators; a lower cap refuses either
     oracle, _, gens = unitriangular_oracle(3, 3)
     G = closure(gens, oracle, p=3)
-    phi = frattini_subgroup(G)
-    assert phi.order == 3
-    assert derived_subgroup(G) is phi
+    phi, index = frattini_index(gens, oracle, 3)
+    assert (phi.order, index) == (3, 9)
+    assert derived_subgroup(G).elements == phi.elements
     with pytest.raises(EnumerationCapExceeded):
         derived_subgroup(G, cap=2)
-
-
-def test_frattini_requires_prime():
-    oracle = vector_oracle(3, 2)
-    table = closure([bytes((1, 0))], oracle)
-    with pytest.raises(NotAPGroup):
-        frattini_quotient_dimension(table)
+    with pytest.raises(EnumerationCapExceeded):
+        frattini_index(gens, oracle, 3, cap=2)
 
 
 def test_frattini_dimension_is_minimal_generator_count():
@@ -467,7 +461,8 @@ def test_frattini_dimension_is_minimal_generator_count():
     h3 = heisenberg_oracle(3)
     cases.append(closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h3, p=3))
     for table in cases:
-        assert frattini_quotient_dimension(table) == minimal_generating_size(table)
+        _, index = frattini_index(table.generators, table.oracle, 3)
+        assert index == 3 ** minimal_generating_size(table)
 
 
 def test_subgroup_index():
@@ -617,14 +612,14 @@ def test_characteristic_subgroups_under_conjugation():
     table = closure(gens, h, p=5)
     rng = random.Random(17)
     derived_ref = set(derived_subgroup(table).elements)
-    frattini_ref = set(frattini_subgroup(table).elements)
+    frattini_ref = set(frattini_index(gens, h, 5)[0].elements)
     for _ in range(5):
         c = table.elements[rng.randrange(table.order)]
         conj_gens = [h.mul(h.mul(c, g), h.inv(c)) for g in gens]
         conj_table = closure(conj_gens, h, p=5)
         assert set(conj_table.elements) == set(table.elements)
         assert set(derived_subgroup(conj_table).elements) == derived_ref
-        assert set(frattini_subgroup(conj_table).elements) == frattini_ref
+        assert set(frattini_index(conj_gens, h, 5)[0].elements) == frattini_ref
 
 
 def test_key_rows_and_row_keys_invert_each_other():

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import kmsylow.pgroup as pgroup
 import kmsylow.unipotent as unipotent
 from kmsylow.bch import bch_lyndon_terms
 from kmsylow.cli import DEFAULT_CAMPAIGN, run_campaign
@@ -478,17 +479,18 @@ def uncapped_theorem1(inst):
         listed = _LISTED[key] = []
         campaign = {"instances": [dict(inst, model="bch", checks=["theorem1"])]}
         with pytest.MonkeyPatch.context() as m:
-            for name in ("closure", "normal_closure"):
-                m.setattr(unipotent, name, _recording(name, listed))
+            # theorem 1 calls closure; its Frattini count, normal_closure
+            for module, name in ((unipotent, "closure"), (pgroup, "normal_closure")):
+                m.setattr(module, name, _recording(module, name, listed))
             (result,) = run_campaign(campaign)["instances"][0]["results"]
         _UNCAPPED[key] = result
     return _UNCAPPED[key]
 
 
-def _recording(name, listed):
-    """unipotent's closure or normal_closure, appending (name, its keys,
-    the order of the table it returns) to listed."""
-    original = getattr(unipotent, name)
+def _recording(module, name, listed):
+    """A module's closure or normal_closure, appending (name, its keys, the
+    order of the table it returns) to listed."""
+    original = getattr(module, name)
 
     def wrapper(keys, *args, **kwargs):
         keys = tuple(keys)
@@ -618,8 +620,12 @@ def _refuse_enumeration(monkeypatch):
     def untouchable(*args):
         raise AssertionError("enumeration multiplied")
 
-    for name in ("closure", "normal_closure", "subgroup_index"):
-        original = getattr(unipotent, name)
+    for module, name in (
+        (unipotent, "closure"),
+        (pgroup, "normal_closure"),
+        (pgroup, "subgroup_index"),
+    ):
+        original = getattr(module, name)
         signature = inspect.signature(original)
 
         def refusing(*args, _original=original, _signature=signature, **kwargs):
@@ -630,7 +636,7 @@ def _refuse_enumeration(monkeypatch):
             )
             return _original(*bound.args, **bound.kwargs)
 
-        monkeypatch.setattr(unipotent, name, refusing)
+        monkeypatch.setattr(module, name, refusing)
 
 
 def test_beyond_the_cap_is_layered_and_linear(monkeypatch):
