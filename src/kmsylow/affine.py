@@ -146,10 +146,10 @@ def sylow_order(m, fq, k):
 class IwahoriSylow:
     """The Iwahori Sylow of SL_m over F_q[t]/(t^k) under one cap: its group
     and its order, and on first use its table (the closure of the standard
-    generators) and the Frattini count of that closure.  Checks that share
-    one count it once: the pair (|Phi|, [G : Phi]) is kept, without Phi's
-    table, and a count that passes the cap is refused again, with the same
-    message, without counting it a second time."""
+    generators) and the Frattini subgroup Phi of that closure with its
+    index.  Checks that share one count it once: Phi's table and the index
+    are kept, and a count that passes the cap is refused again, with the
+    same message, without counting it a second time."""
 
     def __init__(self, m, fq, k, cap):
         self.m, self.fq, self.k, self.cap = m, fq, k, cap
@@ -166,13 +166,11 @@ class IwahoriSylow:
         if self._refusal is None:
             gens = sylow_generators(self.m, self.fq, self.k)
             try:
-                phi, index = frattini_index(
+                return frattini_index(
                     gens, self.group.oracle(), self.fq.p, cap=self.cap
                 )
             except EnumerationCapExceeded as refusal:
                 self._refusal = str(refusal)
-            else:
-                return phi.order, index
         raise EnumerationCapExceeded(self._refusal)
 
 
@@ -229,7 +227,7 @@ def verify_theorem1_affine(sylow):
     the index is the Sylow's order."""
     m, fq, k = sylow.m, sylow.fq, sylow.k
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
-    frattini_order, index = sylow.frattini
+    phi, index = sylow.frattini
     oracle = sylow.group.oracle()
     # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
     frattini_eq_derived = all(
@@ -249,7 +247,7 @@ def verify_theorem1_affine(sylow):
         "frattini_eq_derived": frattini_eq_derived,
         "thm_ii_lhs_order": None,
         "thm_ii_rhs_order": None,
-        "generators_generate": frattini_order * index == sylow.order,
+        "generators_generate": phi.order * index == sylow.order,
     }
 
 
@@ -316,7 +314,7 @@ def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
         if i != j
         for code in fq.basis
     ]
-    return group, closure(gens, group.oracle(), cap=cap, p=fq.p)
+    return group, closure(gens, group.oracle(), cap=cap)
 
 
 def borel_subgroup(group, table):

@@ -17,20 +17,20 @@ law specialized at each right factor.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
-multiplied in.  A closure adds its generators one at a time.  Below a
-block of SCAN_BLOCK elements it grows breadth-first; from there on it
-follows Dimino's algorithm and lists each new coset of the subgroup found
-so far with one bulk right multiplication, so an element is formed about
-once however many generators there are.  subgroup_index runs the same
-stages over the right cosets of a subgroup, so each coset but the
-identity's is listed by one bulk product, and only a product that misses
-its own coset is probed against every coset found.  A closure records its
-members in a bitmap with one bit per code vector when the oracle names q
-and q^width is at most BITMAP_CODES, in a hash table of int64 codes while
-q^width is at most 2^63, and in a set of keys otherwise.  A model that
-also supplies a leading-term map for a central filtration gets exact
-subgroup orders from the layered engine, which lists no elements and so
-has no cap.
+multiplied in.  A closure adds its generators one at a time, each by one
+stage of Dimino's algorithm, which lists each new coset of the subgroup
+found so far with one bulk right multiplication.  In a p-group (the caller
+passes p) a generator's p-th power and commutators are added first, so
+every stage has index p and each element is formed by exactly one bulk
+product.  subgroup_index runs the same stages over the right cosets of a
+subgroup, so each coset but the identity's is listed by one bulk product,
+and only a product that misses its own coset is probed against every coset
+found.  A closure records its members in a bitmap with one bit per code
+vector when the oracle names q and q^width is at most BITMAP_CODES, in a
+hash table of int64 codes while q^width is at most 2^63, and in a set of
+keys otherwise.  A model that also supplies a leading-term map for a
+central filtration gets exact subgroup orders from the layered engine,
+which lists no elements and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ChainNotNested, EnumerationCapExceeded
 
 DEFAULT_CAP = 2 ** 21
-SCAN_BLOCK = 4096  # keys turned into rows at a time by select and closures
+SCAN_BLOCK = 4096  # keys that select and closures turn into rows at a time
 # largest key space q^width whose members a closure marks in a bitmap, one
 # bit per code vector (8 MiB); larger spaces keep a hash table of codes or
 # a set of keys
@@ -506,24 +506,24 @@ def _membership(oracle):
 
 class _Closure:
     """Incrementally grown subgroup closure with cap enforcement: the
-    elements in the order found, and their membership structure."""
+    elements in the order found, and their membership structure.  p, when
+    given, says that the generators generate a p-group."""
 
-    def __init__(self, oracle, cap):
+    def __init__(self, oracle, cap, p=None):
         self.oracle = oracle
         self.cap = cap
+        self.p = p
         self.order = [oracle.identity]
         self.members = _membership(oracle)
         self.members.take_new(self.order)
         self.gens = []
 
     def _absorb(self, keys, g):
-        """Add and return, in order, the unseen products k g, formed and
-        held SCAN_BLOCK at a time.  The keys are distinct and right
-        multiplication is injective, so the products are distinct too and
-        each block is filtered against the members alone.  A block that
-        passes the cap is marked before the refusal, but a closure that
-        refused is never read again."""
-        novel = []
+        """Add the unseen products k g, formed and held SCAN_BLOCK at a
+        time.  The keys are distinct and right multiplication is injective,
+        so the products are distinct too and each block is filtered against
+        the members alone.  A block that passes the cap is marked before
+        the refusal, but a closure that refused is never read again."""
         for start in range(0, len(keys), SCAN_BLOCK):
             block = _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g)
             fresh = self.members.take_new(block)
@@ -532,40 +532,36 @@ class _Closure:
                     f"closure exceeded the cap of {self.cap} elements"
                 )
             self.order += fresh
-            novel += fresh
-        return novel
 
-    def table(self, generators, p):
+    def table(self, generators):
         """The subgroup found, its elements in the order found, with the
         closure's membership structure."""
         elements = tuple(self.order)
         self.order = None
         return FiniteGroupTable(
-            self.oracle, generators, elements, p=p, members=self.members
+            self.oracle, generators, elements, p=self.p, members=self.members
         )
 
-    def add_generators(self, new_gens):
-        """Add the generators one at a time; one already a member costs no
-        product.  While the subgroup found so far is smaller than a block,
-        a generator is added breadth-first, every new element times every
-        generator, because its cosets would each be a small bulk call; from
-        a block on, by one Dimino stage."""
-        for g in new_gens:
-            if g in self.members:
-                continue
-            self.gens.append(g)
-            if len(self.order) < SCAN_BLOCK:
-                self._breadth_first(g)
-            else:
-                self._dimino(g)
-
-    def _breadth_first(self, g):
-        frontier = self._absorb(list(self.order), g)
-        while frontier:
-            nxt = []
+    def add(self, g, nesting=0):
+        """Add g by one Dimino stage; g already a member costs no product.
+        Given p, first add g^p and the commutators of g with every
+        generator held, the list growing as it is walked: then g normalizes
+        the subgroup H found and g^p lies in H, so g's stage lists p - 1
+        cosets H g^i (Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, ch. 8).  In a p-group under the cap each nesting
+        level lies deeper in the lower exponent-p central series, so the
+        bound of cap.bit_length() levels is never met; past it, as in a
+        group that is no p-group, g is added as it is."""
+        if g in self.members:
+            return
+        if self.p is not None and nesting < self.cap.bit_length():
+            self.add(_power(self.oracle, g, self.p), nesting + 1)
             for s in self.gens:
-                nxt += self._absorb(frontier, s)
-            frontier = nxt
+                self.add(commutator(self.oracle, g, s), nesting + 1)
+            if g in self.members:
+                return
+        self.gens.append(g)
+        self._dimino(g)
 
     def _dimino(self, g):
         """Extend the subgroup H found so far, generated by the earlier
@@ -595,18 +591,19 @@ def _refuse_known(order, cap, what):
 
 
 def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
-    """Subgroup generated by the given keys, listed in a deterministic order:
-    breadth-first while it is smaller than a block, then coset by coset
-    (_Closure.add_generators).
+    """Subgroup generated by the given keys, listed in a deterministic order,
+    coset by coset (_Closure.add).  p, when given, says that the keys
+    generate a p-group, whose stages then each have index p.
 
     order, when known (say from layered_order), is the subgroup's exact
     order; an order over the cap refuses before any multiplication.
     """
     _refuse_known(order, cap, "subgroup order")
-    state = _Closure(oracle, cap)
-    state.add_generators(list(generators))
+    state = _Closure(oracle, cap, p)
     gens = tuple(dict.fromkeys(generators))
-    return state.table(gens, p)
+    for g in gens:
+        state.add(g)
+    return state.table(gens)
 
 
 def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=None):
@@ -617,25 +614,23 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
     conjugate lies in the current closure, the whole closure is conjugation
     invariant (conjugation is an automorphism).  Closure under the given
     conjugators implies closure under their inverses, because an injective
-    self-map of a finite set is a bijection.  A known order over the cap
-    refuses before any multiplication, as in closure.
+    self-map of a finite set is a bijection.  p, when given, says that the
+    seeds and conjugators generate a p-group, as in closure.  A known order
+    over the cap refuses before any multiplication, as in closure.
     """
     _refuse_known(order, cap, "normal closure order")
-    state = _Closure(oracle, cap)
-    seeds = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
-    state.add_generators(seeds)
+    state = _Closure(oracle, cap, p)
+    worklist = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
+    for s in worklist:
+        state.add(s)
     conjs = [(c, oracle.inv(c)) for c in dict.fromkeys(conjugators)]
-    worklist = list(seeds)
-    i = 0
-    while i < len(worklist):
-        t = worklist[i]
-        i += 1
+    for t in worklist:
         for c, c_inv in conjs:
             x = oracle.mul(oracle.mul(c_inv, t), c)
             if x not in state.members:
                 worklist.append(x)
-                state.add_generators([x])
-    return state.table(tuple(worklist), p)
+                state.add(x)
+    return state.table(tuple(worklist))
 
 
 def _power(oracle, key, n):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kmsylow import pgroup
-from kmsylow.affine import AffineMatrixGroup
+from kmsylow.affine import AffineMatrixGroup, sylow_generators
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
@@ -163,7 +163,7 @@ def bulk_vector_oracle(p, d, sizes):
 
 
 def test_closure_multiplies_a_block_at_a_time():
-    # (Z/3)^10 has frontiers above a block; the bulk hook never sees
+    # (Z/3)^10 has cosets larger than a block; the bulk hook never sees
     # more than a block of keys, and the order matches the scalar path
     p, d = 3, 10
     sizes = []
@@ -175,9 +175,10 @@ def test_closure_multiplies_a_block_at_a_time():
     assert table.elements == closure(gens, vector_oracle(p, d), p=p).elements
 
 
-def counting_oracle(oracle, products):
+def counting_oracle(oracle, products, rows=None):
     """The oracle, counting in products[0] every product it forms, in bulk
-    or one at a time."""
+    or one at a time, and in rows[0], when given, the bulk ones alone."""
+    rows = [0] if rows is None else rows
 
     def mul(a, b):
         products[0] += 1
@@ -185,6 +186,7 @@ def counting_oracle(oracle, products):
 
     def mul_many(keys, g):
         products[0] += len(keys)
+        rows[0] += len(keys)
         return oracle.mul_many(keys, g)
 
     return dataclasses.replace(oracle, mul=mul, mul_many=mul_many)
@@ -196,20 +198,57 @@ def counting_vector_oracle(p, d, products):
 
 
 def test_closure_forms_each_element_about_once():
-    # breadth-first, (Z/3)^10 would multiply every element by each of its
-    # 10 unit vectors, about 10 * 3^10 products; coset by coset, each
-    # element is one bulk product of its coset and a generator
+    # each of the 10 unit vectors adds one Dimino stage of index 3, so each
+    # element but the identity is formed once, in a coset of the subgroup
+    # found; stage i adds 3 + 3 (i - 1) + 2 i scalar products (the
+    # generator's cube, its commutators and its two cosets times each
+    # generator held), 275 in all, where breadth-first stages would form
+    # about 10 * 3^10 products
     p, d = 3, 10
     products = [0]
     oracle = counting_vector_oracle(p, d, products)
     gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
     assert closure(gens, oracle, p=p).order == p ** d
-    assert products[0] < 2 * p ** d
+    assert products[0] < p ** d + 300
+
+
+# scalar products that a p-group closure below forms at most: its generators'
+# p-th powers and commutators, and each coset representative times each
+# generator held, which the bulk rows do not count
+CLOSURE_SCALAR_PRODUCTS = 600
+
+
+@pytest.mark.parametrize("m,q,k", [(2, 3, 2), (2, 5, 3), (3, 3, 2), (2, 9, 2)])
+def test_sylow_closure_forms_each_element_once(m, q, k):
+    # every Dimino stage of a p-group closure has index p, so no element is
+    # formed by two bulk products; breadth-first stages formed 1.6 to 4 times
+    # |G| bulk rows on these Sylows
+    fq = FqConfig.from_q(q)
+    products, rows = [0], [0]
+    oracle = counting_oracle(AffineMatrixGroup(m, fq, k).oracle(), products, rows)
+    table = closure(sylow_generators(m, fq, k), oracle, p=fq.p)
+    assert rows[0] <= table.order - 1
+    assert products[0] - rows[0] < CLOSURE_SCALAR_PRODUCTS
+
+
+def test_frattini_normal_closure_forms_each_element_once():
+    # A1^(1) over F_7 at height 6: Phi has 7^7 elements, each formed once in
+    # bulk, where breadth-first stages formed 1.29 times as many rows
+    model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(7), 6)
+    plain, gens = model.oracle(), standard_generators(model)
+    seeds = generator_commutators(plain, gens)
+    seeds += [pgroup._power(plain, g, 7) for g in gens]
+    products, rows = [0], [0]
+    phi = normal_closure(seeds, gens, counting_oracle(plain, products, rows), p=7)
+    assert phi.order == 7 ** 7
+    assert rows[0] <= phi.order - 1
+    assert products[0] - rows[0] < CLOSURE_SCALAR_PRODUCTS
 
 
 def test_a_generator_already_a_member_costs_no_products():
-    # the sum of two unit vectors while the closure is below a block, and
-    # the sum of all ten, a repeat and the identity above it
+    # a generator that is already a member, given early (the sum of two
+    # unit vectors) or late (the sum of all ten, a repeat, the identity),
+    # adds no product
     p, d = 3, 10
     units = [bytes(int(i == j) for j in range(d)) for i in range(d)]
     pair, total = bytes([1, 1] + [0] * (d - 2)), bytes([1] * d)

@@ -17,11 +17,16 @@ from kmsylow.pgroup import (
     GroupOracle,
     closure,
     is_perfect,
+    normal_closure,
     subgroup_index,
     verify_tits_axioms,
 )
 
-from breadth_first import assert_same_subgroup, breadth_first_closure
+from breadth_first import (
+    assert_same_subgroup,
+    breadth_first_closure,
+    breadth_first_normal_closure,
+)
 from coset_probe import assert_same_indices
 from sylow_enumeration import brute_force_special_linear
 
@@ -58,14 +63,23 @@ def test_special_linear_equals_determinant_filter(m, fq, order):
 def test_dimino_and_breadth_first_closures_agree(m, fq, order):
     # SL_m itself from its transvections, and the two closures of the Tits
     # check: B and N, which generate G, and the torus and the reflections,
-    # which generate N; every Tits group of the tests and campaigns is here
+    # which generate N; every Tits group of the tests and campaigns is here.
+    # SL_m is no p-group, so a closure given p adds power and commutator
+    # generators until its nesting bound, and must still list the subgroup;
+    # so must the normal closure of one transvection
     group, table, B, N, s_reps = sl_data(m, fq)
     torus = [k for k in N.elements if k in B.element_set]
     oracle = group.oracle()
-    for gens in (table.generators, B.elements + N.elements, torus + s_reps):
+    gens = table.generators
+    for p in (None, 2, 3):
+        for sub in (gens, B.elements + N.elements, torus + s_reps):
+            assert_same_subgroup(
+                lambda cap: closure(sub, oracle, cap=cap, p=p),
+                lambda cap: breadth_first_closure(sub, oracle, cap=cap),
+            )
         assert_same_subgroup(
-            lambda cap: closure(gens, oracle, cap=cap),
-            lambda cap: breadth_first_closure(gens, oracle, cap=cap),
+            lambda cap: normal_closure(gens[:1], gens, oracle, cap=cap, p=p),
+            lambda cap: breadth_first_normal_closure(gens[:1], gens, oracle, cap=cap),
         )
 
 
