@@ -1,15 +1,18 @@
 """Height-truncated positive part of the presented Lie algebra.
 
-The free Lie algebra on the generators e_s is realized inside the free
-associative algebra: words are tuples of label positions, Lie elements are
-dicts word -> scalar, and the Lyndon words of each multidegree index a basis
-through their standard bracketings.  The defining ideal is generated by the
-elements (ad e_s)^(1 - A[s][t])(e_t); since each generator is homogeneous,
-the ideal meets every multidegree in a subspace computable by linear algebra,
-and truncating at a height cutoff loses nothing below the cutoff.
+n+ is the Lie algebra on generators e_s with the Serre relations
+(ad e_s)^(1 - A[s][t])(e_t) = 0, truncated above a height cutoff.  It is
+built degree by degree inside the quotient itself, as the graded nilpotent
+quotient algorithm does (G. Havas, M. F. Newman and M. R. Vaughan-Lee,
+J. Symbolic Comput. 9, 1990; C. Schneider, DMTCS 1, 1997), so the cost
+follows the dimension of the truncation, not that of the free Lie algebra.
+Every basis element above height 1 is defined as [b, e_s] for a basis
+element b one generator lower, so it is the left-normed bracket of the
+generators along its word.
 
 Basis elements of the quotient are labeled by their root vector, so root
-multiplicities are read off as dimension counts.
+multiplicities are read off as dimension counts.  The Lyndon-word helpers
+below serve the BCH series (bch, unipotent), not the build.
 """
 
 from dataclasses import dataclass
@@ -73,19 +76,11 @@ def rho_expansion(word):
     if len(word) == 1:
         return {word: 1}
     u, v = standard_factorization(word)
-    return poly_commutator(rho_expansion(u), rho_expansion(v))
-
-
-def poly_commutator(f, g):
-    """[f, g] = fg - gf on associative word polynomials with integer
-    coefficients."""
     out = {}
-    for wf, cf in f.items():
-        for wg, cg in g.items():
-            w = wf + wg
-            out[w] = out.get(w, 0) + cf * cg
-            w = wg + wf
-            out[w] = out.get(w, 0) - cf * cg
+    for wf, cf in rho_expansion(u).items():
+        for wg, cg in rho_expansion(v).items():
+            out[wf + wg] = out.get(wf + wg, 0) + cf * cg
+            out[wg + wf] = out.get(wg + wf, 0) - cf * cg
     return {w: c for w, c in out.items() if c != 0}
 
 
@@ -114,19 +109,24 @@ def lyndon_coordinates(poly, words):
 
 @dataclass(frozen=True)
 class BasisElement:
+    """A basis element: its index, its root and the left-normed word of its
+    definition chain, label positions (s_1, ..., s_k) with the element equal
+    to [...[e_s1, e_s2], ..., e_sk]."""
+
     index: int
     root: RootVector
-    word: tuple  # Lyndon word over label positions
+    word: tuple
 
 
 class GradedLieAlgebra:
     """Quotient of the free Lie algebra on {e_s} by the ideal of the
     elements (ad e_s)^(1-A[s][t])(e_t), truncated above the height cutoff.
 
-    ``basis`` is ordered by height then construction order; ``structure``
-    maps (i, j) with i < j and compatible heights to a tuple of
-    (k, coefficient) pairs.  Brackets landing above the cutoff are zero by
-    contract.
+    ``basis`` is ordered by height, then multidegree, then word, and a
+    basis element's ``word`` is the left-normed word of its definition
+    chain (BasisElement).  ``structure`` maps (i, j) with i < j and
+    compatible heights to a tuple of (k, coefficient) pairs.  Brackets
+    landing above the cutoff are zero by contract.
     """
 
     def __init__(self, gcm, cutoff, fld, basis, structure):
@@ -178,46 +178,50 @@ def root_multiplicity(algebra, alpha):
     return len(algebra.by_degree.get(alpha, ()))
 
 
+def _add_scaled(out, c, vec, fld):
+    """out += c * vec on sparse vectors (dicts), dropping zeros."""
+    for k, v in vec.items():
+        s = fld.add(out.get(k, fld.zero), fld.mul(c, v))
+        if s == fld.zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+
+
 def bracket(algebra, x, y):
     """Bilinear extension of the structure constants to sparse coefficient
     vectors (dicts index -> scalar); components above the cutoff vanish."""
     fld = algebra.field
     out = {}
     for i, a in x.items():
-        if a == fld.zero:
-            continue
         for j, b in y.items():
-            if b == fld.zero:
-                continue
-            ab = fld.mul(a, b)
-            for k, c in algebra.bracket_basis(i, j).items():
-                v = fld.add(out.get(k, fld.zero), fld.mul(ab, c))
-                if v == fld.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-    return out
-
-
-def serre_element(gcm, s_pos, t_pos, a_st):
-    """(ad e_s)^(1 - A[s][t]) applied to e_t, as a word polynomial."""
-    e_s = {(s_pos,): 1}
-    out = {(t_pos,): 1}
-    for _ in range(1 - a_st):
-        out = poly_commutator(e_s, out)
+            if a != fld.zero and b != fld.zero:
+                _add_scaled(out, fld.mul(a, b), algebra.bracket_basis(i, j), fld)
     return out
 
 
 def build_positive_part(gcm, cutoff, fld=QQ):
     """Construct the truncated positive part over Q or F_q.
 
-    Processes multidegrees in height order.  At each degree the ideal
-    component is spanned by the Serre elements of that degree together with
-    [e_s, u] for u spanning the ideal at degree - alpha_s; a rank-filtered
-    spanning list keeps the linear algebra small.  The quotient basis is the
-    set of Lyndon words off the ideal's pivot coordinates.  Every element
-    involved has integer coefficients, so its Lyndon coordinates are
-    integers, mapped into the field once.
+    Height 1 is spanned by the generators.  Each multidegree d above it has
+    one symbol t(b, s) = [b, e_s] per basis element b of degree d - alpha_s.
+    The bracket B(x, y) of basis elements of degrees summing to d is written
+    over the symbols by recursion on y's definition: t(x, s) when y = e_s,
+    else [[x, y'], e_s] - B([x, e_s], y') when y = [y', e_s], the inner
+    brackets read from the structure constants already built.  Relations:
+    B(x, y) + B(y, x) and B(x, x); the Jacobi sum on each basis triple
+    x < y < z; and each Serre element of degree d, its inner part from the
+    structure constants and its last step over the symbols.  The symbols
+    left independent modulo the relations, earliest word first, are the new
+    basis, and B reduced against the relations gives the structure
+    constants.
+
+    This is exact.  The result is a Lie algebra generated by the e_s in
+    which the Serre elements vanish, so it is a quotient of F/(I + F_{>H}),
+    F free on the e_s and I the Serre ideal: degree d is no larger than
+    (F/I)_d.  And if the two agree below d, the symbols map onto (F/I)_d,
+    which the brackets [u, e_s] span, sending every relation to 0: degree d
+    is no smaller either.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -227,74 +231,132 @@ def build_positive_part(gcm, cutoff, fld=QQ):
         )
     n = gcm.size
     labels = gcm.labels
+    zero, one, neg = fld.zero, fld.one, fld.neg
+    units = [tuple(int(i == s) for i in range(n)) for s in range(n)]
 
-    def coordinates(poly, words):
-        return [fld.from_int(c) for c in lyndon_coordinates(poly, words)]
+    def add(a, b, sign=1):
+        return tuple(x + sign * y for x, y in zip(a, b))
 
-    serre_by_degree = {}
-    for sp in range(n):
-        for tp in range(n):
-            if sp == tp:
-                continue
-            a_st = gcm.rows[sp][tp]
-            degree = [0] * n
-            degree[sp] = 1 - a_st
-            degree[tp] += 1
-            if sum(degree) <= cutoff:
-                serre_by_degree.setdefault(tuple(degree), []).append(
-                    serre_element(gcm, sp, tp, a_st)
-                )
-
-    # per degree: (sorted Lyndon words, rref rows, pivots, independent ideal polys)
-    ideal = {}
-    basis = []
-    degrees = []
-    coord_to_index = {}  # degree -> {non-pivot coordinate: basis index}
-
-    for h in range(1, cutoff + 1):
-        words_by_degree = {}
-        for w in lyndon_words(n, h):
-            key = tuple(w.count(i) for i in range(n))
-            words_by_degree.setdefault(key, []).append(w)
-        for key in sorted(words_by_degree):
-            words = words_by_degree[key]
-            candidates = list(serre_by_degree.get(key, ()))
-            for sp in range(n):
-                lower = list(key)
-                lower[sp] -= 1
-                prev = ideal.get(tuple(lower))
-                if prev is not None:
-                    e_s = {(sp,): 1}
-                    candidates += [poly_commutator(e_s, u) for u in prev[3]]
-            rows, pivots, kept = [], [], []
-            for poly in candidates:
-                if echelon_insert(rows, pivots, coordinates(poly, words), fld):
-                    kept.append(poly)
-            ideal[key] = (words, rows, pivots, kept)
-            root = RootVector.from_coords({labels[pos]: c for pos, c in enumerate(key)})
-            coord_to_index[key] = {}
-            for i, w in enumerate(words):
-                if i not in pivots:
-                    coord_to_index[key][i] = len(basis)
-                    basis.append(BasisElement(index=len(basis), root=root, word=w))
-                    degrees.append(key)
-
-    # structure constants on basis pairs with height sum <= cutoff
+    basis, degrees, heights = [], [], []
+    definition = []  # (b', s) with b = [b', e_s], or None for a generator
+    by_key = {}  # multidegree -> basis indices
+    by_height = {h: [] for h in range(1, cutoff + 1)}
     structure = {}
-    heights = [sum(d) for d in degrees]
-    expansions = [rho_expansion(b.word) for b in basis]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if heights[i] + heights[j] > cutoff:
-                continue
-            key = tuple(a + b for a, b in zip(degrees[i], degrees[j]))
-            words, rows, pivots, _ = ideal[key]
-            comm = poly_commutator(expansions[i], expansions[j])
-            vec = reduce_against(coordinates(comm, words), rows, pivots, fld)
-            structure[(i, j)] = tuple(
-                (coord_to_index[key][pos], c)
-                for pos, c in enumerate(vec)
-                if c != fld.zero
+
+    def append(key, word, defined_by):
+        index = len(basis)
+        root = RootVector.from_coords({labels[i]: c for i, c in enumerate(key)})
+        basis.append(BasisElement(index=index, root=root, word=word))
+        degrees.append(key)
+        heights.append(sum(key))
+        definition.append(defined_by)
+        by_key.setdefault(key, []).append(index)
+        by_height[sum(key)].append(index)
+
+    for key in sorted(units):
+        append(key, (key.index(1),), None)
+    gen = [by_key[key][0] for key in units]
+
+    serre = {}  # multidegree -> (s, t, -A[s][t])
+    for s in range(n):
+        for t in range(n):
+            a = gcm.rows[s][t]
+            key = add(units[t], tuple((1 - a) * c for c in units[s]))
+            if s != t and sum(key) <= cutoff:
+                serre.setdefault(key, []).append((s, t, -a))
+
+    def table(i, j):
+        """[b_i, b_j] from the structure constants built so far."""
+        if i < j:
+            return dict(structure[(i, j)])
+        if i > j:
+            return {k: neg(c) for k, c in structure[(j, i)]}
+        return {}
+
+    for h in range(2, cutoff + 1):
+        # ordered basis pairs and increasing basis triples of height h
+        pairs, triples = {}, {}
+        below = range(len(basis))
+        for x in below:
+            for y in by_height[h - heights[x]]:
+                pairs.setdefault(add(degrees[x], degrees[y]), []).append((x, y))
+            for y in range(x + 1, len(basis)):
+                for z in by_height.get(h - heights[x] - heights[y], ()):
+                    if z > y:
+                        key = add(add(degrees[x], degrees[y]), degrees[z])
+                        triples.setdefault(key, []).append((x, y, z))
+        for key in sorted(pairs):
+            symbols = sorted(
+                (basis[b].word + (s,), b, s)
+                for s in range(n)
+                for b in by_key.get(add(key, units[s], -1), ())
             )
+            m = len(symbols)
+            column = {(b, s): i for i, (_, b, s) in enumerate(symbols)}
+            memo = {}
+
+            def over_symbols(x, y):
+                """B(x, y), a sparse vector over the symbols."""
+                got = memo.get((x, y))
+                if got is None:
+                    if definition[y] is None:
+                        got = {column[(x, basis[y].word[0])]: one}
+                    else:
+                        y1, s = definition[y]
+                        got = {column[(k, s)]: c for k, c in table(x, y1).items()}
+                        for k, c in table(x, gen[s]).items():
+                            _add_scaled(got, neg(c), over_symbols(k, y1), fld)
+                    memo[(x, y)] = got
+                return got
+
+            def dense(vec):
+                # the symbols reversed, so that the pivots fall on the
+                # latest symbols and the earliest stay independent
+                out = [zero] * m
+                for i, c in vec.items():
+                    out[m - 1 - i] = c
+                return out
+
+            rows, pivots = [], []
+
+            def impose(relation):
+                if relation and len(pivots) < m:
+                    echelon_insert(rows, pivots, dense(relation), fld)
+
+            for x, y in pairs[key]:
+                if x <= y:
+                    relation = dict(over_symbols(x, y))
+                    if x < y:
+                        _add_scaled(relation, one, over_symbols(y, x), fld)
+                    impose(relation)
+            for s, t, k in serre.get(key, ()):
+                inner = {gen[t]: one}
+                for _ in range(k):
+                    step = {}
+                    for j, c in inner.items():
+                        _add_scaled(step, c, table(gen[s], j), fld)
+                    inner = step
+                impose({column[(j, s)]: neg(c) for j, c in inner.items()})
+            for x, y, z in triples.get(key, ()):
+                relation = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    for k, coeff in table(a, b).items():
+                        _add_scaled(relation, coeff, over_symbols(k, c), fld)
+                impose(relation)
+
+            new = {}  # symbol -> basis index, for the symbols left independent
+            killed = {m - 1 - p for p in pivots}
+            for i, (word, b, s) in enumerate(symbols):
+                if i not in killed:
+                    new[i] = len(basis)
+                    append(key, word, (b, s))
+            for x, y in pairs[key]:
+                if x < y:
+                    vec = reduce_against(dense(over_symbols(x, y)), rows, pivots, fld)
+                    structure[(x, y)] = tuple(
+                        (new[m - 1 - p], vec[p])
+                        for p in range(m - 1, -1, -1)
+                        if vec[p] != zero
+                    )
 
     return GradedLieAlgebra(gcm, cutoff, fld, basis, structure)

@@ -517,6 +517,13 @@ class _Closure:
         self.members = _membership(oracle)
         self.members.take_new(self.order)
         self.gens = []
+        self.inverses = {}  # key -> its inverse, for the keys commuted
+
+    def _inv(self, key):
+        got = self.inverses.get(key)
+        if got is None:
+            got = self.inverses[key] = self.oracle.inv(key)
+        return got
 
     def _absorb(self, keys, g):
         """Add the unseen products k g, formed and held SCAN_BLOCK at a
@@ -555,9 +562,12 @@ class _Closure:
         if g in self.members:
             return
         if self.p is not None and nesting < self.cap.bit_length():
+            mul = self.oracle.mul
             self.add(_power(self.oracle, g, self.p), nesting + 1)
             for s in self.gens:
-                self.add(commutator(self.oracle, g, s), nesting + 1)
+                # g s g^-1 s^-1, each inverse formed once per closure
+                comm = mul(mul(mul(g, s), self._inv(g)), self._inv(s))
+                self.add(comm, nesting + 1)
             if g in self.members:
                 return
         self.gens.append(g)

@@ -14,7 +14,6 @@ from kmsylow.lie import (
     build_positive_part,
     is_lyndon,
     lyndon_words,
-    poly_commutator,
     rho_expansion,
     root_multiplicity,
     lyndon_coordinates,
@@ -22,6 +21,7 @@ from kmsylow.lie import (
 )
 from kmsylow.roots import REAL, RootVector, positive_roots_up_to_height, simple_root
 
+from lyndon_build import lyndon_build, poly_commutator
 from lyndon_peeling import to_lyndon_coordinates
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
@@ -281,8 +281,9 @@ def test_duval_words_equal_the_filtered_product_in_order():
 
 def test_integer_coordinates_match_field_coordinates():
     # every pairwise commutator of basis expansions, through plain integers
-    # and through the field peeling of the test oracle
-    algebra = build_positive_part(AFF3, 5)
+    # and through the field peeling of the test oracle, on the Lyndon basis
+    # of the oracle build
+    algebra = lyndon_build(AFF3, 5)
     expansions = [rho_expansion(b.word) for b in algebra.basis]
     words_of = {}
     for i, f in enumerate(expansions):

@@ -231,6 +231,24 @@ def test_sylow_closure_forms_each_element_once(m, q, k):
     assert products[0] - rows[0] < CLOSURE_SCALAR_PRODUCTS
 
 
+@pytest.mark.parametrize("m,q,k", [(2, 3, 2), (2, 5, 3), (3, 3, 2), (2, 9, 2)])
+def test_a_closure_inverts_each_key_once(m, q, k):
+    # a p-group closure commutes each key it adds with every generator held,
+    # so a key's inverse is formed once per closure, not once per commutator
+    fq = FqConfig.from_q(q)
+    plain = AffineMatrixGroup(m, fq, k).oracle()
+    inverted = []
+
+    def inv(key):
+        inverted.append(key)
+        return plain.inv(key)
+
+    gens = sylow_generators(m, fq, k)
+    table = closure(gens, dataclasses.replace(plain, inv=inv), p=fq.p)
+    assert table.elements == closure(gens, plain, p=fq.p).elements
+    assert inverted and len(inverted) == len(set(inverted))
+
+
 def test_frattini_normal_closure_forms_each_element_once():
     # A1^(1) over F_7 at height 6: Phi has 7^7 elements, each formed once in
     # bulk, where breadth-first stages formed 1.29 times as many rows
