@@ -10,8 +10,8 @@ bilinear map in those coefficients and, determinants being one, the inverse
 is the adjugate, a fixed polynomial map of degree m-1; both are pgroup
 polynomial maps, which give the group oracle its scalar product, its
 inverse and its bulk right multiplication, and the oracle is built once
-per (m, F_q, k).  Subgroup filters read the keys as (n, m, m, k)
-coefficient stacks, one block at a time.
+per (m, F_q, k).  Subgroup filters read a table's rows as one
+(n, m, m, k) coefficient stack.
 """
 
 from functools import cached_property, lru_cache
@@ -32,7 +32,6 @@ from .pgroup import (
     commutator,
     frattini_index,
     law_oracle,
-    select,
 )
 
 
@@ -67,16 +66,16 @@ class AffineMatrixGroup:
     def oracle(self):
         return _matrix_oracle(self.m, self.fq, self.k, self.identity)
 
-    def select(self, keys, predicate):
-        """pgroup.select with predicate applied to (n, m, m, k) coefficient
-        stacks instead of key rows."""
-        shape = (-1, self.m, self.m, self.k)
-        return select(keys, self.width, lambda rows: predicate(rows.reshape(shape)))
+    def stack(self, table):
+        """The matrices of an enumerated table as an (n, m, m, k) stack of
+        coefficients, a view of its rows."""
+        return table.rows.reshape(-1, self.m, self.m, self.k)
 
     def subtable(self, table, predicate):
-        """Members of an enumerated table whose matrices pass predicate."""
-        members = tuple(self.select(table.elements, predicate))
-        return FiniteGroupTable(table.oracle, (), members, p=table.p)
+        """Members of an enumerated table whose matrices pass predicate, a
+        map from an (n, m, m, k) stack to a mask."""
+        rows = table.rows[predicate(self.stack(table))]
+        return FiniteGroupTable(table.oracle, (), rows, p=table.p)
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +191,7 @@ def verify_generation(sylow):
     table, group = sylow.table, sylow.group
     if table.order != sylow.order:
         return False
-    # the scan ends in the first block holding a non-member
-    outsiders = group.select(
-        table.elements, lambda A: ~iwahori_sylow_membership(group, A)
-    )
-    return next(outsiders, None) is None
+    return bool(iwahori_sylow_membership(group, group.stack(table)).all())
 
 
 def affine_cartan_matrix(m):

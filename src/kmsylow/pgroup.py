@@ -3,11 +3,18 @@
 Groups are presented by an oracle over canonical byte keys: identity,
 multiplication, inversion, and an optional bulk right-multiplication hook
 that vectorized callers can supply.  Everything downstream (closures, normal
-closures, the derived subgroup, coset counting, the Frattini index,
-filtration and Tits-axiom checks) works purely through the oracle, so the
-same engine serves coordinate groups and matrix groups.  frattini_index is
-theorem 1's one enumeration in both models: it lists the Frattini subgroup
-and counts its cosets, and never lists the group itself.
+closures, coset counting, the Frattini index, filtration and Tits-axiom
+checks) works purely through the oracle, so the same engine serves
+coordinate groups and matrix groups.  frattini_index is theorem 1's one
+enumeration in both models: it lists the Frattini subgroup and counts its
+cosets, and never lists the group itself.
+
+A key's bytes are its coefficients, so a list of keys of one width is the
+rows of an (n, width) uint8 array.  The bulk hook takes such rows and a
+right factor key and returns the product rows, and enumeration holds its
+elements as rows end to end: a key of 9 bytes held in a list costs about
+56 bytes, its row 9.  A key is made only where a scalar is read, and a
+table's elements, its keys, are built on first read.
 
 Both models have a polynomial law: their product and inverse are fixed
 polynomial maps over F_q in the key coefficients.  PolynomialMap holds such
@@ -19,18 +26,20 @@ Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
 multiplied in.  A closure adds its generators one at a time, each by one
 stage of Dimino's algorithm, which lists each new coset of the subgroup
-found so far with one bulk right multiplication.  In a p-group (the caller
-passes p) a generator's p-th power and commutators are added first, so
-every stage has index p and each element is formed by exactly one bulk
-product.  subgroup_index runs the same stages over the right cosets of a
-subgroup, so each coset but the identity's is listed by one bulk product,
-and only a product that misses its own coset is probed against every coset
-found.  A closure records its members in a bitmap with one bit per code
-vector when the oracle names q and q^width is at most BITMAP_CODES, in a
-hash table of int64 codes while q^width is at most 2^63, and in a set of
-keys otherwise.  A model that also supplies a leading-term map for a
-central filtration gets exact subgroup orders from the layered engine,
-which lists no elements and so has no cap.
+found so far with one bulk right multiplication, SCAN_BLOCK rows at a
+time.  In a p-group (the caller passes p) a generator's p-th power and
+commutators are added first, so every stage has index p and each element
+is formed by exactly one bulk product.  subgroup_index runs the same
+stages over the right cosets of a subgroup, so each coset but the
+identity's is listed by one bulk product, and only a product that misses
+its own coset is probed against every coset found.  A closure records its
+members in a bitmap with one bit per code vector when the oracle names q
+and q^width is at most BITMAP_CODES, in a hash table of int64 codes while
+q^width is at most 2^63, and in a set of keys otherwise; given the
+subgroup's order, its rows and hash table are allocated once at their
+final size.  A model that also supplies a leading-term map for a central
+filtration gets exact subgroup orders from the layered engine, which lists
+no elements and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -43,7 +52,7 @@ import numpy as np
 from .errors import ChainNotNested, EnumerationCapExceeded
 
 DEFAULT_CAP = 2 ** 21
-SCAN_BLOCK = 4096  # keys that select and closures turn into rows at a time
+SCAN_BLOCK = 4096  # rows that a closure multiplies at a time
 # largest key space q^width whose members a closure marks in a bitmap, one
 # bit per code vector (8 MiB); larger spaces keep a hash table of codes or
 # a set of keys
@@ -55,7 +64,7 @@ class GroupOracle:
     identity: bytes
     mul: object  # (key, key) -> key
     inv: object  # key -> key
-    mul_many: object = None  # optional: (list of keys, key) -> list of keys
+    mul_many: object = None  # optional: ((n, width) uint8 rows, key) -> rows
     q: int = None  # optional: keys are code vectors over F_q, bytes below q
 
 
@@ -84,11 +93,13 @@ def _reduce(a, p):
 
 
 def bulk_hook(fq, right_polys):
-    """A mul_many hook for keys of codes over F_q = F_p^r.  right_polys(g)
-    gives, for each coordinate of a product k g, its polynomial in the
-    coordinates of k: a tuple of (code, variables) terms, each the code
-    times the product of the coordinates named in variables (repeats
-    allowed).  The hook evaluates these polynomials on all keys at once.
+    """A mul_many hook for keys of codes over F_q = F_p^r: it takes the
+    rows of keys k, an (n, width) uint8 array, and a key g, and returns the
+    rows of the products k g.  right_polys(g) gives, for each coordinate of
+    a product k g, its polynomial in the coordinates of k: a tuple of
+    (code, variables) terms, each the code times the product of the
+    coordinates named in variables (repeats allowed).  The hook evaluates
+    these polynomials on all rows at once.
 
     Each distinct monomial is formed once per call, as its prefix monomial
     times one coordinate through the product table of fq.  A term is then
@@ -134,17 +145,16 @@ def bulk_hook(fq, right_polys):
             code += digits.pop()
         return code
 
-    def mul_many(keys, g):
+    def mul_many(rows, g):
         g = bytes(g)
-        rows = key_rows(keys, len(g))
         # every array here holds one coordinate of a block: arrays above
         # the allocator's mmap threshold would raise it when freed, and
         # later blocks would then fragment the heap
         columns = [rows[:, i].astype(np.intp) for i in range(len(g))]
         polys = right_polys(g)
-        out = np.empty((len(polys), len(keys)), dtype=np.uint8)
+        out = np.empty((len(polys), len(rows)), dtype=np.uint8)
         monomials = {}
-        acc = np.empty(len(keys), dtype=np.int64)
+        acc = np.empty(len(rows), dtype=np.int64)
         term = np.empty_like(acc)
         for coordinate, terms in zip(out, polys):
             if not terms:
@@ -182,7 +192,7 @@ def bulk_hook(fq, right_polys):
                 spread[c].take(m, out=term)
                 acc += term
             coordinate[:] = unpack(acc)
-        return row_keys(out.T)
+        return out.T
 
     return mul_many
 
@@ -254,23 +264,24 @@ def law_oracle(fq, identity, law, inverse):
     return GroupOracle(identity, law, inverse, bulk_hook(fq, law.at_y), fq.q)
 
 
-def select(keys, width, predicate):
-    """Yield, in order, the keys whose rows pass predicate, a map from an
-    (n, width) uint8 array to a mask; rows are made SCAN_BLOCK at a time."""
-    for start in range(0, len(keys), SCAN_BLOCK):
-        block = keys[start : start + SCAN_BLOCK]
-        yield from compress(block, predicate(key_rows(block, width)))
+def _mul_rows(oracle, rows, g):
+    """The rows times the key g, as rows: one bulk product, or a product
+    per row for a few rows or an oracle with no bulk hook."""
+    if oracle.mul_many is not None and len(rows) > 8:
+        return oracle.mul_many(rows, g)
+    mul = oracle.mul
+    return key_rows([mul(k, g) for k in row_keys(rows)], len(g))
 
 
 def _bulk(oracle, keys, g):
-    if oracle.mul_many is not None and len(keys) > 8:
-        return oracle.mul_many(keys, g)
-    mul = oracle.mul
-    return [mul(k, g) for k in keys]
+    """_mul_rows for a list of keys, returning keys."""
+    return row_keys(_mul_rows(oracle, key_rows(keys, len(g)), g))
 
 
 class FiniteGroupTable:
-    """An enumerated subgroup over an oracle.
+    """An enumerated subgroup over an oracle, its elements held as rows, an
+    (order, width) uint8 array with one key's bytes a row.  elements, the
+    keys as a tuple, is built on first read.
 
     members, when given, answers membership tests: a closure passes the
     membership structure it filled.  Without it the table answers from
@@ -278,16 +289,20 @@ class FiniteGroupTable:
     members already holds one; the caller must not change members
     afterwards."""
 
-    def __init__(self, oracle, generators, elements, p=None, members=None):
+    def __init__(self, oracle, generators, rows, p=None, members=None):
         self.oracle = oracle
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        self.rows = rows
         self.p = p
         self._members = members
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self):
+        return tuple(row_keys(self.rows))
 
     @cached_property
     def element_set(self):
@@ -313,13 +328,14 @@ class _KeySet:
     def __init__(self):
         self.set = set()
 
-    def take_new(self, keys):
-        """The keys not yet members, in order, now made members.  The keys
+    def take_new(self, rows):
+        """A mask of the rows not yet members, now made members.  The rows
         must be distinct."""
+        keys = row_keys(rows)
         members = self.set
-        fresh = [k for k in keys if k not in members]
-        members.update(fresh)
-        return fresh
+        new = np.fromiter((k not in members for k in keys), bool, len(keys))
+        members.update(compress(keys, new))
+        return new
 
     def isdisjoint(self, keys):
         return self.set.isdisjoint(keys)
@@ -335,7 +351,7 @@ class _Codes:
     model its coordinates by height, the matrix model each entry's constant
     term first), so a subgroup deep in a filtration, such as a Frattini or
     congruence subgroup, has codes in a short prefix of the range, and a
-    bitmap over it touches only that prefix's pages.  A block of keys is
+    bitmap over it touches only that prefix's pages.  A block of rows is
     coded by one matrix product; one key is coded in plain Python, so a
     probe of one key makes no numpy call but the lookup."""
 
@@ -347,10 +363,10 @@ class _Codes:
     def _codes(self, keys):
         return key_rows(keys, self.width) @ self.weights
 
-    def take_new(self, keys):
-        """The keys not yet members, in order, now made members.  The keys
+    def take_new(self, rows):
+        """A mask of the rows not yet members, now made members.  The rows
         must be distinct."""
-        return list(compress(keys, self._take_codes(self._codes(keys))))
+        return self._take_codes(rows @ self.weights)
 
     def isdisjoint(self, keys):
         """True iff none of a list of keys is a member."""
@@ -390,12 +406,21 @@ _EMPTY = -1  # a free slot of a _CodeHash; codes are nonnegative
 _FEW = 32  # codes still walking that a _CodeHash probe walks one at a time
 
 
+def _fit(count, bits):
+    """The fewest bits, at least bits, whose _CodeHash of 2^bits slots holds
+    count codes three quarters full."""
+    while count > 3 << (bits - 2):
+        bits += 1
+    return bits
+
+
 class _CodeHash(_Codes):
     """Membership by the members' codes in an open-addressing hash table
     with linear probing, one int64 slot each, for key spaces too large for
     a bitmap.  The table is kept at most three quarters full, so it costs
     between 10.7 and 21.3 bytes a member; when a block would fill it past
-    that, it doubles and the members are inserted again.
+    that, it doubles and the members are inserted again.  Given the number
+    of members expected, it is allocated at that size and never grows.
 
     A block is probed once: each code walks from its home slot until its
     slot holds the code (a member) or is empty, the codes still walking
@@ -406,10 +431,10 @@ class _CodeHash(_Codes):
 
     MIN_BITS = 10
 
-    def __init__(self, q, width):
+    def __init__(self, q, width, expected=None):
         super().__init__(q, width)
         self.size = 0
-        self._allocate(self.MIN_BITS)
+        self._allocate(_fit(expected or 0, self.MIN_BITS))
 
     def _allocate(self, bits):
         self.slots = np.full(1 << bits, _EMPTY, dtype=np.int64)
@@ -465,9 +490,7 @@ class _CodeHash(_Codes):
         insert them all; the old slots are freed before the new ones are
         made."""
         codes = np.concatenate([self.slots[self.slots != _EMPTY], fresh])
-        bits = self._mask.bit_length()
-        while len(codes) > 3 << (bits - 2):
-            bits += 1
+        bits = _fit(len(codes), self._mask.bit_length())
         self.slots = None
         self._allocate(bits)
         # every home slot of an empty table is free
@@ -492,30 +515,40 @@ class _CodeHash(_Codes):
         return self.slots.item(self._walk(code, home)) == code
 
 
-def _membership(oracle):
+def _membership(oracle, order=None):
     """For keys that are code vectors over F_q (the oracle names q), a code
-    bitmap while q^width is at most BITMAP_CODES and a hash table of codes
-    while it is at most 2^63; a set of keys otherwise."""
+    bitmap while q^width is at most BITMAP_CODES and a hash table of codes,
+    sized for order members when order is given, while it is at most 2^63;
+    a set of keys otherwise."""
     width = len(oracle.identity)
     if oracle.q is None or oracle.q ** width > 2 ** 63:
         return _KeySet()
     if oracle.q ** width <= BITMAP_CODES:
         return _CodeBitmap(oracle.q, width)
-    return _CodeHash(oracle.q, width)
+    return _CodeHash(oracle.q, width, order)
 
 
 class _Closure:
     """Incrementally grown subgroup closure with cap enforcement: the
-    elements in the order found, and their membership structure.  p, when
-    given, says that the generators generate a p-group."""
+    elements in the order found, as rows, and their membership structure.
+    p, when given, says that the generators generate a p-group.
 
-    def __init__(self, oracle, cap, p=None):
+    order, when given, is the subgroup's order: the rows and the membership
+    structure are then allocated once at their final size.  Rows found
+    past the end of the allocated rows are kept in blocks, merged with the
+    rows once per Dimino stage."""
+
+    def __init__(self, oracle, cap, p=None, order=None):
         self.oracle = oracle
         self.cap = cap
         self.p = p
-        self.order = [oracle.identity]
-        self.members = _membership(oracle)
-        self.members.take_new(self.order)
+        self.rows = np.empty((order or 1, len(oracle.identity)), dtype=np.uint8)
+        self.rows[0] = np.frombuffer(oracle.identity, dtype=np.uint8)
+        self.filled = 1  # rows written into self.rows
+        self.blocks = []  # rows found past the end of self.rows
+        self.size = 1
+        self.members = _membership(oracle, order)
+        self.members.take_new(self.rows[:1])
         self.gens = []
         self.inverses = {}  # key -> its inverse, for the keys commuted
 
@@ -525,28 +558,43 @@ class _Closure:
             got = self.inverses[key] = self.oracle.inv(key)
         return got
 
-    def _absorb(self, keys, g):
-        """Add the unseen products k g, formed and held SCAN_BLOCK at a
-        time.  The keys are distinct and right multiplication is injective,
-        so the products are distinct too and each block is filtered against
-        the members alone.  A block that passes the cap is marked before
-        the refusal, but a closure that refused is never read again."""
-        for start in range(0, len(keys), SCAN_BLOCK):
-            block = _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g)
-            fresh = self.members.take_new(block)
-            if len(self.order) + len(fresh) > self.cap:
+    def _absorb(self, rows, g):
+        """Add the unseen products k g of the rows k, formed and held
+        SCAN_BLOCK at a time.  The rows are distinct and right
+        multiplication is injective, so the products are distinct too and
+        each block is filtered against the members alone.  A block that
+        passes the cap is marked before the refusal, but a closure that
+        refused is never read again."""
+        for start in range(0, len(rows), SCAN_BLOCK):
+            block = _mul_rows(self.oracle, rows[start : start + SCAN_BLOCK], g)
+            fresh = block[self.members.take_new(block)]
+            self.size += len(fresh)
+            if self.size > self.cap:
                 raise EnumerationCapExceeded(
                     f"closure exceeded the cap of {self.cap} elements"
                 )
-            self.order += fresh
+            end = self.filled + len(fresh)
+            if self.blocks or end > len(self.rows):
+                self.blocks.append(fresh)
+            else:
+                self.rows[self.filled : end] = fresh
+                self.filled = end
+
+    def _merged(self):
+        """The members' rows in the order found, the blocks merged in."""
+        if self.blocks:
+            self.rows = np.concatenate([self.rows[: self.filled], *self.blocks])
+            self.filled = len(self.rows)
+            self.blocks = []
+        return self.rows[: self.filled]
 
     def table(self, generators):
         """The subgroup found, its elements in the order found, with the
         closure's membership structure."""
-        elements = tuple(self.order)
-        self.order = None
+        rows = self._merged()
+        self.rows = None
         return FiniteGroupTable(
-            self.oracle, generators, elements, p=self.p, members=self.members
+            self.oracle, generators, rows, p=self.p, members=self.members
         )
 
     def add(self, g, nesting=0):
@@ -583,7 +631,7 @@ class _Closure:
         because right cosets of H are equal or disjoint.  Once every such
         product is a member, the union is closed under right
         multiplication by the generators, so it is the subgroup."""
-        subgroup = list(self.order)
+        subgroup = self._merged()
         reps = [g]
         self._absorb(subgroup, g)
         for r in reps:
@@ -606,10 +654,11 @@ def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
     generate a p-group, whose stages then each have index p.
 
     order, when known (say from layered_order), is the subgroup's exact
-    order; an order over the cap refuses before any multiplication.
+    order; an order over the cap refuses before any multiplication, and
+    one under it sizes the closure's rows and hash table.
     """
     _refuse_known(order, cap, "subgroup order")
-    state = _Closure(oracle, cap, p)
+    state = _Closure(oracle, cap, p, order)
     gens = tuple(dict.fromkeys(generators))
     for g in gens:
         state.add(g)
@@ -629,7 +678,7 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
     over the cap refuses before any multiplication, as in closure.
     """
     _refuse_known(order, cap, "normal closure order")
-    state = _Closure(oracle, cap, p)
+    state = _Closure(oracle, cap, p, order)
     worklist = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
     for s in worklist:
         state.add(s)
@@ -722,12 +771,6 @@ def layered_order(generators, oracle, lead, p, conjugators=()):
     return p ** len(sequence)
 
 
-def derived_subgroup(G, cap=DEFAULT_CAP):
-    """Normal closure of the commutators of generator pairs."""
-    comms = generator_commutators(G.oracle, G.generators)
-    return normal_closure(comms, G.generators, G.oracle, cap=cap, p=G.p)
-
-
 def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
     """Number of right cosets of an enumerated subgroup S inside the group
     the given keys generate.  S must lie inside that group, and S's table
@@ -818,11 +861,6 @@ def frattini_index(
     seeds = generator_commutators(oracle, gens) + [_power(oracle, g, p) for g in gens]
     phi = normal_closure(seeds, gens, oracle, cap=cap, p=p, order=frattini_order)
     return phi, subgroup_index(phi, gens, oracle, cap=cap, order=order)
-
-
-def is_perfect(G, cap=DEFAULT_CAP):
-    """True iff the derived subgroup is the whole group."""
-    return derived_subgroup(G, cap=cap).order == G.order
 
 
 def _conjugates_inside(oracle, conjugators, members, target):

@@ -26,7 +26,6 @@ from kmsylow import (
     closure,
     commutator_identity_check,
     congruence_subgroup,
-    derived_subgroup,
     enumerate_special_linear,
     monomial_subgroup,
     positive_real_roots_up_to_height,
@@ -47,6 +46,7 @@ from kmsylow.affine import affine_cartan_matrix
 from kmsylow.gcm import check_off_diagonal_hypothesis
 from kmsylow.pgroup import DEFAULT_CAP, _power
 
+from derived_series import derived_subgroup
 from sylow_enumeration import brute_force_sylow, frattini_dimension_of
 
 A2 = validate_gcm([[2, -1], [-1, 2]])

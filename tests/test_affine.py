@@ -39,7 +39,6 @@ from kmsylow.pgroup import (
     check_filtration_lemma,
     closure,
     commutator,
-    derived_subgroup,
     frattini_index,
     key_rows,
     row_keys,
@@ -47,6 +46,7 @@ from kmsylow.pgroup import (
 
 from breadth_first import assert_closures_agree
 from coset_probe import assert_same_indices
+from derived_series import derived_subgroup
 from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
@@ -89,7 +89,7 @@ def _assert_matches_reference(group, keys):
     for g, B in zip(keys, matrices):
         want = [key_of(matrix_mul(fq, A, B)) for A in matrices]
         assert [oracle.mul(key, g) for key in keys] == want
-        assert oracle.mul_many(keys, g) == want
+        assert row_keys(oracle.mul_many(key_rows(keys, group.width), g)) == want
 
 
 def _reference_words(group, letters, rng, n, length):
@@ -447,10 +447,11 @@ def test_scans_across_block_boundaries():
     chain = [congruence_subgroup(sylow, i) for i in (1, 2, 3, 4)]
     assert [K.order for K in chain] == [3 ** 9, 3 ** 6, 3 ** 3, 1]
     assert verify_generation(sylow)
-    # one non-member in the last block fails the membership scan
+    # one non-member, the last row, fails the membership scan
     outsider = sylow.group.elementary(1, 0, 1)
     forged = IwahoriSylow(2, F3, 4, DEFAULT_CAP)
-    forged.table = FiniteGroupTable(table.oracle, (), table.elements[:-1] + (outsider,))
+    rows = key_rows(table.elements[:-1] + (outsider,), sylow.group.width)
+    forged.table = FiniteGroupTable(table.oracle, (), rows)
     assert not verify_generation(forged)
     group, table = enumerate_special_linear(3, F3)
     assert table.order == 5616 > SCAN_BLOCK
@@ -537,4 +538,6 @@ def test_bulk_multiplication_matches_scalar():
     rng = random.Random(31)
     keys = [table.elements[rng.randrange(table.order)] for _ in range(50)]
     g = table.elements[rng.randrange(table.order)]
-    assert oracle.mul_many(keys, g) == [oracle.mul(k, g) for k in keys]
+    rows = oracle.mul_many(key_rows(keys, group.width), g)
+    assert rows.shape == (len(keys), group.width) and rows.dtype == np.uint8
+    assert row_keys(rows) == [oracle.mul(k, g) for k in keys]

@@ -7,12 +7,13 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from kmsylow import pgroup
+from kmsylow import affine, pgroup, unipotent
 from kmsylow.affine import AffineMatrixGroup, sylow_generators
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded
 from kmsylow.fields import FqConfig
@@ -30,20 +31,18 @@ from kmsylow.pgroup import (
     check_filtration_lemma,
     closure,
     commutator,
-    derived_subgroup,
     frattini_index,
     generator_commutators,
-    is_perfect,
     key_rows,
     layered_order,
     normal_closure,
     row_keys,
-    select,
     subgroup_index,
 )
 from kmsylow.unipotent import UnipotentModel, standard_generators
 
 from coset_probe import assert_same_index
+from derived_series import derived_subgroup, is_perfect
 
 
 def vector_oracle(p, d):
@@ -147,7 +146,7 @@ def test_closure_full_vector_group():
 
 def bulk_vector_oracle(p, d, sizes):
     """(Z/p)^d with the scalar product of vector_oracle and a bulk hook that
-    records the number of keys of each call in sizes."""
+    records the number of rows of each call in sizes."""
     scalar = vector_oracle(p, d)
 
     def right_polys(g):
@@ -155,16 +154,16 @@ def bulk_vector_oracle(p, d, sizes):
 
     hook = bulk_hook(FqConfig(p), right_polys)
 
-    def mul_many(keys, g):
-        sizes.append(len(keys))
-        return hook(keys, g)
+    def mul_many(rows, g):
+        sizes.append(len(rows))
+        return hook(rows, g)
 
     return GroupOracle(scalar.identity, scalar.mul, scalar.inv, mul_many)
 
 
 def test_closure_multiplies_a_block_at_a_time():
     # (Z/3)^10 has cosets larger than a block; the bulk hook never sees
-    # more than a block of keys, and the order matches the scalar path
+    # more than a block of rows, and the order matches the scalar path
     p, d = 3, 10
     sizes = []
     bulk = bulk_vector_oracle(p, d, sizes)
@@ -184,10 +183,10 @@ def counting_oracle(oracle, products, rows=None):
         products[0] += 1
         return oracle.mul(a, b)
 
-    def mul_many(keys, g):
-        products[0] += len(keys)
-        rows[0] += len(keys)
-        return oracle.mul_many(keys, g)
+    def mul_many(block, g):
+        products[0] += len(block)
+        rows[0] += len(block)
+        return oracle.mul_many(block, g)
 
     return dataclasses.replace(oracle, mul=mul, mul_many=mul_many)
 
@@ -282,31 +281,6 @@ def test_a_generator_already_a_member_costs_no_products():
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def test_batched_closure_meets_the_cap_where_the_scalar_path_does():
-    # a block is filtered before the cap is checked, so the bound is checked
-    # on the whole block's new elements: the group fits a cap of its exact
-    # order and is refused one below it, with the scalar path's message
-    p, d = 3, 10
-    sizes = []
-    bulk = bulk_vector_oracle(p, d, sizes)
-    scalar = vector_oracle(p, d)
-    gens = [bytes(int(i == j) for j in range(d)) for i in range(d)]
-    table = closure(gens, bulk, cap=p ** d)
-    assert table.order == p ** d and max(sizes) == SCAN_BLOCK
-    elements = closure(gens, scalar, cap=p ** d).elements
-    assert table.elements == elements
-    # with q set, the same closure marks its members in a code bitmap
-    bitmap = dataclasses.replace(bulk, q=p)
-    table = closure(gens, bitmap, cap=p ** d)
-    assert type(table.members) is _CodeBitmap and table.elements == elements
-    messages = []
-    for oracle in (bulk, scalar, bitmap):
-        with pytest.raises(EnumerationCapExceeded) as refused:
-            closure(gens, oracle, cap=p ** d - 1)
-        messages.append(str(refused.value))
-    assert messages == [f"closure exceeded the cap of {p ** d - 1} elements"] * 3
-
-
 @pytest.mark.parametrize(
     "width,path",
     [(26, "_CodeBitmap"), (27, "_CodeHash"), (63, "_CodeHash"), (64, "_KeySet")],
@@ -331,11 +305,16 @@ def test_bitmap_codes_are_exact_at_the_limit():
     assert _CodeBitmap(256, 3)._codes([bytes([255]) * 3]).tolist() == [2 ** 24 - 1]
 
 
-def _code_keys(codes):
-    """Keys over F_2 of width 63 with the given codes."""
+def _code_rows(codes):
+    """Rows of keys over F_2 of width 63 with the given codes."""
     codes = np.array(codes, dtype=np.int64)
     bits = codes[:, None] >> np.arange(62, -1, -1, dtype=np.int64) & 1
-    return row_keys(bits.astype(np.uint8))
+    return bits.astype(np.uint8)
+
+
+def _code_keys(codes):
+    """Keys over F_2 of width 63 with the given codes."""
+    return row_keys(_code_rows(codes))
 
 
 def _codes_homed_at(rng, slot, bits, count):
@@ -372,11 +351,10 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
         block += rng.sample(sorted(members), len(members) // 9)
         block = list(dict.fromkeys(block))
         rng.shuffle(block)
-        keys = _code_keys(block)
         strangers = [rng.getrandbits(63) for _ in range(50)]
         assert table.isdisjoint(_code_keys(strangers)) is members.isdisjoint(strangers)
-        assert table.take_new(keys) == [
-            k for k, c in zip(keys, block) if c not in members
+        assert table.take_new(_code_rows(block)).tolist() == [
+            c not in members for c in block
         ]
         members.update(block)
         slots = table.slots
@@ -431,6 +409,122 @@ def test_known_order_over_the_cap_refuses_before_multiplying():
     assert closure(gens, plain, cap=25, order=25).order == 25
     assert normal_closure(gens, gens, plain, cap=25, order=25).order == 25
     assert subgroup_index(line, gens, plain, cap=5, order=25) == 5
+
+
+def _membership_path(oracle, path, monkeypatch):
+    """The oracle, with BITMAP_CODES patched, or q unset, so that closures
+    over it mark their members in a structure of type path."""
+    if path == "_CodeHash":
+        monkeypatch.setattr(pgroup, "BITMAP_CODES", 1)
+    if path == "_KeySet":
+        return dataclasses.replace(oracle, q=None)
+    return oracle
+
+
+def _matrix_sylow_case():
+    fq = FqConfig(3)
+    return AffineMatrixGroup(2, fq, 3).oracle(), sylow_generators(2, fq, 3), 3, []
+
+
+def _vector_case():
+    # (Z/3)^9 has cosets larger than a block; sizes records the rows of
+    # each bulk call
+    sizes = []
+    oracle = dataclasses.replace(bulk_vector_oracle(3, 9, sizes), q=3)
+    return oracle, [bytes(int(i == j) for j in range(9)) for i in range(9)], 3, sizes
+
+
+@pytest.mark.parametrize("path", ["_CodeBitmap", "_CodeHash", "_KeySet"])
+@pytest.mark.parametrize("case", [_matrix_sylow_case, _vector_case])
+@pytest.mark.parametrize("given_p", [True, False])
+def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path, given_p):
+    # the bulk hook multiplies rows, a block at a time; an oracle with no
+    # hook multiplies one key at a time.  Both list the same elements in
+    # the same order.  A block is filtered before the cap is checked, so
+    # the bound is checked on the whole block's new elements: both fit a
+    # cap of the exact order and refuse one below it with one message
+    rows_oracle, gens, p, sizes = case()
+    rows_oracle = _membership_path(rows_oracle, path, monkeypatch)
+    scalar = dataclasses.replace(rows_oracle, mul_many=None)
+    p = p if given_p else None
+    order = closure(gens, scalar, p=p).order
+    table = closure(gens, rows_oracle, cap=order, p=p)
+    assert type(table.members).__name__ == path
+    assert table.rows.shape == (order, len(rows_oracle.identity))
+    assert table.elements == closure(gens, scalar, cap=order, p=p).elements
+    assert max(sizes, default=SCAN_BLOCK) == SCAN_BLOCK
+    messages = []
+    for oracle in (rows_oracle, scalar):
+        with pytest.raises(EnumerationCapExceeded) as refused:
+            closure(gens, oracle, cap=order - 1, p=p)
+        messages.append(str(refused.value))
+    assert messages == [f"closure exceeded the cap of {order - 1} elements"] * 2
+
+
+@pytest.mark.parametrize("make", [closure, normal_closure])
+def test_a_closure_given_its_order_never_grows_its_hash(monkeypatch, make):
+    # the hash table and the rows are allocated at their final size, so no
+    # block is kept aside for a merge; with no order both grow
+    oracle, gens, p, _ = _vector_case()
+    oracle = _membership_path(oracle, "_CodeHash", monkeypatch)
+    grown, merged = [], []
+    real_grow, real_merged = _CodeHash._grow, pgroup._Closure._merged
+
+    def grow(self, fresh):
+        grown.append(len(fresh))
+        return real_grow(self, fresh)
+
+    def merged_rows(self):
+        merged.append(len(self.blocks))
+        return real_merged(self)
+
+    monkeypatch.setattr(_CodeHash, "_grow", grow)
+    monkeypatch.setattr(pgroup._Closure, "_merged", merged_rows)
+    args = (gens, oracle) if make is closure else (gens, gens, oracle)
+    sized = make(*args, p=p, order=3 ** 9)
+    assert not grown and not any(merged)
+    assert type(sized.members) is _CodeHash
+    assert sized.members.size == 3 ** 9 <= 3 * len(sized.members.slots) // 4
+    unsized = make(*args, p=p)
+    assert grown and any(merged)
+    assert sized.elements == unsized.elements
+
+
+def test_theorem1_leaves_the_frattini_keys_unbuilt(monkeypatch):
+    # theorem 1 reads Phi's order and members only, so neither model builds
+    # a key for each of its elements
+    tables = []
+
+    def frattini_kept(*args, **kwargs):
+        phi, index = frattini_index(*args, **kwargs)
+        tables.append(phi)
+        return phi, index
+
+    monkeypatch.setattr(unipotent, "frattini_index", frattini_kept)
+    report = unipotent.verify_theorem1(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4)
+    assert report["group_engine"] == "enumeration" and report["h1_blackbox"] == 2
+    sylow = affine.IwahoriSylow(2, FqConfig(3), 3, pgroup.DEFAULT_CAP)
+    assert affine.verify_theorem1_affine(sylow)["h1_blackbox"] == 2
+    tables.append(sylow.frattini[0])
+    for phi in tables:
+        assert phi.order > 1
+        assert "elements" not in vars(phi) and "element_set" not in vars(phi)
+
+
+def test_frattini_listing_peaks_under_32_mib():
+    # A1^(1) over F_7 at height 6: Phi holds 7^7 elements of 9 bytes, about
+    # 7 MiB as rows; keys with their list slots and the code copies of each
+    # block took the peak to 51 MiB
+    model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(7), 6)
+    oracle, gens = model.oracle(), standard_generators(model)
+    tracemalloc.start()
+    try:
+        phi, index = frattini_index(gens, oracle, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (phi.order, index) == (7 ** 7, 7 ** 2)
+    assert peak < 32 * 2 ** 20
 
 
 def test_normal_closure_of_transposition_in_s3():
@@ -570,7 +664,7 @@ def test_coset_count_lists_each_coset_once(monkeypatch):
     phi = normal_closure(generator_commutators(plain, gens), gens, plain, p=5)
     assert phi.order == 5 ** 6
     probed = _Probed(phi.members)
-    sub = FiniteGroupTable(plain, phi.generators, phi.elements, p=5, members=probed)
+    sub = FiniteGroupTable(plain, phi.generators, phi.rows, p=5, members=probed)
 
     bulk_rows = [0]
     real_bulk = pgroup._bulk
@@ -601,11 +695,11 @@ def test_coset_count_needs_the_subgroups_generators():
     # stages could not close the union of its cosets under them
     plain = vector_oracle(5, 2)
     gens = [bytes((1, 0)), bytes((0, 1))]
-    scanned = FiniteGroupTable(plain, (), closure(gens[:1], plain).elements)
+    scanned = FiniteGroupTable(plain, (), closure(gens[:1], plain).rows)
     with pytest.raises(ValueError, match="table of order 5 lists none"):
         subgroup_index(scanned, gens, plain)
     # the trivial subgroup needs none
-    trivial = FiniteGroupTable(plain, (), (plain.identity,))
+    trivial = FiniteGroupTable(plain, (), key_rows([plain.identity], 2))
     assert subgroup_index(trivial, gens, plain) == 25
 
 
@@ -727,7 +821,10 @@ def test_bulk_hook_equals_the_scalar_evaluator(q, n):
     keys = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(n)]
     for _ in range(3):
         g = bytes(rng.randrange(q) for _ in range(width))
-        assert hook(keys, g) == [law(k, g) for k in keys]
+        rows = hook(key_rows(keys, width), g)
+        # a row per key and a column per coordinate of the map
+        assert rows.shape == (n, 5) and rows.dtype == np.uint8
+        assert row_keys(rows) == [law(k, g) for k in keys]
 
 
 @pytest.mark.parametrize("q", EVALUATOR_QS)
@@ -756,7 +853,7 @@ def test_bulk_hook_writes_single_term_coordinates_directly(q, n):
     for g in (bytes(width), bytes((1, 0, 1, 0)), bytes((0, 0, q - 1, 0))):
         polys = law.at_y(g)
         assert all(len(poly) <= 1 and len(poly[0][1]) <= 1 for poly in polys if poly)
-        assert hook(keys, g) == [law(k, g) for k in keys]
+        assert row_keys(hook(key_rows(keys, width), g)) == [law(k, g) for k in keys]
 
 
 def test_bulk_hook_folds_long_sums_over_f256():
@@ -781,7 +878,8 @@ def test_bulk_hook_folds_long_sums_over_f256():
     assert all(len(poly) > 127 for poly in law.at_y(g))
     keys = [bytes((1,) * width)]
     keys += [bytes(rng.randrange(256) for _ in range(width)) for _ in range(99)]
-    assert bulk_hook(fq, law.at_y)(keys, g) == [law(k, g) for k in keys]
+    rows = bulk_hook(fq, law.at_y)(key_rows(keys, width), g)
+    assert row_keys(rows) == [law(k, g) for k in keys]
 
 
 def _bch_oracle():
@@ -801,40 +899,14 @@ def test_bulk_multiplication_leaves_no_reference_cycles(make_oracle):
     width = len(oracle.identity)
     keys = [bytes(rng.randrange(5) for _ in range(width)) for _ in range(300)]
     g = keys.pop()
+    rows = key_rows(keys, width)
     gc.collect()
     gc.disable()
     try:
-        oracle.mul_many(keys, g)
+        oracle.mul_many(rows, g)
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-@pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
-def test_select_equals_python_filter(n):
-    rng = random.Random(n)
-    keys = tuple(bytes(rng.randrange(5) for _ in range(3)) for _ in range(n))
-    blocks = []
-
-    def predicate(rows):
-        blocks.append(len(rows))
-        return (rows[:, 0] + rows[:, 2]) % 2 == 1
-
-    got = list(select(keys, 3, predicate))
-    assert got == [k for k in keys if (k[0] + k[2]) % 2 == 1]
-    assert sum(blocks) == n and all(size <= SCAN_BLOCK for size in blocks)
-
-
-def test_select_stops_at_the_block_it_is_left_in():
-    keys = tuple(bytes([i % 256, i // 256]) for i in range(3 * SCAN_BLOCK))
-    seen = []
-
-    def predicate(rows):
-        seen.append(len(rows))
-        return rows[:, 0] == 7
-
-    assert next(select(keys, 2, predicate)) == bytes([7, 0])
-    assert seen == [SCAN_BLOCK]
 
 
 UNITRIANGULAR = [(3, 3), (4, 2), (4, 3), (5, 2)]

@@ -16,7 +16,7 @@ from kmsylow.pgroup import (
     FiniteGroupTable,
     GroupOracle,
     closure,
-    is_perfect,
+    key_rows,
     normal_closure,
     subgroup_index,
     verify_tits_axioms,
@@ -28,6 +28,7 @@ from breadth_first import (
     breadth_first_normal_closure,
 )
 from coset_probe import assert_same_indices
+from derived_series import is_perfect
 from sylow_enumeration import brute_force_special_linear
 
 F2 = FqConfig(2)
@@ -135,8 +136,9 @@ def _borel_is_group(G, B, N, S):
 
 def _borel_is_torus(G, B, N, S):
     # B n N alone, so B and N generate only N
-    torus = tuple(k for k in N.elements if k in B.element_set)
-    return FiniteGroupTable(G.oracle, (), torus, p=G.p), N, S
+    torus = [k for k in N.elements if k in B.element_set]
+    rows = key_rows(torus, len(G.oracle.identity))
+    return FiniteGroupTable(G.oracle, (), rows, p=G.p), N, S
 
 
 def _identity_reflection(G, B, N, S):
@@ -184,7 +186,7 @@ def test_trivial_group_edge_case():
     oracle = GroupOracle(
         identity=b"e", mul=lambda a, b: b"e", inv=lambda a: b"e"
     )
-    G = FiniteGroupTable(oracle, (), (b"e",))
+    G = FiniteGroupTable(oracle, (), key_rows([b"e"], 1))
     report = verify_tits_axioms(G, G, G, [])
     assert report["T1"] and report["T2"] and report["T3"]
     assert report["bruhat_partition"]

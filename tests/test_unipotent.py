@@ -7,6 +7,7 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 import kmsylow.pgroup as pgroup
@@ -27,8 +28,10 @@ from kmsylow.pgroup import (
     closure,
     commutator,
     generator_commutators,
+    key_rows,
     layered_order,
     normal_closure,
+    row_keys,
 )
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
@@ -192,8 +195,9 @@ def test_bulk_multiplication_matches_scalar():
         rng = random.Random(q + H)
         keys = [random_element(model, rng) for _ in range(40)]
         g = random_element(model, rng)
-        bulk = oracle.mul_many(keys, g)
-        assert bulk == [oracle.mul(k, g) for k in keys]
+        rows = oracle.mul_many(key_rows(keys, len(g)), g)
+        assert rows.shape == (len(keys), len(g)) and rows.dtype == np.uint8
+        assert row_keys(rows) == [oracle.mul(k, g) for k in keys]
 
 
 def series_product(model, x, y):
