@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fields import FqConfig, RationalField
 from .gcm import GcmType, GeneralizedCartanMatrix, classify, validate_gcm
-from .lie import GradedLieAlgebra, bracket, build_positive_part, root_multiplicity
+from .lie import GradedLieAlgebra, bracket, build_positive_part
 from .pgroup import (
     FiniteGroupTable,
     GroupOracle,
@@ -59,7 +59,6 @@ from .roots import (
     NOT_ROOT,
     REAL,
     RootVector,
-    is_prenilpotent_pair,
     positive_real_roots_up_to_height,
     positive_roots_up_to_height,
     root_status,
@@ -119,14 +118,12 @@ __all__ = [
     "enumerate_special_linear",
     "frattini_dimension_linear",
     "frattini_index",
-    "is_prenilpotent_pair",
     "iwahori_sylow_membership",
     "monomial_subgroup",
     "normal_closure",
     "positive_real_roots_up_to_height",
     "positive_roots_up_to_height",
     "root_group_element",
-    "root_multiplicity",
     "root_status",
     "roots_to_json",
     "simple_root",

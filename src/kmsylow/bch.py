@@ -10,6 +10,7 @@ series reduces mod p whenever p exceeds the truncation weight.
 from fractions import Fraction
 from functools import lru_cache
 
+from .fields import QQ, add_scaled
 from .lie import lyndon_coordinates, lyndon_words
 
 X = (0,)
@@ -19,12 +20,10 @@ Y = (1,)
 def _mul_truncated(f, g, max_len):
     out = {}
     for wf, cf in f.items():
-        for wg, cg in g.items():
-            if len(wf) + len(wg) > max_len:
-                continue
-            w = wf + wg
-            out[w] = out.get(w, Fraction(0)) + cf * cg
-    return {w: c for w, c in out.items() if c}
+        room = max_len - len(wf)
+        shifted = {wf + wg: cg for wg, cg in g.items() if len(wg) <= room}
+        add_scaled(out, cf, shifted, QQ)
+    return out
 
 
 def _exp_letter(letter, max_len):
@@ -41,10 +40,8 @@ def _log_one_plus(u, max_len):
     power = {(): Fraction(1)}
     for k in range(1, max_len + 1):
         power = _mul_truncated(power, u, max_len)
-        sign = Fraction((-1) ** (k + 1), k)
-        for w, c in power.items():
-            out[w] = out.get(w, Fraction(0)) + sign * c
-    return {w: c for w, c in out.items() if c}
+        add_scaled(out, Fraction((-1) ** (k + 1), k), power, QQ)
+    return out
 
 
 @lru_cache(maxsize=None)

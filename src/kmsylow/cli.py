@@ -28,7 +28,7 @@ from .errors import (
     HypothesisViolated,
     TruncationTooShallow,
 )
-from .fields import FqConfig
+from .fields import FqConfig, add_scaled
 from .gcm import classify, validate_gcm
 from .lie import bracket, build_positive_part
 from .pgroup import (
@@ -266,13 +266,7 @@ def _check_lie(inst, seed, cap):
         x, y, z = ({i: fld.one}, {j: fld.one}, {k: fld.one})
         acc = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            term = bracket(algebra, a, bracket(algebra, b, c))
-            for idx, v in term.items():
-                s = fld.add(acc.get(idx, fld.zero), v)
-                if s == fld.zero:
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = s
+            add_scaled(acc, fld.one, bracket(algebra, a, bracket(algebra, b, c)), fld)
         ok = ok and not acc
     payload = {
         "dimensions_per_height": algebra.dimensions_per_height(),

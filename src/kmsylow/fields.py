@@ -6,7 +6,8 @@ field, F_p being FqConfig(p).  FqConfig encodes field elements as integers
 0..q-1 in the power basis of a deterministically chosen irreducible
 polynomial; nested-list tables drive its scalar arithmetic, and its one
 numpy table, the product table MUL, feeds the bulk evaluator
-pgroup.bulk_hook.
+pgroup.bulk_hook.  add_scaled is the one sparse-vector sum of the Lie
+build, the BCH series and the BCH law compile.
 """
 
 from bisect import bisect
@@ -112,6 +113,18 @@ def reduce_against(vec, rows, pivots, fld):
                 if b:
                     vec[j] = fld.sub(vec[j], fld.mul(c, b))
     return vec
+
+
+def add_scaled(out, c, vec, fld):
+    """out += c * vec on sparse vectors (dicts key -> scalar), in place,
+    dropping zeros."""
+    add, mul, zero = fld.add, fld.mul, fld.zero
+    for k, v in vec.items():
+        s = add(out.get(k, zero), mul(c, v))
+        if s == zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
 
 
 def _poly_mul_mod(a, b, modulus, p):

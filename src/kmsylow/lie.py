@@ -11,15 +11,18 @@ element b one generator lower, so it is the left-normed bracket of the
 generators along its word.
 
 Basis elements of the quotient are labeled by their root vector, so root
-multiplicities are read off as dimension counts.  The Lyndon-word helpers
-below serve the BCH series (bch, unipotent), not the build.
+multiplicities are read off as dimension counts.  Elements are sparse dicts
+index -> scalar, summed in place by fields.add_scaled; the build and
+``bracket`` read [b_i, b_j] through one antisymmetric structure lookup.
+The Lyndon-word helpers below serve the BCH series (bch, unipotent), not
+the build.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CharacteristicTooSmall, HeightExceedsCutoff
-from .fields import QQ, echelon_insert, reduce_against
+from .errors import CharacteristicTooSmall
+from .fields import QQ, add_scaled, echelon_insert, reduce_against
 from .roots import RootVector
 
 
@@ -148,55 +151,29 @@ class GradedLieAlgebra:
     def dimensions_per_height(self):
         return [len(self.by_height[h]) for h in range(1, self.cutoff + 1)]
 
-    def generator_index(self, s):
-        self.gcm.position(s)  # raises UnknownLabel for bad input
-        return self.by_degree[RootVector(((s, 1),))][0]
-
     def height_of(self, index):
         return sum(n for _, n in self.basis[index].root.items)
 
-    def bracket_basis(self, i, j):
-        """[b_i, b_j] as a sparse dict index -> coefficient."""
-        if i == j:
-            return {}
-        sign = None
-        if i > j:
-            i, j = j, i
-            sign = True
-        pairs = self.structure.get((i, j), ())
-        fld = self.field
-        if sign:
-            return {k: fld.neg(c) for k, c in pairs}
-        return dict(pairs)
 
-
-def root_multiplicity(algebra, alpha):
-    """Number of basis elements of degree alpha; 0 for non-roots."""
-    ht = sum(n for _, n in alpha.items)
-    if ht > algebra.cutoff:
-        raise HeightExceedsCutoff(f"height {ht} exceeds cutoff {algebra.cutoff}")
-    return len(algebra.by_degree.get(alpha, ()))
-
-
-def _add_scaled(out, c, vec, fld):
-    """out += c * vec on sparse vectors (dicts), dropping zeros."""
-    for k, v in vec.items():
-        s = fld.add(out.get(k, fld.zero), fld.mul(c, v))
-        if s == fld.zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
+def _basis_bracket(structure, i, j, fld):
+    """[b_i, b_j] as a sparse dict index -> coefficient, read from the
+    structure constants on pairs i < j; pairs not listed bracket to zero."""
+    if i < j:
+        return dict(structure.get((i, j), ()))
+    if i > j:
+        return {k: fld.neg(c) for k, c in structure.get((j, i), ())}
+    return {}
 
 
 def bracket(algebra, x, y):
     """Bilinear extension of the structure constants to sparse coefficient
     vectors (dicts index -> scalar); components above the cutoff vanish."""
-    fld = algebra.field
+    fld, structure = algebra.field, algebra.structure
     out = {}
     for i, a in x.items():
         for j, b in y.items():
             if a != fld.zero and b != fld.zero:
-                _add_scaled(out, fld.mul(a, b), algebra.bracket_basis(i, j), fld)
+                add_scaled(out, fld.mul(a, b), _basis_bracket(structure, i, j, fld), fld)
     return out
 
 
@@ -266,12 +243,7 @@ def build_positive_part(gcm, cutoff, fld=QQ):
                 serre.setdefault(key, []).append((s, t, -a))
 
     def table(i, j):
-        """[b_i, b_j] from the structure constants built so far."""
-        if i < j:
-            return dict(structure[(i, j)])
-        if i > j:
-            return {k: neg(c) for k, c in structure[(j, i)]}
-        return {}
+        return _basis_bracket(structure, i, j, fld)
 
     for h in range(2, cutoff + 1):
         # ordered basis pairs and increasing basis triples of height h
@@ -305,7 +277,7 @@ def build_positive_part(gcm, cutoff, fld=QQ):
                         y1, s = definition[y]
                         got = {column[(k, s)]: c for k, c in table(x, y1).items()}
                         for k, c in table(x, gen[s]).items():
-                            _add_scaled(got, neg(c), over_symbols(k, y1), fld)
+                            add_scaled(got, neg(c), over_symbols(k, y1), fld)
                     memo[(x, y)] = got
                 return got
 
@@ -327,21 +299,21 @@ def build_positive_part(gcm, cutoff, fld=QQ):
                 if x <= y:
                     relation = dict(over_symbols(x, y))
                     if x < y:
-                        _add_scaled(relation, one, over_symbols(y, x), fld)
+                        add_scaled(relation, one, over_symbols(y, x), fld)
                     impose(relation)
             for s, t, k in serre.get(key, ()):
                 inner = {gen[t]: one}
                 for _ in range(k):
                     step = {}
                     for j, c in inner.items():
-                        _add_scaled(step, c, table(gen[s], j), fld)
+                        add_scaled(step, c, table(gen[s], j), fld)
                     inner = step
                 impose({column[(j, s)]: neg(c) for j, c in inner.items()})
             for x, y, z in triples.get(key, ()):
                 relation = {}
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                     for k, coeff in table(a, b).items():
-                        _add_scaled(relation, coeff, over_symbols(k, c), fld)
+                        add_scaled(relation, coeff, over_symbols(k, c), fld)
                 impose(relation)
 
             new = {}  # symbol -> basis index, for the symbols left independent

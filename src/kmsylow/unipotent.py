@@ -7,11 +7,12 @@ The series denominators only involve primes up to the cutoff, so the law is
 exact whenever p exceeds the cutoff.
 
 The model runs the series once, over polynomials in the coordinates of both
-factors, so its group law and its Lie bracket are fixed polynomial maps over
-F_q (pgroup.PolynomialMap).  The inverse is negation, so the oracle is
-pgroup.law_oracle on the law and the negation map: a product is one
-evaluation of the law, and right multiplication by a fixed element is the
-law specialized at that element, which feeds the engine's bulk hook.
+factors (dicts summed in place by fields.add_scaled), so its group law and
+its Lie bracket are fixed polynomial maps over F_q (pgroup.PolynomialMap).
+The inverse is negation, so the oracle is pgroup.law_oracle on the law and
+the negation map: a product is one evaluation of the law, and right
+multiplication by a fixed element is the law specialized at that element,
+which feeds the engine's bulk hook.
 """
 
 from .bch import bch_lyndon_terms
@@ -21,7 +22,7 @@ from .errors import (
     HeightExceedsCutoff,
     NotPositiveRealRoot,
 )
-from .fields import echelon_insert, rref
+from .fields import add_scaled, echelon_insert, rref
 from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
@@ -38,50 +39,21 @@ from .pgroup import (
 from .roots import REAL, positive_real_roots_up_to_height, root_status, simple_root
 
 
-class _PolyOps:
-    """Scalar arithmetic on polynomials over F_q in the coordinate variables.
-
-    A polynomial is a dict mapping a sorted tuple of variable indices (with
-    multiplicity) to a nonzero code.
-    """
-
-    def __init__(self, fq):
-        self.fq = fq
-
-    def add(self, f, g):
-        out = dict(f)
-        for m, c in g.items():
-            s = self.fq.add(out.get(m, 0), c)
+def _poly_mul(f, g, fq):
+    """The product of two polynomials over F_q in the coordinate variables,
+    each a dict from a sorted tuple of variable indices (with multiplicity)
+    to a nonzero code."""
+    add, mul = fq.add, fq.mul
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(sorted(m1 + m2))
+            s = add(out.get(m, 0), mul(c1, c2))
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return out
-
-    def sub(self, f, g):
-        return self.add(f, {m: self.fq.neg(c) for m, c in g.items()})
-
-    def mul(self, f, g):
-        out = {}
-        fq = self.fq
-        for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = tuple(sorted(m1 + m2))
-                s = fq.add(out.get(m, 0), fq.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return out
-
-    def scale(self, c, f):
-        fq = self.fq
-        out = {}
-        for m, cf in f.items():
-            s = fq.mul(c, cf)
-            if s:
-                out[m] = s
-        return out
+    return out
 
 
 class UnipotentModel:
@@ -105,12 +77,6 @@ class UnipotentModel:
         for i, h in enumerate(self.heights):
             self._at_height.setdefault(h, []).append(i)
         self._digits = [fq.decode(c) for c in range(fq.q)]
-        # flattened structure constants: (i, j) with i < j -> ((k, c), ...)
-        self._sc = {
-            key: tuple((k, int(c)) for k, c in pairs)
-            for key, pairs in self.algebra.structure.items()
-            if pairs
-        }
         # series terms as (Lyndon word over {left, right}, coefficient code)
         self._terms = tuple(
             (word, fq.from_fraction(coeff))
@@ -118,21 +84,21 @@ class UnipotentModel:
         )
         # the law and the bracket as polynomials in x = variables 0..dim-1
         # and y = variables dim..2dim-1
-        self._ops = _PolyOps(fq)
         x = [{(i,): 1} for i in range(dim)]
         y = [{(dim + i,): 1} for i in range(dim)]
         self._law = PolynomialMap(fq, self._split(self._combine(x, y)))
         self._bracket = PolynomialMap(fq, self._split(self._bracket_vec(x, y)))
 
     def _bracket_vec(self, a, b):
-        ops = self._ops
-        out = [{}] * self.dim
-        for (i, j), entries in self._sc.items():
-            term = ops.sub(ops.mul(a[i], b[j]), ops.mul(a[j], b[i]))
-            if not term:
+        fq = self.fq
+        out = [{} for _ in range(self.dim)]
+        for (i, j), entries in self.algebra.structure.items():
+            if not entries:
                 continue
+            term = _poly_mul(a[i], b[j], fq)
+            add_scaled(term, fq.neg(1), _poly_mul(a[j], b[i], fq), fq)
             for k, c in entries:
-                out[k] = ops.add(out[k], ops.scale(c, term))
+                add_scaled(out[k], c, term, fq)
         return out
 
     def _word_value(self, word, values):
@@ -147,14 +113,11 @@ class UnipotentModel:
         return out
 
     def _combine(self, x, y):
-        ops = self._ops
         values = {(0,): x, (1,): y}
-        out = [{}] * self.dim
+        out = [{} for _ in range(self.dim)]
         for word, c in self._terms:
-            v = self._word_value(word, values)
-            for k in range(self.dim):
-                if v[k]:
-                    out[k] = ops.add(out[k], ops.scale(c, v[k]))
+            for total, poly in zip(out, self._word_value(word, values)):
+                add_scaled(total, c, poly, self.fq)
         return out
 
     def _split(self, polys):
@@ -219,7 +182,7 @@ def frattini_dimension_linear(model):
     r * dim(n / [n, n]) by ranking the bracket span over F_p: the
     structure constants lie in the prime subfield of model.fq."""
     rows = []
-    for (i, j), entries in model._sc.items():
+    for entries in model.algebra.structure.values():
         row = [0] * model.dim
         for k, c in entries:
             row[k] = c

@@ -7,15 +7,11 @@ import pytest
 from kmsylow.errors import NotRealRoot, UnknownLabel, ZeroVector
 from kmsylow.gcm import validate_gcm
 from kmsylow.roots import (
-    FALSE,
     IMAGINARY,
-    NOT_DECIDED,
     NOT_ROOT,
     REAL,
-    TRUE,
     RootVector,
     height,
-    is_prenilpotent_pair,
     positive_real_roots_up_to_height,
     positive_roots_up_to_height,
     root_status,
@@ -24,6 +20,7 @@ from kmsylow.roots import (
     simple_root,
     weyl_apply,
 )
+from prenilpotent import FALSE, NOT_DECIDED, TRUE, is_prenilpotent_pair
 from root_simplex import simplex_roots
 
 A2 = validate_gcm([[2, -1], [-1, 2]])

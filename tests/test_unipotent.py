@@ -45,7 +45,9 @@ from kmsylow.unipotent import (
 
 from breadth_first import assert_closures_agree
 from coset_probe import assert_same_indices
+from lie_lookup import generator_index
 from membership_paths import assert_membership_paths_agree
+from poly_ops_law import poly_ops_law
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
 B2S = validate_gcm([[2, -1], [-2, 2]])
@@ -111,8 +113,8 @@ def test_unitriangular_cross_check():
     # exponential sends (a, b, c) to I + aE12 + bE23 + (c + ab/2)E13
     p = 5
     model = UnipotentModel(A2, FqConfig(p), 3)
-    i1 = model.algebra.generator_index(1)
-    i2 = model.algebra.generator_index(2)
+    i1 = generator_index(model.algebra, 1)
+    i2 = generator_index(model.algebra, 2)
     i12 = model.algebra.by_degree[rv(**{"1": 1, "2": 1})][0]
     inv2 = pow(2, p - 2, p)
 
@@ -452,6 +454,20 @@ def test_instances_cover_the_campaigns():
     assert len(INSTANCES) - len(UNDER_CAP) == 2
     keys = {_instance_key(*inst) for inst in INSTANCES}
     assert _instance_key(*BEYOND_CAP) in keys
+
+
+# every instance with a model, and a hyperbolic one whose law has 5 194 terms
+COMPILED = [inst for inst in INSTANCES if FqConfig.from_q(inst[1]).p > inst[2]]
+COMPILED.append((validate_gcm([[2, -3], [-3, 2]]), 13, 8))
+
+
+@pytest.mark.parametrize("inst", COMPILED, ids=_ident)
+def test_law_and_bracket_compile_as_the_copying_compile_does(inst):
+    gcm, q, H = inst
+    model = UnipotentModel(gcm, FqConfig.from_q(q), H)
+    law, bracket_terms = poly_ops_law(model)
+    assert model._law.terms == law
+    assert model._bracket.terms == bracket_terms
 
 
 def test_every_way_refuses_a_characteristic_below_the_cutoff():
