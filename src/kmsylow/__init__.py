@@ -35,7 +35,6 @@ from .errors import (
     HypothesisViolated,
     KmError,
     NotPositiveRealRoot,
-    NotRealRoot,
     PositiveOffDiagonal,
     TruncationTooShallow,
     UnknownLabel,
@@ -97,7 +96,6 @@ __all__ = [
     "KmError",
     "NOT_ROOT",
     "NotPositiveRealRoot",
-    "NotRealRoot",
     "PositiveOffDiagonal",
     "RationalField",
     "REAL",

@@ -34,10 +34,6 @@ class ZeroVector(KmError):
     pass
 
 
-class NotRealRoot(KmError):
-    pass
-
-
 class NotPositiveRealRoot(KmError):
     pass
 

@@ -20,16 +20,20 @@ Both models have a polynomial law: their product and inverse are fixed
 polynomial maps over F_q in the key coefficients.  PolynomialMap holds such
 a map and is the one scalar evaluator; law_oracle builds the oracle from
 the law and the inverse, with bulk_hook, the one bulk evaluator, fed by the
-law specialized at each right factor.
+law specialized at each right factor.  The hook specializes once for a run
+of blocks times one factor, and skips the terms that read a column that is
+zero throughout a block.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
 multiplied in.  A closure adds its generators one at a time, each by one
 stage of Dimino's algorithm, which lists each new coset of the subgroup
 found so far with one bulk right multiplication, SCAN_BLOCK rows at a
-time.  In a p-group (the caller passes p) a generator's p-th power and
-commutators are added first, so every stage has index p and each element
-is formed by exactly one bulk product.  subgroup_index runs the same
+time: the first coset from the subgroup, and each later one from the
+coset before it, times a generator.  In a p-group (the caller passes p) a
+generator's p-th power and commutators are added first, so every stage
+has index p, each element is formed by exactly one bulk product, and
+every bulk product of a stage is by its generator.  subgroup_index runs the same
 stages over the right cosets of a subgroup, so each coset but the
 identity's is listed by one bulk product, and only a product that misses
 its own coset is probed against every coset found.  A closure records its
@@ -57,6 +61,9 @@ SCAN_BLOCK = 4096  # rows that a closure multiplies at a time
 # bit per code vector (8 MiB); larger spaces keep a hash table of codes or
 # a set of keys
 BITMAP_CODES = 2 ** 26
+# lane sums are kept below this, so that each reduces mod p by one gather
+# from a table of residues (4 KiB a lane)
+RESIDUE_SUMS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -101,21 +108,29 @@ def bulk_hook(fq, right_polys):
     coordinates named in variables (repeats allowed).  The hook evaluates
     these polynomials on all rows at once.
 
-    Each distinct monomial is formed once per call, as its prefix monomial
-    times one coordinate through the product table of fq.  A term is then
-    one lookup in spread, where spread[c][a] packs the F_p digits of c a
-    into lanes of w = 63 // r bits of an int64, so that adding packed
-    values adds digits lane by lane with no carry between lanes.  Each
-    lane holds lane_terms terms of at most p - 1 before it could overflow;
-    a longer sum is folded (every lane reduced mod p) first.  Each
-    coordinate's sum is unpacked once, with one reduction mod p per lane.
-    A coordinate whose polynomial is zero or one term of degree at most one
+    The hook keeps its last right factor with that factor's polynomials,
+    so consecutive blocks times one factor call right_polys once.  A block
+    is read column by column, and a term naming a column that is zero in
+    every row of the block is dropped: the plan of what is left is kept
+    with the columns it was made for, so it too is made once while they
+    stay the same.  Each distinct monomial left is formed once per block,
+    as its prefix monomial times one coordinate through the product table
+    of fq.  A term is then one lookup in spread, where spread[c][a] packs
+    the F_p digits of c a into lanes of w = 63 // r bits of an int64, so
+    that adding packed values adds digits lane by lane with no carry
+    between lanes.  Each lane holds lane_terms terms of at most p - 1,
+    so that its sum stays below 2^w and RESIDUE_SUMS; a longer sum is
+    folded (every lane reduced mod p by division) first.  Each lane of a
+    coordinate's sum is then reduced by one gather from a table of
+    residues, which also scales it to its digit's place in the code.  A
+    coordinate left with no term or with one term of degree at most one
     (a constant c, or c x_v) is written directly: filled with c, a copy of
     column v, or column v through the row of c in the product table."""
     p, q, r = fq.p, fq.q, fq.r
     w = 63 // r
     mask = (1 << w) - 1
-    lane_terms = mask // (p - 1)
+    lane_sums = min(mask + 1, RESIDUE_SUMS)
+    lane_terms = (lane_sums - 1) // (p - 1)
     shifts = [w * i for i in range(r)]
     packed = np.array(
         [sum(d << s for d, s in zip(fq.decode(a), shifts)) for a in range(q)],
@@ -125,73 +140,115 @@ def bulk_hook(fq, right_polys):
     packed = packed.tolist()
     # product[a * q + b] is the code of a b
     product = fq.MUL.astype(np.intp).ravel()
-
-    def lanes(acc):
-        """The lanes of packed sums, lowest first, each reduced mod p."""
-        return [_reduce(acc >> s & mask, p) for s in shifts]
+    # residues[i][v] is (v mod p) p^i: the code's part from lane i holding v
+    residues = [
+        np.resize((np.arange(p) * p ** i).astype(np.uint8), lane_sums)
+        for i in range(r)
+    ]
 
     def fold(acc):
+        # the packed sums with every lane reduced mod p
         out = np.zeros_like(acc)
-        for s, lane in zip(shifts, lanes(acc)):
-            out |= lane << s
+        for s in shifts:
+            out |= _reduce(acc >> s & mask, p) << s
         return out
 
-    def unpack(acc):
-        # the code sum digit_i p^i, by Horner's rule from the top lane
-        digits = lanes(acc)
-        code = digits.pop()
-        while digits:
-            code *= p
-            code += digits.pop()
-        return code
+    def gather(acc, coordinate, lane, digit):
+        # the code sum digit_i p^i, one gather per lane into its residues;
+        # the top lane needs no mask
+        np.right_shift(acc, shifts[-1], out=lane)
+        residues[-1].take(lane, out=coordinate, mode="clip")
+        for s, residue in zip(shifts[:-1], residues[:-1]):
+            np.right_shift(acc, s, out=lane)
+            lane &= mask
+            residue.take(lane, out=digit, mode="clip")
+            coordinate += digit
 
-    def mul_many(rows, g):
-        g = bytes(g)
-        # every array here holds one coordinate of a block: arrays above
-        # the allocator's mmap threshold would raise it when freed, and
-        # later blocks would then fragment the heap
-        columns = [rows[:, i].astype(np.intp) for i in range(len(g))]
-        polys = right_polys(g)
-        out = np.empty((len(polys), len(rows)), dtype=np.uint8)
-        monomials = {}
-        acc = np.empty(len(rows), dtype=np.int64)
-        term = np.empty_like(acc)
-        for coordinate, terms in zip(out, polys):
-            if not terms:
-                coordinate.fill(0)
+    def plan(polys, live):
+        """How to evaluate polys on a block whose column v is zero in every
+        row where live[v] is False: the columns to read as intp, the
+        monomials to form, each as (value of its prefix, value of its last
+        column) where the values are the columns read and then the
+        monomials formed, the coordinates written directly, each as (its
+        index, c, variables), and the coordinates summed, each as (its
+        index, the packed start of its sum, its summands)."""
+        polys = [
+            [(c, vs) for c, vs in terms if all(live[v] for v in vs)]
+            for terms in polys
+        ]
+        direct = [len(terms) <= 1 and all(len(vs) <= 1 for _, vs in terms) for terms in polys]
+        reads = sorted(
+            {v for terms, d in zip(polys, direct) if not d for _, vs in terms for v in vs}
+        )
+        values = {(v,): i for i, v in enumerate(reads)}
+        monomials = []
+        writes, sums = [], []
+        for i, (terms, d) in enumerate(zip(polys, direct)):
+            if d:
+                writes.append((i, *(terms[0] if terms else (0, ()))))
                 continue
-            if len(terms) == 1 and len(terms[0][1]) <= 1:
-                ((c, variables),) = terms
-                if not variables:
-                    coordinate.fill(c)
-                elif c == 1:
-                    coordinate[:] = rows[:, variables[0]]
-                else:
-                    fq.MUL[c].take(columns[variables[0]], out=coordinate)
-                continue
-            acc.fill(0)
-            room = lane_terms
-            for c, variables in terms:
+            # the sum starts at the constant terms' total, counted as a term
+            constant = 0
+            for c, vs in terms:
+                if not vs:
+                    constant = fq.add(constant, c)
+            summands = []
+            room = lane_terms - 1
+            for c, vs in terms:
+                if not vs:
+                    continue
                 if not room:
-                    acc[:] = fold(acc)
+                    summands.append(None)  # fold before this term
                     room = lane_terms - 1
                 room -= 1
-                if not variables:
-                    acc += packed[c]
+                for k in range(2, len(vs) + 1):
+                    if vs[:k] not in values:
+                        monomials.append((values[vs[: k - 1]], values[vs[k - 1 : k]]))
+                        values[vs[:k]] = len(reads) + len(monomials) - 1
+                summands.append((spread[c], values[vs]))
+            sums.append((i, packed[constant], summands))
+        return reads, monomials, writes, sums
+
+    factor = polys = live = compiled = None
+
+    def mul_many(rows, g):
+        nonlocal factor, polys, live, compiled
+        g = bytes(g)
+        if g != factor:
+            factor, polys, live = g, right_polys(g), None
+        by_column = np.ascontiguousarray(rows.T)
+        seen = by_column.any(axis=1)
+        if not np.array_equal(seen, live):
+            live, compiled = seen, plan(polys, seen.tolist())
+        reads, monomials, writes, sums = compiled
+        # but for the block's columns and the output, every array here
+        # holds one coordinate of a block: arrays above the allocator's
+        # mmap threshold would raise it when freed, and later blocks would
+        # then fragment the heap
+        values = [by_column[v].astype(np.intp) for v in reads]
+        for prefix, last in monomials:
+            values.append(product.take(values[prefix] * q + values[last]))
+        out = np.empty((len(polys), len(rows)), dtype=np.uint8)
+        for i, c, vs in writes:
+            if not vs:
+                out[i].fill(c)
+            elif c == 1:
+                out[i] = by_column[vs[0]]
+            else:
+                fq.MUL[c].take(by_column[vs[0]], out=out[i])
+        acc = np.empty(len(rows), dtype=np.int64)
+        term = np.empty_like(acc)
+        digit = np.empty(len(rows), dtype=np.uint8)
+        for i, start, summands in sums:
+            acc.fill(start)
+            for summand in summands:
+                if summand is None:
+                    acc[:] = fold(acc)
                     continue
-                m = monomials.get(variables)
-                if m is None:
-                    m = columns[variables[0]]
-                    for k in range(2, len(variables) + 1):
-                        prefix = variables[:k]
-                        got = monomials.get(prefix)
-                        if got is None:
-                            got = product.take(m * q + columns[variables[k - 1]])
-                            monomials[prefix] = got
-                        m = got
-                spread[c].take(m, out=term)
+                table, index = summand
+                table.take(values[index], out=term)
                 acc += term
-            coordinate[:] = unpack(acc)
+            gather(acc, out[i], term, digit)
         return out.T
 
     return mul_many
@@ -558,16 +615,20 @@ class _Closure:
             got = self.inverses[key] = self.oracle.inv(key)
         return got
 
-    def _absorb(self, rows, g):
-        """Add the unseen products k g of the rows k, formed and held
-        SCAN_BLOCK at a time.  The rows are distinct and right
-        multiplication is injective, so the products are distinct too and
-        each block is filtered against the members alone.  A block that
-        passes the cap is marked before the refusal, but a closure that
-        refused is never read again."""
-        for start in range(0, len(rows), SCAN_BLOCK):
-            block = _mul_rows(self.oracle, rows[start : start + SCAN_BLOCK], g)
-            fresh = block[self.members.take_new(block)]
+    def _absorb(self, chunks, g):
+        """Add the unseen products k g of the rows k, given in chunks of at
+        most SCAN_BLOCK rows, formed and held a chunk at a time.  The rows
+        are distinct and right multiplication is injective, so the products
+        are distinct too and each block is filtered against the members
+        alone.  A block that passes the cap is marked before the refusal,
+        but a closure that refused is never read again.
+
+        Returns the new rows, chunk by chunk, where they are held."""
+        stored = []
+        for chunk in chunks:
+            block = _mul_rows(self.oracle, chunk, g)
+            new = self.members.take_new(block)
+            fresh = block if new.all() else block[new]
             self.size += len(fresh)
             if self.size > self.cap:
                 raise EnumerationCapExceeded(
@@ -578,7 +639,10 @@ class _Closure:
                 self.blocks.append(fresh)
             else:
                 self.rows[self.filled : end] = fresh
+                fresh = self.rows[self.filled : end]
                 self.filled = end
+            stored.append(fresh)
+        return stored
 
     def _merged(self):
         """The members' rows in the order found, the blocks merged in."""
@@ -625,20 +689,32 @@ class _Closure:
         """Extend the subgroup H found so far, generated by the earlier
         generators, by g (Dimino's algorithm; G. Butler, Fundamental
         Algorithms for Permutation Groups, LNCS 559, 1991): the new
-        subgroup is a union of right cosets H r, each listed as H times r
-        in bulk.  Each representative r times each generator s is one
-        scalar product, and when r s is new the whole coset H r s is,
-        because right cosets of H are equal or disjoint.  Once every such
-        product is a member, the union is closed under right
-        multiplication by the generators, so it is the subgroup."""
+        subgroup is a union of right cosets H r.  Each representative r
+        times each generator s is one scalar product, and when r s is new
+        the whole coset H r s is, because right cosets of H are equal or
+        disjoint.  Once every such product is a member, the union is closed
+        under right multiplication by the generators, so it is the
+        subgroup.
+
+        H g is listed as H times g, and H r s as the rows of H r, read
+        where _absorb stored them, times s: so every right factor is a
+        generator, and in an index-p stage it is g for every coset.  H r
+        is new in full, so its rows are held whole and in the order of H
+        times r, and the rows of H r s come in the order and the chunks of
+        H times r s."""
         subgroup = self._merged()
+        chunks = [
+            subgroup[start : start + SCAN_BLOCK]
+            for start in range(0, len(subgroup), SCAN_BLOCK)
+        ]
+        cosets = {g: self._absorb(chunks, g)}
         reps = [g]
-        self._absorb(subgroup, g)
         for r in reps:
+            coset = cosets.pop(r)
             for s in self.gens:
                 e = self.oracle.mul(r, s)
                 if e not in self.members:
-                    self._absorb(subgroup, e)
+                    cosets[e] = self._absorb(coset, s)
                     reps.append(e)
 
 

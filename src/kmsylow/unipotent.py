@@ -95,8 +95,13 @@ class UnipotentModel:
         for (i, j), entries in self.algebra.structure.items():
             if not entries:
                 continue
-            term = _poly_mul(a[i], b[j], fq)
-            add_scaled(term, fq.neg(1), _poly_mul(a[j], b[i], fq), fq)
+            # a word of weight w is zero below height w, so many factors
+            # are empty and their products need not be formed
+            term = _poly_mul(a[i], b[j], fq) if a[i] and b[j] else {}
+            if a[j] and b[i]:
+                add_scaled(term, fq.neg(1), _poly_mul(a[j], b[i], fq), fq)
+            if not term:
+                continue
             for k, c in entries:
                 add_scaled(out[k], c, term, fq)
         return out

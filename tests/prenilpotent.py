@@ -7,8 +7,13 @@ the roots module's Weyl action and root decision.
 
 from dataclasses import dataclass
 
-from kmsylow.errors import NotRealRoot
+from kmsylow.errors import KmError
 from kmsylow.roots import REAL, height, root_status, simple_reflection
+
+
+class NotRealRoot(KmError):
+    """A root of the pair is not a real root."""
+
 
 TRUE = "true"
 FALSE = "false"

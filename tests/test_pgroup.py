@@ -41,6 +41,7 @@ from kmsylow.pgroup import (
 )
 from kmsylow.unipotent import UnipotentModel, standard_generators
 
+from breadth_first import breadth_first_closure
 from coset_probe import assert_same_index
 from derived_series import derived_subgroup, is_perfect
 
@@ -880,6 +881,147 @@ def test_bulk_hook_folds_long_sums_over_f256():
     keys += [bytes(rng.randrange(256) for _ in range(width)) for _ in range(99)]
     rows = bulk_hook(fq, law.at_y)(key_rows(keys, width), g)
     assert row_keys(rows) == [law(k, g) for k in keys]
+
+
+def _with_zero_columns(keys, zero):
+    """The keys with the coordinates in zero set to 0."""
+    return [bytes(0 if i in zero else a for i, a in enumerate(k)) for k in keys]
+
+
+@pytest.mark.parametrize("q", EVALUATOR_QS)
+@pytest.mark.parametrize("n", [1, 9, SCAN_BLOCK + 1])
+def test_bulk_hook_drops_the_terms_of_zero_columns_as_the_scalar_evaluator(q, n):
+    # blocks with no zero column, some, and all but one, each times two
+    # factors and then the first again: the hook keeps one factor's
+    # polynomials and one plan of live terms, and both must follow the
+    # block and the factor
+    fq = field(q)
+    rng = random.Random(31 * q + n)
+    width = 6
+    law = _random_polynomial_map(rng, fq, width, coordinates=6)
+    hook = bulk_hook(fq, law.at_y)
+    keys = [bytes(rng.randrange(1, q) for _ in range(width)) for _ in range(n)]
+    factors = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(2)]
+    for zero in [(), (1, 4), (0, 2, 3), tuple(range(1, width))]:
+        block = _with_zero_columns(keys, zero)
+        for g in factors + factors[:1]:
+            rows = hook(key_rows(block, width), g)
+            assert row_keys(rows) == [law(k, g) for k in block]
+
+
+@pytest.mark.parametrize("q", [7, 11, 25, 49])
+def test_bulk_hook_folds_lane_sums_before_the_residue_table(q):
+    # every x monomial of degree up to 5 in 4 variables is a term (1 365)
+    # with a code whose digits are all p - 1, so on the all-ones key every
+    # lane would sum to 1 365 (p - 1), past the residue table, and the sum
+    # is folded on the way; a coordinate of 40 terms is not
+    fq = field(q)
+    width = 4
+    every = [
+        xs for degree in range(6) for xs in itertools.product(range(width), repeat=degree)
+    ]
+    rng = random.Random(q)
+    law = PolynomialMap(
+        fq,
+        (
+            tuple((q - 1, xs, ()) for xs in every),
+            tuple((rng.randrange(1, q), xs, (0,)) for xs in every[:40]),
+        ),
+    )
+    g = bytes((1, 2, 3, 4))
+    long, short = map(len, law.at_y(g))
+    assert long * (fq.p - 1) >= pgroup.RESIDUE_SUMS > short * (fq.p - 1)
+    keys = [bytes((1,) * width)]
+    keys += [bytes(rng.randrange(q) for _ in range(width)) for _ in range(99)]
+    rows = bulk_hook(fq, law.at_y)(key_rows(keys, width), g)
+    assert row_keys(rows) == [law(k, g) for k in keys]
+
+
+def test_bulk_hook_specializes_once_for_blocks_times_one_factor():
+    # k blocks times one factor call right_polys once; a new factor calls
+    # it again
+    fq = field(7)
+    rng = random.Random(7)
+    width, k = 4, 3
+    law = _random_polynomial_map(rng, fq, width, coordinates=4)
+    calls = []
+
+    def right_polys(g):
+        calls.append(g)
+        return law.at_y(g)
+
+    hook = bulk_hook(fq, right_polys)
+    keys = [bytes(rng.randrange(7) for _ in range(width)) for _ in range(k * SCAN_BLOCK)]
+    rows = key_rows(keys, width)
+    g = bytes((1, 0, 2, 3))
+    for start in range(0, len(rows), SCAN_BLOCK):
+        hook(rows[start : start + SCAN_BLOCK], g)
+    assert calls == [g]
+    hook(rows[:SCAN_BLOCK], bytes(width))
+    hook(rows[:SCAN_BLOCK], g)
+    assert calls == [g, bytes(width), g]
+
+
+def test_an_index_p_stage_multiplies_by_its_generator_alone():
+    # each coset H g^i is listed from H g^(i-1) times g, so the bulk
+    # products of a p-group closure are by its stages' generators, and
+    # each stage specializes the law once
+    fq = FqConfig(5)
+    plain = AffineMatrixGroup(2, fq, 3).oracle()
+    factors = []
+
+    def mul_many(rows, g):
+        if not factors or factors[-1] != g:
+            factors.append(g)
+        return plain.mul_many(rows, g)
+
+    oracle = dataclasses.replace(plain, mul_many=mul_many)
+    table = closure(sylow_generators(2, fq, 3), oracle, p=5)
+    assert table.order == 5 ** 7
+    assert len(factors) == len(set(factors)) <= 7
+
+
+def _dimino_from_the_subgroup(self, g):
+    """The reference for _Closure._dimino: every new coset H e listed as
+    the rows of H times e, SCAN_BLOCK at a time."""
+    subgroup = self._merged()
+    chunks = [
+        subgroup[start : start + SCAN_BLOCK]
+        for start in range(0, len(subgroup), SCAN_BLOCK)
+    ]
+    self._absorb(chunks, g)
+    reps = [g]
+    for r in reps:
+        for s in self.gens:
+            e = self.oracle.mul(r, s)
+            if e not in self.members:
+                self._absorb(chunks, e)
+                reps.append(e)
+
+
+@pytest.mark.parametrize("given_order", [False, True])
+def test_cosets_listed_from_the_coset_before_as_from_the_subgroup(monkeypatch, given_order):
+    # the (2, 5, 3) Sylow has cosets of up to 5^6 rows, about four blocks,
+    # held in blocks without an order and in the allocated rows with one:
+    # listing H r s as (H r) s gives the elements of breadth-first
+    # enumeration, and the rows, the order and the bulk rows of listing it
+    # as H (r s)
+    fq = FqConfig(5)
+    gens = sylow_generators(2, fq, 3)
+    order = 5 ** 7 if given_order else None
+    tables, bulk_rows = [], []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(pgroup._Closure, "_dimino", _dimino_from_the_subgroup)
+        products, rows = [0], [0]
+        oracle = counting_oracle(AffineMatrixGroup(2, fq, 3).oracle(), products, rows)
+        tables.append(closure(gens, oracle, p=5, order=order))
+        bulk_rows.append(rows[0])
+    listed, reference = tables
+    assert listed.order == 5 ** 7 and bulk_rows[0] == bulk_rows[1] < 5 ** 7
+    assert np.array_equal(listed.rows, reference.rows)
+    oracle = AffineMatrixGroup(2, fq, 3).oracle()
+    assert set(listed.elements) == set(breadth_first_closure(gens, oracle))
 
 
 def _bch_oracle():

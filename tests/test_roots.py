@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kmsylow.errors import NotRealRoot, UnknownLabel, ZeroVector
+from kmsylow.errors import UnknownLabel, ZeroVector
 from kmsylow.gcm import validate_gcm
 from kmsylow.roots import (
     IMAGINARY,
@@ -20,7 +20,7 @@ from kmsylow.roots import (
     simple_root,
     weyl_apply,
 )
-from prenilpotent import FALSE, NOT_DECIDED, TRUE, is_prenilpotent_pair
+from prenilpotent import FALSE, NOT_DECIDED, TRUE, NotRealRoot, is_prenilpotent_pair
 from root_simplex import simplex_roots
 
 A2 = validate_gcm([[2, -1], [-1, 2]])
