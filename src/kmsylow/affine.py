@@ -24,7 +24,6 @@ from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
-    FiniteGroupTable,
     PolynomialMap,
     _log_exact,
     _power,
@@ -73,9 +72,10 @@ class AffineMatrixGroup:
 
     def subtable(self, table, predicate):
         """Members of an enumerated table whose matrices pass predicate, a
-        map from an (n, m, m, k) stack to a mask."""
-        rows = table.rows[predicate(self.stack(table))]
-        return FiniteGroupTable(table.oracle, (), rows, p=table.p)
+        map from an (n, m, m, k) stack to a mask, answering membership
+        through the table (FiniteGroupTable.subtable)."""
+        m, k = self.m, self.k
+        return table.subtable(lambda rows: predicate(rows.reshape(-1, m, m, k)))
 
 
 @lru_cache(maxsize=None)

@@ -138,11 +138,6 @@ def connected_components(gcm):
     return [tuple(gcm.labels[i] for i in b) for b in blocks]
 
 
-def is_indecomposable(gcm):
-    """True iff the diagram graph on the label set is connected."""
-    return len(connected_components(gcm)) == 1
-
-
 def _classify_block(rows, idx):
     """finite/affine/indefinite tag of one indecomposable block, by principal minors."""
     n = len(idx)

@@ -29,21 +29,17 @@ generated by a set is already a subgroup, so inverses never need to be
 multiplied in.  A closure adds its generators one at a time, each by one
 stage of Dimino's algorithm, which lists each new coset of the subgroup
 found so far with one bulk right multiplication, SCAN_BLOCK rows at a
-time: the first coset from the subgroup, and each later one from the
-coset before it, times a generator.  In a p-group (the caller passes p) a
-generator's p-th power and commutators are added first, so every stage
-has index p, each element is formed by exactly one bulk product, and
-every bulk product of a stage is by its generator.  subgroup_index runs the same
-stages over the right cosets of a subgroup, so each coset but the
-identity's is listed by one bulk product, and only a product that misses
-its own coset is probed against every coset found.  A closure records its
-members in a bitmap with one bit per code vector when the oracle names q
-and q^width is at most BITMAP_CODES, in a hash table of int64 codes while
-q^width is at most 2^63, and in a set of keys otherwise; given the
-subgroup's order, its rows and hash table are allocated once at their
-final size.  A model that also supplies a leading-term map for a central
-filtration gets exact subgroup orders from the layered engine, which lists
-no elements and so has no cap.
+time, from the coset before it times a generator; in a p-group (the
+caller passes p) every stage has index p.  subgroup_index runs the same
+stages over the right cosets of a subgroup.
+
+Every table answers membership through one structure: `in` for a key and
+marked for a block of rows.  A closure keeps the code bitmap, hash table
+of codes or set of keys it filled (_membership), and a subtable answers
+through the table it was filtered from, so coset probes and the filtration
+and Tits checks test a block of bulk products at once.  A model that also
+supplies a leading-term map for a central filtration gets exact subgroup
+orders from the layered engine, which lists no elements and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -330,28 +326,24 @@ def _mul_rows(oracle, rows, g):
     return key_rows([mul(k, g) for k in row_keys(rows)], len(g))
 
 
-def _bulk(oracle, keys, g):
-    """_mul_rows for a list of keys, returning keys."""
-    return row_keys(_mul_rows(oracle, key_rows(keys, len(g)), g))
-
-
 class FiniteGroupTable:
     """An enumerated subgroup over an oracle, its elements held as rows, an
     (order, width) uint8 array with one key's bytes a row.  elements, the
     keys as a tuple, is built on first read.
 
-    members, when given, answers membership tests: a closure passes the
-    membership structure it filled.  Without it the table answers from
-    element_set, the elements as a set, which is built on first use unless
-    members already holds one; the caller must not change members
-    afterwards."""
+    members is its one membership structure: `key in members`, and
+    members.marked(rows), a mask, for a block of rows.  A closure passes the
+    structure it filled, and subtable one that answers through this table;
+    a table given none, as tests build them, marks its rows in a new one."""
 
-    def __init__(self, oracle, generators, rows, p=None, members=None):
+    def __init__(self, oracle, generators, rows, members=None):
         self.oracle = oracle
         self.generators = tuple(generators)
         self.rows = rows
-        self.p = p
-        self._members = members
+        if members is None:
+            members = _membership(oracle, len(rows))
+            members.take_new(rows)
+        self.members = members
 
     @property
     def order(self):
@@ -361,20 +353,29 @@ class FiniteGroupTable:
     def elements(self):
         return tuple(row_keys(self.rows))
 
-    @cached_property
-    def element_set(self):
-        if isinstance(self._members, _KeySet):
-            return self._members.set
-        return frozenset(self.elements)
-
-    @property
-    def members(self):
-        """The table's membership structure: a set, a _KeySet, a
-        _CodeBitmap or a _CodeHash, each with `in` and isdisjoint."""
-        return self.element_set if self._members is None else self._members
-
     def __contains__(self, key):
         return key in self.members
+
+    def subtable(self, predicate):
+        """The members whose rows pass predicate, a map from (n, width) rows
+        to a mask, as a table that lists no generators and answers
+        membership through this one: no new structure is filled."""
+        rows = self.rows[predicate(self.rows)]
+        return FiniteGroupTable(self.oracle, (), rows, _Filtered(self.members, predicate))
+
+
+class _Filtered:
+    """Membership in the members of a structure whose rows pass predicate,
+    a map from (n, width) rows to a mask; a key is a block of one row."""
+
+    def __init__(self, members, predicate):
+        self.members, self.predicate = members, predicate
+
+    def marked(self, rows):
+        return self.members.marked(rows) & self.predicate(rows)
+
+    def __contains__(self, key):
+        return bool(self.marked(key_rows([key], len(key)))[0])
 
 
 class _KeySet:
@@ -389,13 +390,13 @@ class _KeySet:
         """A mask of the rows not yet members, now made members.  The rows
         must be distinct."""
         keys = row_keys(rows)
-        members = self.set
-        new = np.fromiter((k not in members for k in keys), bool, len(keys))
-        members.update(compress(keys, new))
+        new = ~np.fromiter(map(self.set.__contains__, keys), bool, len(keys))
+        self.set.update(compress(keys, new))
         return new
 
-    def isdisjoint(self, keys):
-        return self.set.isdisjoint(keys)
+    def marked(self, rows):
+        """A mask of the rows that are members."""
+        return np.fromiter(map(self.set.__contains__, row_keys(rows)), bool, len(rows))
 
     def __contains__(self, key):
         return key in self.set
@@ -417,17 +418,14 @@ class _Codes:
         self.weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
         self._weights = self.weights.tolist()
 
-    def _codes(self, keys):
-        return key_rows(keys, self.width) @ self.weights
-
     def take_new(self, rows):
         """A mask of the rows not yet members, now made members.  The rows
         must be distinct."""
-        return self._take_codes(rows @ self.weights)
+        return self._take(rows @ self.weights)
 
-    def isdisjoint(self, keys):
-        """True iff none of a list of keys is a member."""
-        return not self._marked(self._codes(keys)).any()
+    def marked(self, rows):
+        """A mask of the rows that are members."""
+        return self._marked(rows @ self.weights)
 
     def __contains__(self, key):
         return self._holds(sum(map(mul, key, self._weights)))
@@ -444,7 +442,7 @@ class _CodeBitmap(_Codes):
     def _marked(self, codes):
         return (self.bits[codes >> 3] >> (codes & 7).astype(np.uint8)) & 1 == 1
 
-    def _take_codes(self, codes):
+    def _take(self, codes):
         new = ~self._marked(codes)
         codes = codes[new]
         np.bitwise_or.at(
@@ -556,7 +554,7 @@ class _CodeHash(_Codes):
     def _marked(self, codes):
         return self.slots.take(self._probe(codes, self._home(codes))) == codes
 
-    def _take_codes(self, codes):
+    def _take(self, codes):
         at = self._probe(codes, self._home(codes))
         new = self.slots.take(at) != codes
         fresh = codes[new]
@@ -657,9 +655,7 @@ class _Closure:
         closure's membership structure."""
         rows = self._merged()
         self.rows = None
-        return FiniteGroupTable(
-            self.oracle, generators, rows, p=self.p, members=self.members
-        )
+        return FiniteGroupTable(self.oracle, generators, rows, members=self.members)
 
     def add(self, g, nesting=0):
         """Add g by one Dimino stage; g already a member costs no product.
@@ -877,6 +873,7 @@ def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
             f"of order {sub.order} lists none"
         )
     members = sub.members
+    width = len(oracle.identity)
     reps = [oracle.identity]
     gens = list(sub.generators)
 
@@ -884,18 +881,19 @@ def subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP, order=None):
         """True iff e lies in a listed coset, r's (r_inv is r^-1) or any."""
         if oracle.mul(e, r_inv) in members:
             return True
-        return not members.isdisjoint(_bulk(oracle, reps, oracle.inv(e)))
+        probes = _mul_rows(oracle, key_rows(reps, width), oracle.inv(e))
+        return members.marked(probes).any()
 
     def list_coset(subgroup, r):
         if len(reps) + len(subgroup) > cap:
             raise EnumerationCapExceeded(f"coset count exceeded the cap of {cap}")
-        reps.extend(_bulk(oracle, subgroup, r))
+        reps.extend(row_keys(_mul_rows(oracle, subgroup, r)))
 
     for g in group_generators:
         if listed(g, oracle.identity):
             continue
         gens.append(g)
-        subgroup = list(reps)
+        subgroup = key_rows(reps, width)
         list_coset(subgroup, g)
         cosets = [g]
         for r in cosets:
@@ -939,12 +937,13 @@ def frattini_index(
     return phi, subgroup_index(phi, gens, oracle, cap=cap, order=order)
 
 
-def _conjugates_inside(oracle, conjugators, members, target):
-    """True iff c x c^-1 lies in target for every conjugator c and member
-    x; each conjugator is inverted once."""
+def _conjugates_inside(oracle, conjugators, K):
+    """True iff c x c^-1 lies in the table K for every conjugator c and
+    member x of K: each c x is one scalar product, and the c x of one
+    conjugator times c^-1 one bulk product."""
     for c in conjugators:
-        c_inv = oracle.inv(c)
-        if not all(oracle.mul(oracle.mul(c, x), c_inv) in target for x in members):
+        left = key_rows([oracle.mul(c, x) for x in K.elements], len(c))
+        if not K.members.marked(_mul_rows(oracle, left, oracle.inv(c))).all():
             return False
     return True
 
@@ -956,41 +955,50 @@ def check_filtration_lemma(G, chain, V):
     enumerated subgroup.  Reports, for each i, whether K_i lies in V.K_{i+1}
     (tested as: some k' in K_{i+1} has k k'^-1 in V), whether the chain
     members are normal in G, and, when every inclusion holds, whether the
-    conclusion K_1 subset of V holds.
+    conclusion K_1 subset of V holds.  The rows of K_i not yet found in
+    V.k' are multiplied by k'^-1 in one bulk product per k'.
     """
     oracle = G.oracle
     if len(chain) < 1:
         raise ChainNotNested("chain must contain at least one subgroup")
     for a, b in zip(chain, chain[1:]):
-        if not b.element_set <= a.element_set:
+        if not a.members.marked(b.rows).all():
             raise ChainNotNested("chain members are not nested")
-    if chain[-1].element_set != {oracle.identity}:
+    if chain[-1].order != 1 or oracle.identity not in chain[-1]:
         raise ChainNotNested("chain must end at the trivial subgroup")
 
-    normal = [
-        _conjugates_inside(oracle, G.generators, K.elements, K.element_set)
-        for K in chain
-    ]
+    normal = [_conjugates_inside(oracle, G.generators, K) for K in chain]
 
     inclusions = []
     for K, K_next in zip(chain, chain[1:]):
-        next_inverses = [oracle.inv(kp) for kp in K_next.elements]
-        ok = all(
-            any(oracle.mul(k, kp_inv) in V.element_set for kp_inv in next_inverses)
-            for k in K.elements
-        )
-        inclusions.append(ok)
+        pending = K.rows
+        for kp in K_next.elements:
+            if not len(pending):
+                break
+            inside = V.members.marked(_mul_rows(oracle, pending, oracle.inv(kp)))
+            pending = pending[~inside]
+        inclusions.append(not len(pending))
 
     hypothesis = all(inclusions)
-    conclusion = None
-    if hypothesis:
-        conclusion = chain[0].element_set <= V.element_set
+    conclusion = bool(V.members.marked(chain[0].rows).all()) if hypothesis else None
     return {
         "normal": normal,
         "inclusions": inclusions,
         "hypothesis_holds": hypothesis,
         "conclusion_holds": conclusion,
     }
+
+
+def _double_coset(oracle, B, n):
+    """B n B as a set of keys: the union of the right cosets B n b, each
+    listed as B times n b only when n b is not yet in the union, since
+    right cosets of B are equal or disjoint; so each is listed once."""
+    out = set()
+    for b in B.elements:
+        x = oracle.mul(n, b)
+        if x not in out:
+            out.update(row_keys(_mul_rows(oracle, B.rows, x)))
+    return out
 
 
 def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
@@ -1002,23 +1010,21 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
     s B w lies in BwB union BswB.  T4: no s normalizes B into itself.
     The s_reps lie in N.  W is never formed as a set of cosets: generation
     is one closure, and the double cosets, s B w and s B s are formed by
-    bulk right-multiplication.
+    bulk right-multiplication; the torus B cap N is N filtered by B.
     """
     oracle = G.oracle
-    b_set = B.element_set
-    torus = [k for k in N.elements if k in b_set]
-    t_set = frozenset(torus)
+    T = N.subtable(B.members.marked)
 
-    gen_union = closure(tuple(B.elements) + tuple(N.elements), oracle, cap=cap)
-    t1 = gen_union.order == G.order and _conjugates_inside(
-        oracle, N.elements, t_set, t_set
-    )
+    gen_union = closure(B.elements + N.elements, oracle, cap=cap)
+    t1 = gen_union.order == G.order and _conjugates_inside(oracle, N.elements, T)
 
     # T is normal in N (T1), so the images of s_reps generate W = N/T
     # exactly when T and s_reps generate N
-    generated = closure(torus + list(s_reps), oracle, cap=cap)
-    t2 = generated.element_set == N.element_set and all(
-        s not in t_set and oracle.mul(s, s) in t_set for s in s_reps
+    generated = closure(T.elements + tuple(s_reps), oracle, cap=cap)
+    t2 = (
+        generated.order == N.order
+        and bool(N.members.marked(generated.rows).all())
+        and all(s not in T and oracle.mul(s, s) in T for s in s_reps)
     )
 
     # one representative n_w per coset T n, in the order of N
@@ -1026,26 +1032,25 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
     for n in N.elements:
         if n not in seen:
             reps.append(n)
-            seen.update(_bulk(oracle, torus, n))
+            seen.update(row_keys(_mul_rows(oracle, T.rows, n)))
 
-    b_elems = list(B.elements)
-    double_cosets = []
-    for n_w in reps:
-        bn = _bulk(oracle, b_elems, n_w)
-        double_cosets.append({x for b in b_elems for x in _bulk(oracle, bn, b)})
+    double_cosets = [_double_coset(oracle, B, n_w) for n_w in reps]
     # double cosets are equal or disjoint, so this maps each covered element
     # to the one double coset holding it
     holder = {x: dc for dc in double_cosets for x in dc}
 
-    s_cosets = [(s, [oracle.mul(s, b) for b in b_elems]) for s in s_reps]
+    s_cosets = [
+        (s, key_rows([oracle.mul(s, b) for b in B.elements], len(s))) for s in s_reps
+    ]
     t3 = all(
-        set(_bulk(oracle, s_b, n_w)) <= dc | holder[oracle.mul(s, n_w)]
+        set(row_keys(_mul_rows(oracle, s_b, n_w))) <= dc | holder[oracle.mul(s, n_w)]
         for s, s_b in s_cosets
         for n_w, dc in zip(reps, double_cosets)
     )
-    t4 = all(not b_set.issuperset(_bulk(oracle, s_b, s)) for s, s_b in s_cosets)
+    t4 = all(not B.members.marked(_mul_rows(oracle, s_b, s)).all() for s, s_b in s_cosets)
 
     union_size = sum(len(dc) for dc in double_cosets)
-    bruhat = holder.keys() == G.element_set and union_size == G.order
+    covered = G.members.marked(key_rows(list(holder), len(oracle.identity)))
+    bruhat = len(holder) == union_size == G.order and bool(covered.all())
 
     return {"T1": t1, "T2": t2, "T3": t3, "T4": t4, "bruhat_partition": bruhat}

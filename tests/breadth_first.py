@@ -9,11 +9,13 @@ from kmsylow.errors import EnumerationCapExceeded
 from kmsylow.pgroup import (
     DEFAULT_CAP,
     SCAN_BLOCK,
-    _bulk,
+    _mul_rows,
     _power,
     closure,
     generator_commutators,
+    key_rows,
     normal_closure,
+    row_keys,
 )
 
 
@@ -31,7 +33,8 @@ class BreadthFirstClosure:
     def _absorb(self, keys, g):
         novel = []
         for start in range(0, len(keys), SCAN_BLOCK):
-            block = _bulk(self.oracle, keys[start : start + SCAN_BLOCK], g)
+            chunk = key_rows(keys[start : start + SCAN_BLOCK], len(g))
+            block = row_keys(_mul_rows(self.oracle, chunk, g))
             fresh = [k for k in block if k not in self.members]
             self.members.update(fresh)
             if len(self.order) + len(fresh) > self.cap:

@@ -9,7 +9,7 @@ only the bulk entry point and the cap's message."""
 import pytest
 
 from kmsylow.errors import EnumerationCapExceeded
-from kmsylow.pgroup import DEFAULT_CAP, _bulk, subgroup_index
+from kmsylow.pgroup import DEFAULT_CAP, _mul_rows, key_rows, subgroup_index
 
 PROBE_LIMIT = 625  # the largest index compared: the probe takes about a second
 
@@ -19,6 +19,7 @@ def probe_subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP):
     generate: a candidate r g is a new coset unless x (r g)^-1 lies in sub
     for some representative x found so far."""
     members = sub.members
+    width = len(oracle.identity)
     reps = [oracle.identity]
     frontier = [oracle.identity]
     while frontier:
@@ -28,8 +29,8 @@ def probe_subgroup_index(sub, group_generators, oracle, cap=DEFAULT_CAP):
                 cand = oracle.mul(r, g)
                 if cand in members:
                     continue
-                probes = _bulk(oracle, reps, oracle.inv(cand))
-                if not members.isdisjoint(probes):
+                probes = _mul_rows(oracle, key_rows(reps, width), oracle.inv(cand))
+                if members.marked(probes).any():
                     continue
                 if len(reps) >= cap:
                     raise EnumerationCapExceeded(
@@ -65,8 +66,8 @@ def assert_same_indices(subgroups, group_generators, oracle, order):
     compared = set()
     for sub in subgroups:
         index = order // sub.order
-        if index > PROBE_LIMIT or sub.element_set in compared:
+        if index > PROBE_LIMIT or frozenset(sub.elements) in compared:
             continue
-        compared.add(sub.element_set)
+        compared.add(frozenset(sub.elements))
         assert assert_same_index(sub, group_generators, oracle) == index
     return len(compared)

@@ -42,7 +42,7 @@ def enumerations(oracle, gens, p, order=None):
         G = closure(gens, oracle, p=p)
         order = G.order
         out["closure"] = G.elements
-        out["frattini_quotient_dimension"] = frattini_quotient_dimension(G)
+        out["frattini_quotient_dimension"] = frattini_quotient_dimension(G, p)
     # a third commutator, whose normal closure is not the Frattini subgroup
     seeds = [commutator(oracle, commutator(oracle, gens[0], gens[1]), gens[0])]
     line = closure(gens[:1], oracle)

@@ -131,15 +131,15 @@ def frattini_dimension_of(elements, oracle, p):
         if key not in table:
             gens.append(key)
             table = closure(gens, oracle, p=p)
-    assert table.element_set == set(elements), "the keys are not a group"
-    return frattini_quotient_dimension(table)
+    assert frozenset(table.elements) == set(elements), "the keys are not a group"
+    return frattini_quotient_dimension(table, p)
 
 
-def frattini_quotient_dimension(G):
-    """log_p |G / Phi(G)| for an enumerated p-group table G that carries
-    its prime: Phi(G) is listed as the normal closure of the generator
-    commutators and p-th powers, and its order divides |G|."""
-    oracle, gens, p = G.oracle, G.generators, G.p
+def frattini_quotient_dimension(G, p):
+    """log_p |G / Phi(G)| for an enumerated p-group table G: Phi(G) is
+    listed as the normal closure of the generator commutators and p-th
+    powers, and its order divides |G|."""
+    oracle, gens = G.oracle, G.generators
     seeds = generator_commutators(oracle, gens) + [_power(oracle, g, p) for g in gens]
     phi = normal_closure(seeds, gens, oracle, p=p)
     assert G.order % phi.order == 0, "Frattini order does not divide |G|"

@@ -47,6 +47,7 @@ from kmsylow.pgroup import (
 from breadth_first import assert_closures_agree
 from coset_probe import assert_same_indices
 from derived_series import derived_subgroup
+from filtration_scan import assert_filtration_reports_agree
 from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
@@ -324,7 +325,7 @@ def test_dimino_and_probe_coset_counts_agree(m, q, k):
     oracle = AffineMatrixGroup(m, fq, k).oracle()
     gens = sylow_generators(m, fq, k)
     G = closure(gens, oracle, p=fq.p)
-    subgroups = [frattini_index(gens, oracle, fq.p)[0], derived_subgroup(G)]
+    subgroups = [frattini_index(gens, oracle, fq.p)[0], derived_subgroup(G, fq.p)]
     subgroups += [closure(gens[:1], oracle), closure(gens[::2], oracle)]
     assert assert_same_indices(subgroups, gens, oracle, G.order) >= 1
 
@@ -338,7 +339,7 @@ def test_frattini_count_matches_table_division(m, q, k):
     sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
     phi, index = sylow.frattini
     G = sylow_table(sylow)
-    assert index == fq.p ** frattini_quotient_dimension(G)
+    assert index == fq.p ** frattini_quotient_dimension(G, fq.p)
     assert phi.order == G.order // index
     assert (phi.order * index == sylow.order) is verify_generation(sylow)
 
@@ -427,17 +428,17 @@ def test_congruence_chain():
         for key in K.elements:
             for g in table.generators:
                 conj = oracle.mul(oracle.mul(g, key), oracle.inv(g))
-                assert conj in K.element_set
+                assert conj in K
     # successive quotients are elementary abelian
     for K, K_next in zip(chain, chain[1:]):
         sample = K.elements[:30]
         for a in sample:
             for b in sample:
-                assert commutator(oracle, a, b) in K_next.element_set
+                assert commutator(oracle, a, b) in K_next
             powed = a
             for _ in range(2):
                 powed = oracle.mul(powed, a)
-            assert powed in K_next.element_set
+            assert powed in K_next
 
 
 def test_scans_across_block_boundaries():
@@ -471,7 +472,7 @@ def test_filtration_lemma_on_congruence_chain():
     for k in (2, 3):
         sylow = IwahoriSylow(2, F3, k, DEFAULT_CAP)
         table = sylow.table
-        V = derived_subgroup(table)
+        V = derived_subgroup(table, 3)
         chain = [congruence_subgroup(sylow, i) for i in range(2, k + 1)]
         if not chain:
             continue
@@ -479,6 +480,34 @@ def test_filtration_lemma_on_congruence_chain():
         assert all(report["normal"])
         if report["hypothesis_holds"]:
             assert report["conclusion_holds"]
+
+
+# (m, q, k) of every filtration instance of the tests and campaigns
+FILTRATIONS = [(2, 3, 2), (2, 3, 3), (2, 3, 4), (2, 5, 3)]
+
+
+@pytest.mark.parametrize("m,q,k", FILTRATIONS)
+def test_filtration_lemma_agrees_with_the_scalar_scan(m, q, k):
+    # V as the campaigns take it (Phi), as the tests take it (the derived
+    # subgroup), the closure of one generator, which holds no congruence
+    # subgroup, and the trivial group; and the chain from K_2, as both take
+    # it, and on the smaller Sylows from K_1, which does not lie in Phi
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    table, oracle = sylow.table, sylow.group.oracle()
+    subgroups = [
+        sylow.frattini[0],
+        derived_subgroup(table, fq.p),
+        closure(table.generators[:1], oracle),
+        closure([], oracle),
+    ]
+    chain = [congruence_subgroup(sylow, i) for i in range(1, k + 1)]
+    verdicts = set()
+    for V in subgroups:
+        for start in (0, 1) if sylow.order <= 3 ** 7 else (1,):
+            report = assert_filtration_reports_agree(table, chain[start:], V)
+            verdicts.add(report["hypothesis_holds"])
+    assert verdicts == {True, False}
 
 
 def _reduce(big, small, keys):

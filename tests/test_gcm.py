@@ -20,7 +20,6 @@ from kmsylow.gcm import (
     classify,
     connected_components,
     det_int,
-    is_indecomposable,
     validate_gcm,
 )
 
@@ -196,7 +195,7 @@ def test_components_and_indecomposability():
         [0, 0, 2],
     ]
     gcm = validate_gcm(rows)
-    assert not is_indecomposable(gcm)
+    assert not classify(gcm).is_indecomposable
     assert connected_components(gcm) == [(1, 2), (3,)]
     typ = classify(gcm)
     assert typ.tag == FINITE

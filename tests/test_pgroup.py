@@ -44,6 +44,7 @@ from kmsylow.unipotent import UnipotentModel, standard_generators
 from breadth_first import breadth_first_closure
 from coset_probe import assert_same_index
 from derived_series import derived_subgroup, is_perfect
+from filtration_scan import assert_filtration_reports_agree
 
 
 def vector_oracle(p, d):
@@ -295,15 +296,17 @@ def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
     assert type(table.members).__name__ == path
     assert table.elements == (bytes(width), ones)
     assert ones in table and top not in table
-    assert table.members.isdisjoint([top])
-    assert not table.members.isdisjoint([top, ones])
+    assert not table.members.marked(key_rows([top], width)).any()
+    assert table.members.marked(key_rows([top, ones], width)).tolist() == [False, True]
 
 
 def test_bitmap_codes_are_exact_at_the_limit():
     keys = [bytes([1]) * 26, bytes(25) + bytes([1]), bytes([1]) + bytes(25)]
     # the first coordinate is the most significant
-    assert _CodeBitmap(2, 26)._codes(keys).tolist() == [2 ** 26 - 1, 1, 2 ** 25]
-    assert _CodeBitmap(256, 3)._codes([bytes([255]) * 3]).tolist() == [2 ** 24 - 1]
+    codes = key_rows(keys, 26) @ _CodeBitmap(2, 26).weights
+    assert codes.tolist() == [2 ** 26 - 1, 1, 2 ** 25]
+    codes = key_rows([bytes([255]) * 3], 3) @ _CodeBitmap(256, 3).weights
+    assert codes.tolist() == [2 ** 24 - 1]
 
 
 def _code_rows(codes):
@@ -353,7 +356,9 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
         block = list(dict.fromkeys(block))
         rng.shuffle(block)
         strangers = [rng.getrandbits(63) for _ in range(50)]
-        assert table.isdisjoint(_code_keys(strangers)) is members.isdisjoint(strangers)
+        assert table.marked(_code_rows(strangers)).tolist() == [
+            c in members for c in strangers
+        ]
         assert table.take_new(_code_rows(block)).tolist() == [
             c not in members for c in block
         ]
@@ -369,7 +374,9 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
             assert [k in table for k in _code_keys(probes)] == [
                 c in members for c in probes
             ]
-        assert not table.isdisjoint(_code_keys(strangers[:5] + probes[:1]))
+        mixed = strangers[:5] + probes[:1]
+        marked = table.marked(_code_rows(mixed))
+        assert marked.any() and marked.tolist() == [c in members for c in mixed]
     assert wrapped and len(table.slots) == 2 ** (bits + 5)
     assert _code_keys([2 ** 63 - 1])[0] in table
     assert bytes(63) in table
@@ -433,6 +440,33 @@ def _vector_case():
     sizes = []
     oracle = dataclasses.replace(bulk_vector_oracle(3, 9, sizes), q=3)
     return oracle, [bytes(int(i == j) for j in range(9)) for i in range(9)], 3, sizes
+
+
+@pytest.mark.parametrize("path", ["_CodeBitmap", "_CodeHash", "_KeySet", "_Filtered"])
+def test_marked_agrees_with_in(monkeypatch, path):
+    # member rows, non-member rows and an empty block, through each
+    # structure a table answers from; a subtable answers through the table
+    # it was filtered from, here for the members whose first coordinate is
+    # 0.  A table built with no structure marks its rows in a new one
+    oracle, gens, p, _ = _vector_case()
+    filtered = path == "_Filtered"
+    oracle = _membership_path(oracle, "_CodeBitmap" if filtered else path, monkeypatch)
+    table = closure(gens[:4], oracle, p=p)
+    if filtered:
+        table = table.subtable(lambda rows: rows[:, 0] == 0)
+    assert type(table.members).__name__ == path
+    assert table.order == (27 if filtered else 81)
+    rng = random.Random(5)
+    keys = list(closure(gens[:4], oracle).elements)
+    keys += [bytes(rng.randrange(3) for _ in range(9)) for _ in range(200)]
+    want = [k in frozenset(table.elements) for k in keys]
+    assert 0 < sum(want) < len(keys)
+    bare = FiniteGroupTable(oracle, (), table.rows)
+    for members in (table.members, bare.members):
+        assert [k in members for k in keys] == want
+        assert members.marked(key_rows(keys, 9)).tolist() == want
+        empty = members.marked(np.zeros((0, 9), dtype=np.uint8))
+        assert empty.shape == (0,) and empty.dtype == bool
 
 
 @pytest.mark.parametrize("path", ["_CodeBitmap", "_CodeHash", "_KeySet"])
@@ -509,7 +543,7 @@ def test_theorem1_leaves_the_frattini_keys_unbuilt(monkeypatch):
     tables.append(sylow.frattini[0])
     for phi in tables:
         assert phi.order > 1
-        assert "elements" not in vars(phi) and "element_set" not in vars(phi)
+        assert "elements" not in vars(phi)
 
 
 def test_frattini_listing_peaks_under_32_mib():
@@ -541,12 +575,12 @@ def test_normal_closure_of_transposition_in_s3():
 def test_derived_subgroups():
     oracle = vector_oracle(5, 3)
     table = closure([bytes((1, 0, 0)), bytes((0, 1, 0)), bytes((0, 0, 1))], oracle, p=5)
-    assert derived_subgroup(table).order == 1
+    assert derived_subgroup(table, 5).order == 1
 
     h = heisenberg_oracle(5)
     table = closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h, p=5)
     assert table.order == 125
-    derived = derived_subgroup(table)
+    derived = derived_subgroup(table, 5)
     assert derived.order == 5
     assert set(derived.elements) == {bytes((0, 0, c)) for c in range(5)}
 
@@ -559,14 +593,14 @@ def test_derived_subgroup_is_normal_and_quotient_abelian():
     h = heisenberg_oracle(3)
     gens = [bytes((1, 0, 0)), bytes((0, 1, 0))]
     table = closure(gens, h, p=3)
-    derived = derived_subgroup(table)
+    derived = derived_subgroup(table, 3)
     for g in table.elements:
         for d in derived.elements:
-            assert h.mul(h.mul(g, d), h.inv(g)) in derived.element_set
+            assert h.mul(h.mul(g, d), h.inv(g)) in derived
     # commutator of any two elements lands in the derived subgroup
     for a in table.elements:
         for b in table.elements:
-            assert commutator(h, a, b) in derived.element_set
+            assert commutator(h, a, b) in derived
 
 
 def test_frattini_dimensions():
@@ -591,9 +625,9 @@ def test_frattini_subgroup_is_derived_when_generator_powers_vanish():
     G = closure(gens, oracle, p=3)
     phi, index = frattini_index(gens, oracle, 3)
     assert (phi.order, index) == (3, 9)
-    assert derived_subgroup(G).elements == phi.elements
+    assert derived_subgroup(G, 3).elements == phi.elements
     with pytest.raises(EnumerationCapExceeded):
-        derived_subgroup(G, cap=2)
+        derived_subgroup(G, 3, cap=2)
     with pytest.raises(EnumerationCapExceeded):
         frattini_index(gens, oracle, 3, cap=2)
 
@@ -637,7 +671,7 @@ def test_subgroup_index():
 
 
 class _Probed:
-    """A membership structure that keeps each list of keys tested at once."""
+    """A membership structure that keeps each block of rows tested at once."""
 
     def __init__(self, members):
         self.members = members
@@ -646,9 +680,9 @@ class _Probed:
     def __contains__(self, key):
         return key in self.members
 
-    def isdisjoint(self, keys):
-        self.probed.append(keys)
-        return self.members.isdisjoint(keys)
+    def marked(self, rows):
+        self.probed.append(rows)
+        return self.members.marked(rows)
 
 
 def test_coset_count_lists_each_coset_once(monkeypatch):
@@ -665,16 +699,16 @@ def test_coset_count_lists_each_coset_once(monkeypatch):
     phi = normal_closure(generator_commutators(plain, gens), gens, plain, p=5)
     assert phi.order == 5 ** 6
     probed = _Probed(phi.members)
-    sub = FiniteGroupTable(plain, phi.generators, phi.rows, p=5, members=probed)
+    sub = FiniteGroupTable(plain, phi.generators, phi.rows, members=probed)
 
     bulk_rows = [0]
-    real_bulk = pgroup._bulk
+    real_mul_rows = pgroup._mul_rows
 
-    def counted_bulk(oracle, keys, g):
-        bulk_rows[0] += len(keys)
-        return real_bulk(oracle, keys, g)
+    def counted_mul_rows(oracle, rows, g):
+        bulk_rows[0] += len(rows)
+        return real_mul_rows(oracle, rows, g)
 
-    monkeypatch.setattr(pgroup, "_bulk", counted_bulk)
+    monkeypatch.setattr(pgroup, "_mul_rows", counted_mul_rows)
     products = [0]
     assert subgroup_index(sub, gens, counting_oracle(plain, products)) == 625
     listing = bulk_rows[0] - sum(map(len, probed.probed))
@@ -708,9 +742,9 @@ def test_is_perfect():
     trivial = closure([], vector_oracle(2, 1))
     assert is_perfect(trivial)
     z5 = closure([bytes([1])], cyclic_oracle(5), p=5)
-    assert not is_perfect(z5)
+    assert not is_perfect(z5, 5)
     h = heisenberg_oracle(3)
-    assert not is_perfect(closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h, p=3))
+    assert not is_perfect(closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h, p=3), 3)
 
 
 def test_filtration_lemma_positive_cases():
@@ -757,20 +791,52 @@ def test_filtration_lemma_chain_validation():
         check_filtration_lemma(G, [G, A], G)
 
 
+def _hand_built_chains():
+    """(G, chain, V) for each chain built by hand above, one with K_1 in
+    V.K_2 but not in V, so that the inclusion test needs more than k' = 1,
+    and the chains that are refused."""
+    v3 = vector_oracle(3, 3)
+    e1, e2, e3 = bytes((1, 0, 0)), bytes((0, 1, 0)), bytes((0, 0, 1))
+    G3 = closure([e1, e2, e3], v3, p=3)
+    chain3 = [closure([e2, e3], v3), closure([e3], v3), closure([], v3)]
+    v2 = vector_oracle(3, 2)
+    f1, f2 = bytes((1, 0)), bytes((0, 1))
+    G2 = closure([f1, f2], v2, p=3)
+    A, B, trivial = closure([f1], v2), closure([f2], v2), closure([], v2)
+    return [
+        (G3, chain3, G3),
+        (G3, chain3, closure([e2, e3], v3)),
+        (G3, chain3, closure([e2], v3)),
+        (G3, chain3, closure([], v3)),
+        (G2, [A, trivial], B),
+        (G2, [A, B], G2),
+        (G2, [G2, A], G2),
+        (G2, [], G2),
+    ]
+
+
+def test_filtration_lemma_agrees_with_the_scalar_scan():
+    reports = [assert_filtration_reports_agree(*case) for case in _hand_built_chains()]
+    assert reports[2]["inclusions"] == [True, False]
+    assert reports[2]["conclusion_holds"] is None
+    assert reports[3]["inclusions"] == [False, False]
+    assert reports[-3:] == [None] * 3
+
+
 def test_characteristic_subgroups_under_conjugation():
     # conjugating the generating set must not change derived or Frattini
     h = heisenberg_oracle(5)
     gens = [bytes((1, 0, 0)), bytes((0, 1, 0))]
     table = closure(gens, h, p=5)
     rng = random.Random(17)
-    derived_ref = set(derived_subgroup(table).elements)
+    derived_ref = set(derived_subgroup(table, 5).elements)
     frattini_ref = set(frattini_index(gens, h, 5)[0].elements)
     for _ in range(5):
         c = table.elements[rng.randrange(table.order)]
         conj_gens = [h.mul(h.mul(c, g), h.inv(c)) for g in gens]
         conj_table = closure(conj_gens, h, p=5)
         assert set(conj_table.elements) == set(table.elements)
-        assert set(derived_subgroup(conj_table).elements) == derived_ref
+        assert set(derived_subgroup(conj_table, 5).elements) == derived_ref
         assert set(frattini_index(conj_gens, h, 5)[0].elements) == frattini_ref
 
 

@@ -1,0 +1,34 @@
+"""The stored reports under tests/data, compared with a fresh run of their
+campaigns as `kmsylow verify --verify-report` compares them: the elapsed
+times stripped, every other field equal.  The three benchmark campaigns
+are run at the default cap and at a cap of 1000, which pins which checks
+refuse and with which message."""
+
+import json
+import os
+
+import pytest
+
+from kmsylow.cli import _strip_volatile, run_campaign
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (campaign file, cap, stored report), paths from the root of the repo
+STORED = [
+    (f"bench/campaigns/{name}.json", cap, f"tests/data/{name}{suffix}.json")
+    for name in ("default", "bch_stretch", "matrix_stretch")
+    for cap, suffix in ((None, ""), (1000, ".cap1000"))
+] + [("tests/campaigns/lie_heights.json", None, "tests/data/lie_heights.json")]
+
+
+def _load(path):
+    with open(os.path.join(ROOT, path)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "campaign,cap,stored", STORED, ids=[stored for _, _, stored in STORED]
+)
+def test_campaign_matches_its_stored_report(campaign, cap, stored):
+    report = run_campaign(_load(campaign), cap=cap)
+    assert _strip_volatile(report) == _strip_volatile(_load(stored))

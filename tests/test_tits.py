@@ -2,6 +2,7 @@
 
 import pytest
 
+from kmsylow import pgroup
 from kmsylow.affine import (
     AffineMatrixGroup,
     borel_subgroup,
@@ -15,9 +16,11 @@ from kmsylow.fields import FqConfig
 from kmsylow.pgroup import (
     FiniteGroupTable,
     GroupOracle,
+    _mul_rows,
     closure,
     key_rows,
     normal_closure,
+    row_keys,
     subgroup_index,
     verify_tits_axioms,
 )
@@ -57,7 +60,7 @@ SPECIAL_LINEAR = pytest.mark.parametrize(
 def test_special_linear_equals_determinant_filter(m, fq, order):
     _, table = enumerate_special_linear(m, fq)
     assert table.order == special_linear_order(m, fq) == order
-    assert table.element_set == brute_force_special_linear(m, fq)
+    assert frozenset(table.elements) == brute_force_special_linear(m, fq)
 
 
 @SPECIAL_LINEAR
@@ -69,7 +72,7 @@ def test_dimino_and_breadth_first_closures_agree(m, fq, order):
     # generators until its nesting bound, and must still list the subgroup;
     # so must the normal closure of one transvection
     group, table, B, N, s_reps = sl_data(m, fq)
-    torus = [k for k in N.elements if k in B.element_set]
+    torus = [k for k in N.elements if k in B]
     oracle = group.oracle()
     gens = table.generators
     for p in (None, 2, 3):
@@ -136,9 +139,9 @@ def _borel_is_group(G, B, N, S):
 
 def _borel_is_torus(G, B, N, S):
     # B n N alone, so B and N generate only N
-    torus = [k for k in N.elements if k in B.element_set]
+    torus = [k for k in N.elements if k in B]
     rows = key_rows(torus, len(G.oracle.identity))
-    return FiniteGroupTable(G.oracle, (), rows, p=G.p), N, S
+    return FiniteGroupTable(G.oracle, (), rows), N, S
 
 
 def _identity_reflection(G, B, N, S):
@@ -180,6 +183,64 @@ TITS_CASES = [
 def test_tits_axioms_report(name, variant, bits):
     _, G, B, N, s_reps = sl_data(*GROUPS[name])
     assert verify_tits_axioms(G, *variant(G, B, N, s_reps)) == _report(bits)
+
+
+def _every_b_double_coset(oracle, B, n):
+    """The reference for pgroup._double_coset: B n times every b of B, one
+    product each, though most of them list a right coset of B again."""
+    bn = _mul_rows(oracle, B.rows, n)
+    return {x for b in B.elements for x in row_keys(_mul_rows(oracle, bn, b))}
+
+
+def _with_double_cosets(monkeypatch, listing, G, B, N, S):
+    """The report of verify_tits_axioms with the double cosets listed by
+    listing, and the double cosets in the order listed."""
+    listed = []
+
+    def recorded(oracle, B, n):
+        listed.append(listing(oracle, B, n))
+        return listed[-1]
+
+    monkeypatch.setattr(pgroup, "_double_coset", recorded)
+    return verify_tits_axioms(G, B, N, S), listed
+
+
+# every Tits case above, and SL_3(F_3), the Tits group of matrix_stretch;
+# default's three are the proper cases of sl2f2, sl2f3 and sl3f2
+LISTED_CASES = TITS_CASES + [("sl3f3", _proper, "11111")]
+
+
+@pytest.mark.parametrize(
+    "name,variant,bits",
+    LISTED_CASES,
+    ids=[f"{name}-{variant.__name__[1:]}" for name, variant, _ in LISTED_CASES],
+)
+def test_tits_check_lists_the_double_cosets_of_every_b(monkeypatch, name, variant, bits):
+    # each right coset of B listed once gives the verdicts and the double
+    # cosets of listing B n_w b for every b of B
+    _, G, B, N, s_reps = sl_data(*dict(GROUPS, sl3f3=(3, F3))[name])
+    args = variant(G, B, N, s_reps)
+    once = _with_double_cosets(monkeypatch, pgroup._double_coset, G, *args)
+    every = _with_double_cosets(monkeypatch, _every_b_double_coset, G, *args)
+    assert once == every and once[0] == _report(bits)
+
+
+@pytest.mark.parametrize("m,fq,cosets", [(3, F3, 52), (3, F2, 21)])
+def test_tits_check_lists_each_right_coset_of_b_once(monkeypatch, m, fq, cosets):
+    # |G / B| products of B's rows, where listing B n_w b for every b of B
+    # took |W| |B|: 648 on SL_3(F_3) and 48 on SL_3(F_2)
+    _, G, B, N, s_reps = sl_data(m, fq)
+    assert G.order // B.order == cosets
+    listings = []
+    real = pgroup._mul_rows
+
+    def counted(oracle, rows, g):
+        listings.append(rows is B.rows)
+        return real(oracle, rows, g)
+
+    monkeypatch.setattr(pgroup, "_mul_rows", counted)
+    assert verify_tits_axioms(G, B, N, s_reps) == _report("11111")
+    assert sum(listings) == cosets
 
 
 def test_trivial_group_edge_case():
