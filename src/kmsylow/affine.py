@@ -9,9 +9,9 @@ Elements are byte keys of entry coefficients.  The product is a fixed
 bilinear map in those coefficients and, determinants being one, the inverse
 is the adjugate, a fixed polynomial map of degree m-1; both are pgroup
 polynomial maps, which give the group oracle its scalar product, its
-inverse and its bulk right multiplication, and the oracle is built once
-per (m, F_q, k).  Subgroup filters read a table's rows as one
-(n, m, m, k) coefficient stack.
+inverse, its bulk right multiplication and its bulk products of row pairs,
+and the oracle is built once per (m, F_q, k).  Subgroup filters read a
+table's rows as one (n, m, m, k) coefficient stack.
 """
 
 from functools import cached_property, lru_cache
@@ -24,13 +24,15 @@ from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
+    SCAN_BLOCK,
     PolynomialMap,
     _log_exact,
     _power,
     closure,
-    commutator,
     frattini_index,
+    key_rows,
     law_oracle,
+    row_keys,
 )
 
 
@@ -252,27 +254,64 @@ def commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
 
         [[1 + u + u^2,  -r^2 s t^(2m+n)],
          [r s^2 t^(m+2n),  1 - u]]        with u = r s t^(m+n).
-    """
-    if K <= 3 * max(m_exp, n_exp):
+
+    r, s, m and n broadcast against each other: scalars give one bool,
+    arrays one bool per case.  Before any product, the first case (in
+    flattened order) with K <= 3 max(m, n) is refused.  The inverses come
+    from the oracle, one per distinct (r, m) and (s, n); the cases are
+    multiplied out as (x y) x^-1 y^-1 by bulk products of row pairs,
+    SCAN_BLOCK rows at a time, and each compared with its closed form."""
+    r, s, m, n = np.broadcast_arrays(r_val, s_val, m_exp, n_exp)
+    shape = r.shape
+    r, s, m, n = (v.ravel().astype(np.intp) for v in (r, s, m, n))
+    bound = 3 * np.maximum(m, n)
+    shallow = np.flatnonzero(K <= bound)
+    if len(shallow):
         raise TruncationTooShallow(
-            f"need K > {3 * max(m_exp, n_exp)} to keep every displayed entry"
+            f"need K > {int(bound[shallow[0]])} to keep every displayed entry"
         )
     group = AffineMatrixGroup(2, fq, K)
-    x = group.elementary(0, 1, r_val, m_exp)
-    y = group.elementary(1, 0, s_val, n_exp)
-    rs = fq.mul(r_val, s_val)
-    rhs = bytearray(group.identity)
+    oracle = group.oracle()
+    cases = np.arange(len(r))
+    identity = np.tile(np.frombuffer(group.identity, dtype=np.uint8), (len(r), 1))
+    x, y = identity.copy(), identity.copy()
+    x[cases, K + m] = r
+    y[cases, 2 * K + n] = s
+
+    def inverses(rows, code):
+        _, first, back = np.unique(code, return_index=True, return_inverse=True)
+        inv = [oracle.inv(key) for key in row_keys(rows[first])]
+        return key_rows(inv, group.width)[back]
+
+    x_inv, y_inv = inverses(x, r * K + m), inverses(y, s * K + n)
+    rhs = _commutator_closed_form(fq, identity, r, s, m, n, K)
+    ok = np.empty(len(r), dtype=bool)
+    for at in range(0, len(r), SCAN_BLOCK):
+        block = slice(at, at + SCAN_BLOCK)
+        xy = oracle.mul_pairs(x[block], y[block])
+        out = oracle.mul_pairs(oracle.mul_pairs(xy, x_inv[block]), y_inv[block])
+        ok[block] = (out == rhs[block]).all(axis=1)
+    return ok.reshape(shape) if shape else bool(ok[0])
+
+
+def _commutator_closed_form(fq, rows, r, s, m, n, K):
+    """The closed form of commutator_identity_check written into rows, the
+    identity once per case, and returned; r, s, m and n are intp arrays of
+    one length."""
+    add = np.array(fq._add, dtype=np.uint8)
+    neg = np.array(fq._neg, dtype=np.uint8)
+    rs = fq.MUL[r, s]
     for i, j, d, code in (
-        (0, 0, m_exp + n_exp, rs),
-        (0, 0, 2 * (m_exp + n_exp), fq.mul(rs, rs)),
-        (0, 1, 2 * m_exp + n_exp, fq.neg(fq.mul(rs, r_val))),
-        (1, 0, m_exp + 2 * n_exp, fq.mul(rs, s_val)),
-        (1, 1, m_exp + n_exp, fq.neg(rs)),
+        (0, 0, m + n, rs),
+        (0, 0, 2 * (m + n), fq.MUL[rs, rs]),
+        (0, 1, 2 * m + n, neg[fq.MUL[rs, r]]),
+        (1, 0, m + 2 * n, fq.MUL[rs, s]),
+        (1, 1, m + n, neg[rs]),
     ):
-        if d < K:
-            at = (i * 2 + j) * K + d
-            rhs[at] = fq.add(rhs[at], code)
-    return commutator(group.oracle(), x, y) == bytes(rhs)
+        kept = np.flatnonzero(d < K)
+        at = (i * 2 + j) * K + d[kept]
+        rows[kept, at] = add[rows[kept, at], code[kept]]
+    return rows
 
 
 def congruence_subgroup(sylow, i):

@@ -22,7 +22,10 @@ a map and is the one scalar evaluator; law_oracle builds the oracle from
 the law and the inverse, with bulk_hook, the one bulk evaluator, fed by the
 law specialized at each right factor.  The hook specializes once for a run
 of blocks times one factor, and skips the terms that read a column that is
-zero throughout a block.
+zero throughout a block.  Products of row pairs, where both factors vary
+per row, go through the same evaluator: the oracle's mul_pairs feeds a
+second hook, built on first use, the unspecialized law over the columns of
+both blocks side by side.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
@@ -52,7 +55,8 @@ import numpy as np
 from .errors import ChainNotNested, EnumerationCapExceeded
 
 DEFAULT_CAP = 2 ** 21
-SCAN_BLOCK = 4096  # rows that a closure multiplies at a time
+# rows of one bulk product, in a closure or in the commutator check
+SCAN_BLOCK = 4096
 # largest key space q^width whose members a closure marks in a bitmap, one
 # bit per code vector (8 MiB); larger spaces keep a hash table of codes or
 # a set of keys
@@ -69,6 +73,8 @@ class GroupOracle:
     inv: object  # key -> key
     mul_many: object = None  # optional: ((n, width) uint8 rows, key) -> rows
     q: int = None  # optional: keys are code vectors over F_q, bytes below q
+    # optional: two (n, width) blocks -> the rows of their products, row by row
+    mul_pairs: object = None
 
 
 def key_rows(keys, width):
@@ -313,8 +319,29 @@ class PolynomialMap:
 def law_oracle(fq, identity, law, inverse):
     """The oracle of a group whose product is the polynomial map law at
     (x, y) = (a, b) and whose inverse is the polynomial map inverse at
-    x = a; right multiplication in bulk evaluates law.at_y(g)."""
-    return GroupOracle(identity, law, inverse, bulk_hook(fq, law.at_y), fq.q)
+    x = a; right multiplication in bulk evaluates law.at_y(g).
+
+    Products of row pairs evaluate the unspecialized law on the columns of
+    a beside the columns of b, y coordinate j being column width + j, by a
+    second bulk hook whose one right factor is the empty key.  That hook is
+    built on the first call, so an oracle asked for no pairs never builds
+    it."""
+    width = len(identity)
+    joint = None
+
+    def mul_pairs(a, b):
+        nonlocal joint
+        if joint is None:
+            polys = [
+                tuple((c, xs + tuple(width + j for j in ys)) for c, xs, ys in terms)
+                for terms in law.terms
+            ]
+            joint = bulk_hook(fq, lambda _: polys)
+        return joint(np.concatenate((a, b), axis=1), b"")
+
+    return GroupOracle(
+        identity, law, inverse, bulk_hook(fq, law.at_y), fq.q, mul_pairs
+    )
 
 
 def _mul_rows(oracle, rows, g):

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from kmsylow import affine
 from kmsylow.affine import (
     AffineMatrixGroup,
     IwahoriSylow,
@@ -45,6 +46,7 @@ from kmsylow.pgroup import (
 )
 
 from breadth_first import assert_closures_agree
+from commutator_scalar import scalar_commutator_identity_check
 from coset_probe import assert_same_indices
 from derived_series import derived_subgroup
 from filtration_scan import assert_filtration_reports_agree
@@ -143,6 +145,7 @@ def test_matrix_law_is_built_once_per_ring():
     assert first is second
     assert first.mul is second.mul and first.inv is second.inv
     assert first.mul_many is second.mul_many
+    assert first.mul_pairs is second.mul_pairs
 
 
 def test_membership_examples():
@@ -416,6 +419,93 @@ def test_commutator_identity_f4():
     for r_val in range(4):
         for s_val in range(4):
             assert commutator_identity_check(F4, r_val, s_val, 2, 3, 10)
+
+
+TEST_CAMPAIGNS = os.path.join(os.path.dirname(__file__), "campaigns")
+# the commutator instance of bench/tests/test_bench_tracer.py
+TRACER_COMMUTATOR = {"model": "affine", "q": 2, "K": 4, "max_exp": 1}
+
+
+def commutator_instances():
+    """(q, K, ms, ns) of every commutator instance that the tests or the
+    campaigns list: its cases are every r and s of F_q with m in ms and n
+    in ns."""
+    found = {(2, 9, (1,), (1,)), (3, 9, (1, 2), (1, 2)), (4, 10, (2,), (3,))}
+    campaigns = [DEFAULT_CAMPAIGN, {"instances": [TRACER_COMMUTATOR]}]
+    paths = glob.glob(f"{CAMPAIGNS}/*.json") + glob.glob(f"{TEST_CAMPAIGNS}/*.json")
+    for path in sorted(paths):
+        with open(path) as fh:
+            campaigns.append(json.load(fh))
+    for campaign in campaigns:
+        for inst in campaign["instances"]:
+            if inst["model"] == "affine" and "K" in inst:
+                exps = tuple(range(1, inst["max_exp"] + 1))
+                found.add((inst["q"], inst["K"], exps, exps))
+    return sorted(found)
+
+
+def _commutator_cases(q, ms, ns):
+    """r, s, m and n of every case, n running fastest, as flat arrays."""
+    grid = np.meshgrid(range(q), range(q), ms, ns, indexing="ij")
+    return [axis.ravel() for axis in grid]
+
+
+@pytest.mark.parametrize("q,K,ms,ns", commutator_instances())
+def test_broadcast_commutator_check_equals_the_scalar_composition(q, K, ms, ns):
+    fq = FqConfig.from_q(q)
+    cases = _commutator_cases(q, ms, ns)
+    got = commutator_identity_check(fq, *cases, K)
+    assert got.dtype == bool and got.shape == cases[0].shape
+    want = [
+        scalar_commutator_identity_check(fq, *case, K)
+        for case in zip(*(axis.tolist() for axis in cases))
+    ]
+    assert got.tolist() == want
+
+
+def test_commutator_check_broadcasts_its_case_arguments():
+    # a scalar case is a bool; arrays broadcast against scalars and
+    # against each other, one bool per case in their shape
+    assert commutator_identity_check(F3, 1, 2, 1, 2, 9) is True
+    got = commutator_identity_check(F3, np.arange(3), 2, [[1], [2]], 1, 9)
+    assert got.shape == (2, 3) and got.all()
+
+
+@pytest.mark.parametrize("block", [SCAN_BLOCK, 16])
+@pytest.mark.parametrize("case", [0, 17, 35])
+def test_a_flipped_code_of_the_commutator_closed_form_fails_its_case_alone(
+    monkeypatch, block, case
+):
+    # at blocks of 16 the 36 cases run as 16 + 16 + 4 rows, so the cases
+    # fall in the first, second and last block; the flipped code is the
+    # case's t^(m+n) entry at (1, 1), or its constant term where that entry
+    # is truncated away
+    closed_form = affine._commutator_closed_form
+
+    def flipped(fq, rows, r, s, m, n, K):
+        rhs = closed_form(fq, rows, r, s, m, n, K)
+        d = m[case] + n[case]
+        at = 3 * K + (d if d < K else 0)
+        rhs[case, at] = fq.add(rhs[case, at], 1)
+        return rhs
+
+    monkeypatch.setattr(affine, "_commutator_closed_form", flipped)
+    monkeypatch.setattr(affine, "SCAN_BLOCK", block)
+    ok = commutator_identity_check(F3, *_commutator_cases(3, (1, 2), (1, 2)), 9)
+    assert np.flatnonzero(~ok).tolist() == [case]
+
+
+def test_commutator_check_refuses_its_first_shallow_case_before_any_product(monkeypatch):
+    def no_group(*args):
+        raise AssertionError("a group built before the refusal")
+
+    monkeypatch.setattr(affine, "AffineMatrixGroup", no_group)
+    # bounds 3, 9, 6 and then 3, 6, 9: the first case that K cannot hold
+    # names its own bound, not the largest
+    with pytest.raises(TruncationTooShallow, match=r"^need K > 9 to"):
+        commutator_identity_check(F2, 1, 1, [1, 3, 2], 1, 7)
+    with pytest.raises(TruncationTooShallow, match=r"^need K > 6 to"):
+        commutator_identity_check(F2, 1, 1, 1, [1, 2, 3], 5)
 
 
 def test_congruence_chain():

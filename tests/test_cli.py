@@ -146,6 +146,29 @@ def test_tits_check_over_the_cap_is_skipped(tmp_path, capsys):
     assert (result["status"], result["reason"]) == ("skipped", "EnumerationCapExceeded")
 
 
+@pytest.mark.parametrize(
+    "q,K,max_exp,bound", [(2, 5, 3, 6), (3, 9, 3, 9), (2, 3, 1, 3)]
+)
+def test_shallow_commutator_campaign_is_skipped_with_its_first_bound(
+    tmp_path, capsys, q, K, max_exp, bound
+):
+    # K <= 3 max_exp: the detail names the bound of the first case, n
+    # running fastest, that K cannot hold (m = 1 and the least such n),
+    # not the largest bound, as the case-by-case check named it
+    campaign = {
+        "instances": [
+            {"model": "affine", "q": q, "K": K, "max_exp": max_exp,
+             "checks": ["commutator"]},
+        ],
+    }
+    path = write_json(tmp_path, "shallow.json", campaign)
+    assert run(["verify", path, "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["instances"][0]["results"][0]
+    assert result["status"] == "skipped"
+    assert result["reason"] == "TruncationTooShallow"
+    assert result["detail"] == f"need K > {bound} to keep every displayed entry"
+
+
 def test_verify_failure_sets_exit_code(tmp_path, capsys):
     # two standard generators cannot generate this Sylow subgroup: its
     # Frattini quotient has dimension 3, so the check honestly fails

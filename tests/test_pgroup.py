@@ -1028,6 +1028,69 @@ def test_bulk_hook_specializes_once_for_blocks_times_one_factor():
     assert calls == [g, bytes(width), g]
 
 
+def _pair_blocks(rng, q, width, n, zero_left, zero_right):
+    """Two (n, width) blocks of random codes below q, the columns in
+    zero_left zero throughout the first and those in zero_right throughout
+    the second."""
+    return tuple(
+        key_rows(_with_zero_columns(
+            [bytes(rng.randrange(q) for _ in range(width)) for _ in range(n)], zero
+        ), width)
+        for zero in (zero_left, zero_right)
+    )
+
+
+def _assert_pairs_equal_scalar_products(oracle, q, n, seed):
+    # blocks with no zero column, zero columns on the left side, on the
+    # right side and on both, through one oracle, so that the joint hook
+    # follows the live columns from block to block
+    rng = random.Random(seed)
+    width = len(oracle.identity)
+    zero = tuple(range(1, width, 2))
+    for zero_left, zero_right in [((), ()), (zero, ()), ((), zero), (zero, zero[1:])]:
+        a, b = _pair_blocks(rng, q, width, n, zero_left, zero_right)
+        want = [oracle.mul(x, y) for x, y in zip(row_keys(a), row_keys(b))]
+        rows = oracle.mul_pairs(a, b)
+        assert rows.shape == (n, width) and row_keys(rows) == want
+
+
+@pytest.mark.parametrize("q", EVALUATOR_QS)
+@pytest.mark.parametrize("n", [1, 9, SCAN_BLOCK + 1])
+def test_row_pairs_of_the_matrix_law_equal_its_scalar_products(q, n):
+    oracle = AffineMatrixGroup(2, field(q), 2).oracle()
+    _assert_pairs_equal_scalar_products(oracle, q, n, seed=17 * q + n)
+
+
+@pytest.mark.parametrize("n", [1, 9, SCAN_BLOCK + 1])
+def test_row_pairs_of_the_bch_law_equal_its_scalar_products(n):
+    _assert_pairs_equal_scalar_products(_bch_oracle(), 5, n, seed=n)
+
+
+def test_row_pairs_build_their_hook_on_first_use_only(monkeypatch):
+    built = []
+
+    def counting_hook(fq, right_polys):
+        built.append(right_polys)
+        return bulk_hook(fq, right_polys)
+
+    monkeypatch.setattr(pgroup, "bulk_hook", counting_hook)
+    # a BCH oracle runs a closure and is never asked for pairs: its one
+    # hook is the right multiplication
+    model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4)
+    oracle = model.oracle()
+    assert closure(standard_generators(model), oracle, p=5).order > 1
+    assert len(built) == 1
+    # a matrix oracle, built afresh past the per-ring cache, builds the
+    # joint hook on its first pair product and keeps it for the second
+    group = AffineMatrixGroup(2, FqConfig(5), 3)
+    oracle = affine._matrix_oracle.__wrapped__(2, group.fq, 3, group.identity)
+    assert len(built) == 2
+    rows = key_rows([group.elementary(0, 1, 1, 1)] * 9, group.width)
+    oracle.mul_pairs(rows, rows)
+    oracle.mul_pairs(rows, rows)
+    assert len(built) == 3
+
+
 def test_an_index_p_stage_multiplies_by_its_generator_alone():
     # each coset H g^i is listed from H g^(i-1) times g, so the bulk
     # products of a p-group closure are by its stages' generators, and
