@@ -34,6 +34,7 @@ from .errors import (
     HeightExceedsCutoff,
     HypothesisViolated,
     KmError,
+    NotAFiltration,
     NotPositiveRealRoot,
     PositiveOffDiagonal,
     TruncationTooShallow,
@@ -45,6 +46,7 @@ from .gcm import GcmType, GeneralizedCartanMatrix, classify, validate_gcm
 from .lie import GradedLieAlgebra, bracket, build_positive_part
 from .pgroup import (
     FiniteGroupTable,
+    FrattiniCount,
     GroupOracle,
     check_filtration_lemma,
     closure,
@@ -95,6 +97,7 @@ __all__ = [
     "IwahoriSylow",
     "KmError",
     "NOT_ROOT",
+    "NotAFiltration",
     "NotPositiveRealRoot",
     "PositiveOffDiagonal",
     "RationalField",
@@ -116,6 +119,7 @@ __all__ = [
     "enumerate_special_linear",
     "frattini_dimension_linear",
     "frattini_index",
+    "FrattiniCount",
     "iwahori_sylow_membership",
     "monomial_subgroup",
     "normal_closure",

@@ -12,9 +12,18 @@ polynomial maps, which give the group oracle its scalar product, its
 inverse, its bulk right multiplication and its bulk products of row pairs,
 and the oracle is built once per (m, F_q, k).  Subgroup filters read a
 table's rows as one (n, m, m, k) coefficient stack.
+
+The Sylow carries the level filtration of the Iwahori (Moy and Prasad,
+Invent. Math. 116, 1994): coefficient t^d at position (i, j) has level
+m d + j - i, and I_l holds the matrices whose entries of g - 1 all have
+level at least l.  It is an N-series, [I_a, I_b] in I_(a+b) and I_l^p in
+I_(l+1), so the layered engine of pgroup gives the orders of the subgroup
+the standard generators generate and of its Frattini subgroup without
+listing them; enumeration is then sized from the one and refused past
+the cap from both before any product.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations, product
 from math import prod
 
@@ -25,11 +34,10 @@ from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .pgroup import (
     DEFAULT_CAP,
     SCAN_BLOCK,
+    FrattiniCount,
     PolynomialMap,
     _log_exact,
-    _power,
     closure,
-    frattini_index,
     key_rows,
     law_oracle,
     row_keys,
@@ -66,6 +74,28 @@ class AffineMatrixGroup:
 
     def oracle(self):
         return _matrix_oracle(self.m, self.fq, self.k, self.identity)
+
+    def lead_map(self, level):
+        """The leading-term map of the filtration by level, a function of
+        (i, j, d) giving the level of coefficient t^d at position (i, j):
+        a key other than the identity goes to (l, the F_p digits of the
+        coefficients of g - 1 of level l), l the least level of a nonzero
+        coefficient of g - 1, the coefficients in key order."""
+        m, k, fq, identity = self.m, self.k, self.fq, self.identity
+        levels = [level(i, j, d) for i in range(m) for j in range(m) for d in range(k)]
+        at_level = {}
+        for at, l in enumerate(levels):
+            at_level.setdefault(l, []).append(at)
+        # minus[e][c] is the F_p digits of c - e; identity bytes are 0 or 1
+        minus = [[fq.decode(fq.sub(c, e)) for c in range(fq.q)] for e in (0, 1)]
+
+        def lead(key):
+            least = min(l for l, a, e in zip(levels, key, identity) if a != e)
+            return least, [
+                x for at in at_level[least] for x in minus[identity[at]][key[at]]
+            ]
+
+        return lead
 
     def stack(self, table):
         """The matrices of an enumerated table as an (n, m, m, k) stack of
@@ -124,10 +154,10 @@ def _matrix_oracle(m, fq, k, identity):
 
 def iwahori_sylow_membership(group, A):
     """True where the matrix is unipotent upper-triangular mod t; A is an
-    (m, m, k) coefficient array or a stack of them with those axes last."""
-    position = np.arange(group.m)
-    above = position[:, None] < position
-    return ((A[..., 0] == np.eye(group.m, dtype=np.uint8)) | above).all(axis=(-2, -1))
+    (m, m, k) coefficient array or a stack of them with those axes last.
+    Only the constant terms on and below the diagonal are read."""
+    i, j = np.tril_indices(group.m)
+    return (A[..., i, j, 0] == (i == j)).all(axis=-1)
 
 
 def sylow_generators(m, fq, k):
@@ -138,6 +168,14 @@ def sylow_generators(m, fq, k):
     return upper + [group.elementary(m - 1, 0, code, 1) for code in fq.basis]
 
 
+def iwahori_level(m, i, j, d):
+    """The level m d + j - i of coefficient t^d at position (i, j) in the
+    filtration of the Iwahori of SL_m: levels add under the product, the
+    Sylow's generators have level 1, and the Sylow's coefficients of
+    g - 1 have levels 1 to mk - 1."""
+    return m * d + j - i
+
+
 def sylow_order(m, fq, k):
     """q^(m(m-1)/2) * q^((m^2-1)(k-1)): the mod-t unipotent count times the
     size of the kernel of reduction mod t."""
@@ -145,18 +183,27 @@ def sylow_order(m, fq, k):
 
 
 class IwahoriSylow:
-    """The Iwahori Sylow of SL_m over F_q[t]/(t^k) under one cap: its group
-    and its order, and on first use its table (the closure of the standard
-    generators) and the Frattini subgroup Phi of that closure with its
-    index.  Checks that share one count it once: Phi's table and the index
-    are kept, and a count that passes the cap is refused again, with the
-    same message, without counting it a second time."""
+    """The Iwahori Sylow of SL_m over F_q[t]/(t^k) under one cap: its group,
+    its order and its standard generators, and on first use its table (the
+    closure of the standard generators) and the Frattini count of those
+    generators, whose layered orders on the level filtration, |<gens>| and
+    |Phi|, each computed once and only when a check asks for it, size
+    enumeration and refuse it before any product.  Checks that share one
+    count it once: Phi's table and the index are kept, and a count that
+    passes the cap is refused again, with the same message, without
+    counting it a second time."""
 
     def __init__(self, m, fq, k, cap):
         self.m, self.fq, self.k, self.cap = m, fq, k, cap
         self.group = AffineMatrixGroup(m, fq, k)
         self.order = sylow_order(m, fq, k)
+        self.generators = sylow_generators(m, fq, k)
+        self.lead = self.group.lead_map(partial(iwahori_level, m))
         self._refusal = None
+
+    @cached_property
+    def count(self):
+        return FrattiniCount(self.generators, self.group.oracle(), self.fq.p, self.lead)
 
     @cached_property
     def table(self):
@@ -165,20 +212,23 @@ class IwahoriSylow:
     @cached_property
     def frattini(self):
         if self._refusal is None:
-            gens = sylow_generators(self.m, self.fq, self.k)
             try:
-                return frattini_index(
-                    gens, self.group.oracle(), self.fq.p, cap=self.cap
-                )
+                return self.count.index(self.cap)
             except EnumerationCapExceeded as refusal:
                 self._refusal = str(refusal)
         raise EnumerationCapExceeded(self._refusal)
 
 
 def sylow_table(sylow):
-    """The closure of the standard generators as a group-engine table."""
-    gens = sylow_generators(sylow.m, sylow.fq, sylow.k)
-    return closure(gens, sylow.group.oracle(), cap=sylow.cap, p=sylow.fq.p)
+    """The closure of the standard generators as a group-engine table,
+    allocated at its layered order and refused by it past the cap."""
+    return closure(
+        sylow.generators,
+        sylow.group.oracle(),
+        cap=sylow.cap,
+        p=sylow.fq.p,
+        order=sylow.count.order,
+    )
 
 
 def verify_generation(sylow):
@@ -221,16 +271,14 @@ def verify_theorem1_affine(sylow):
     standard generators is listed and its cosets counted, and the Sylow is
     never listed: h1_blackbox is log_p of the index, and the generators,
     which lie in the Sylow by construction, generate it when |Phi| times
-    the index is the Sylow's order."""
+    the index is the Sylow's order.  h1_layered is log_p of the same index
+    from the layered orders of the closure and of Phi."""
     m, fq, k = sylow.m, sylow.fq, sylow.k
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
     phi, index = sylow.frattini
-    oracle = sylow.group.oracle()
+    count, identity = sylow.count, sylow.group.identity
     # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
-    frattini_eq_derived = all(
-        _power(oracle, g, fq.p) == oracle.identity
-        for g in sylow_generators(m, fq, k)
-    )
+    frattini_eq_derived = all(x == identity for x in count.powers)
     return {
         "model": "affine_matrix",
         "gcm": None,
@@ -239,6 +287,7 @@ def verify_theorem1_affine(sylow):
         "q": fq.q,
         "H": None,
         "h1_blackbox": _log_exact(index, fq.p),
+        "h1_layered": _log_exact(count.order // count.frattini_order, fq.p),
         "h1_linear": None,
         "h1_predicted": predicted_h1(m, fq, k),
         "frattini_eq_derived": frattini_eq_derived,

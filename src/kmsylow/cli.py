@@ -18,7 +18,6 @@ from .affine import (
     congruence_subgroup,
     enumerate_special_linear,
     monomial_subgroup,
-    sylow_generators,
     verify_generation,
     verify_theorem1_affine,
     weyl_representatives,
@@ -303,7 +302,8 @@ def _check_theorem1_bch(inst, seed, cap):
 
 def _check_theorem1_affine(inst, seed, cap):
     report = verify_theorem1_affine(inst.sylow())
-    ok = report["h1_blackbox"] == report["h1_predicted"]
+    # enumeration and the layered engine must agree with the prediction
+    ok = report["h1_blackbox"] == report["h1_layered"] == report["h1_predicted"]
     return report, ok and report["generators_generate"]
 
 
@@ -316,8 +316,9 @@ def _check_cor_linear(inst, seed, cap):
 def _check_generation(inst, seed, cap):
     sylow, fq = inst.sylow(), inst.fq
     generate = verify_generation(sylow)
-    gens = sylow_generators(sylow.m, fq, sylow.k)
-    partial = closure(gens[: -fq.r], sylow.group.oracle(), cap=cap, p=fq.p)
+    partial = closure(
+        sylow.generators[: -fq.r], sylow.group.oracle(), cap=cap, p=fq.p
+    )
     payload = {
         "generates": generate,
         "partial_order": partial.order,

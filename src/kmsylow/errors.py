@@ -58,5 +58,10 @@ class ChainNotNested(KmError):
     pass
 
 
+class NotAFiltration(KmError):
+    """A leading-term map does not come from a central filtration with
+    elementary abelian layers."""
+
+
 class TruncationTooShallow(KmError):
     pass

@@ -27,12 +27,10 @@ from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validat
 from .lie import build_positive_part, standard_factorization
 from .pgroup import (
     DEFAULT_CAP,
+    FrattiniCount,
     PolynomialMap,
     _log_exact,
-    _power,
     closure,
-    frattini_index,
-    generator_commutators,
     law_oracle,
     layered_order,
 )
@@ -275,7 +273,7 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     The layered orders are an exact preflight: each enumeration call gets
     the known order of its table and refuses before any multiplication when
     that order is over the cap.  Enumeration lists the Frattini subgroup and
-    counts its cosets (pgroup.frattini_index, as in the matrix model), so
+    counts its cosets (pgroup.FrattiniCount, as in the matrix model), so
     the group itself is never listed: h1_blackbox is log_p of the index,
     and the generators generate when |Phi| times the index is |G|.  Only a
     coset count over the cap (or a right side larger than the Frattini
@@ -292,23 +290,15 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     rhs_gens = _non_simple_real_root_elements(model)
     full_order = fq.q ** model.dim
 
-    comms = generator_commutators(oracle, gens)
-    powers = [_power(oracle, g, p) for g in gens]
-
-    def layered(keys, conjugators=()):
-        return layered_order(keys, oracle, model.lead, p, conjugators)
-
-    order = layered(gens)
-    frattini_order = layered(comms + powers, gens)
-    rhs_order = layered(rhs_gens)
+    count = FrattiniCount(gens, oracle, p, model.lead)
+    order, frattini_order = count.order, count.frattini_order
+    rhs_order = layered_order(rhs_gens, oracle, model.lead, p)
     h1_layered = _log_exact(order // frattini_order, p)
     # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
-    frattini_eq_derived = all(x == oracle.identity for x in powers)
+    frattini_eq_derived = all(x == oracle.identity for x in count.powers)
 
     try:
-        frattini, index = frattini_index(
-            gens, oracle, p, cap=cap, order=order, frattini_order=frattini_order
-        )
+        frattini, index = count.index(cap)
         rhs = closure(rhs_gens, oracle, cap=cap, p=p, order=rhs_order)
     except EnumerationCapExceeded:
         group_engine = "layered"

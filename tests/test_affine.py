@@ -17,6 +17,7 @@ from kmsylow.affine import (
     commutator_identity_check,
     congruence_subgroup,
     enumerate_special_linear,
+    iwahori_level,
     iwahori_sylow_membership,
     monomial_subgroup,
     sylow_generators,
@@ -29,6 +30,7 @@ from kmsylow.cli import DEFAULT_CAMPAIGN
 from kmsylow.errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
+    NotAFiltration,
     TruncationTooShallow,
 )
 from kmsylow.fields import FqConfig
@@ -42,6 +44,7 @@ from kmsylow.pgroup import (
     commutator,
     frattini_index,
     key_rows,
+    layered_order,
     row_keys,
 )
 
@@ -276,7 +279,8 @@ def test_iwahori_sylow_lists_its_table_on_first_use_only():
     assert "table" not in vars(sylow)
     table = sylow.table
     assert verify_generation(sylow) and sylow.table is table
-    with pytest.raises(EnumerationCapExceeded, match="closure exceeded the cap of 80"):
+    # the layered order of the closure refuses it before any product
+    with pytest.raises(EnumerationCapExceeded, match="subgroup order 81 exceeds the cap of 80"):
         IwahoriSylow(2, F3, 2, 80).table
 
 
@@ -347,6 +351,110 @@ def test_frattini_count_matches_table_division(m, q, k):
     assert (phi.order * index == sylow.order) is verify_generation(sylow)
 
 
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_layered_orders_equal_the_enumerated_orders(m, q, k):
+    # the layered engine on the level filtration against unsized
+    # enumeration: the closure of the standard generators and Phi
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    oracle = sylow.group.oracle()
+    G = closure(sylow.generators, oracle, p=fq.p)
+    phi, index = frattini_index(sylow.generators, oracle, fq.p)
+    assert sylow.count.order == G.order == phi.order * index
+    assert sylow.count.frattini_order == phi.order
+
+
+@pytest.mark.parametrize("m,q,k", [(3, 5, 2), (2, 5, 4)])
+def test_layered_orders_past_the_sylow_cap_equal_the_frattini_count(m, q, k):
+    # Sylows over the default cap whose Phi and index fit under it
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    phi, index = frattini_index(sylow.generators, sylow.group.oracle(), fq.p)
+    assert sylow.order > DEFAULT_CAP
+    assert sylow.count.order == phi.order * index == sylow.order
+    assert sylow.count.frattini_order == phi.order
+
+
+def test_layered_order_at_q2_is_that_of_the_smaller_closure():
+    # the standard generators miss part of the Sylow at q = 2, and the
+    # layered order is that of their closure, not the Sylow's
+    orders = [IwahoriSylow(2, F2, k, DEFAULT_CAP) for k in (2, 3)]
+    assert [(s.count.order, s.order) for s in orders] == [(8, 16), (16, 128)]
+    assert [s.table.order for s in orders] == [8, 16]
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_a_closure_sized_by_its_order_lists_the_unsized_rows(m, q, k):
+    # the layered order as sylow_table passes it, and orders too small and
+    # too large, which may change a refusal but no element listed
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    gens, oracle = sylow.generators, sylow.group.oracle()
+    unsized = closure(gens, oracle, p=fq.p)
+    for order in (sylow.count.order, unsized.order // fq.p, 2 * unsized.order):
+        sized = closure(gens, oracle, p=fq.p, order=order)
+        assert np.array_equal(sized.rows, unsized.rows)
+    assert np.array_equal(sylow.table.rows, unsized.rows)
+
+
+@pytest.mark.parametrize("m,q,k", [(2, 3, 3), (2, 9, 2), (3, 2, 2), (3, 3, 2)])
+def test_level_lead_of_the_sylow(m, q, k):
+    # every standard generator has level 1 and every listed element level
+    # at least 1; on one level the lead adds: the digits of g h are those
+    # of g plus those of h, and where those cancel g h lies deeper
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    lead, oracle = sylow.lead, sylow.group.oracle()
+    assert all(lead(g)[0] == 1 for g in sylow.generators)
+    rows = sylow.table.rows[1:]
+    if len(rows) > 3000:
+        rows = rows[np.random.default_rng(5).choice(len(rows), 3000, replace=False)]
+    by_level = {}
+    for key in row_keys(rows):
+        level, digits = lead(key)
+        assert 1 <= level <= m * k - 1 and any(digits)
+        by_level.setdefault(level, []).append((key, digits))
+    rng = random.Random(7)
+    pairs = 0
+    for level, members in by_level.items():
+        for _ in range(20):
+            (g, a), (h, b) = rng.choice(members), rng.choice(members)
+            total = [(x + y) % fq.p for x, y in zip(a, b)]
+            product = oracle.mul(g, h)
+            if any(total):
+                assert lead(product) == (level, total)
+            elif product != oracle.identity:
+                assert lead(product)[0] > level
+            pairs += 1
+    assert pairs >= 20 * (m * k - 2)
+
+
+def test_lead_map_takes_any_level_function():
+    # the level d of a coefficient's degree gives the congruence
+    # filtration: K_i holds exactly the elements of level at least i; and
+    # the lower elementary, outside the Sylow, has level below 1
+    sylow = IwahoriSylow(2, F3, 3, DEFAULT_CAP)
+    lead = sylow.group.lead_map(lambda i, j, d: d)
+    for i in (2, 3):
+        K = congruence_subgroup(sylow, i)
+        inside = {key for key in K.elements if key != sylow.group.identity}
+        listed = {key for key in sylow.table.elements[1:] if lead(key)[0] >= i}
+        assert inside == listed
+    assert sylow.lead(sylow.group.elementary(1, 0, 1))[0] == -1
+
+
+@pytest.mark.parametrize("m,q,k", [(2, 3, 3), (2, 5, 3)])
+def test_a_lead_taking_the_largest_level_is_refused(m, q, k):
+    # the lead map of the level function negated reads the largest level
+    # of g - 1 in place of the least; the layered engine looped for ever on
+    # it, and now refuses it when a sift does not rise
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    lead = sylow.group.lead_map(lambda i, j, d: -iwahori_level(m, i, j, d))
+    with pytest.raises(NotAFiltration, match="in one sift"):
+        layered_order(sylow.generators, sylow.group.oracle(), lead, fq.p)
+
+
 def _h1(m, fq, k):
     return verify_theorem1_affine(IwahoriSylow(m, fq, k, DEFAULT_CAP))["h1_blackbox"]
 
@@ -383,6 +491,7 @@ def test_verify_theorem1_affine_matches_reference(m, h1):
         "q": 3,
         "H": None,
         "h1_blackbox": h1,
+        "h1_layered": h1,
         "h1_linear": None,
         "h1_predicted": h1,
         "frattini_eq_derived": True,
@@ -598,6 +707,18 @@ def test_filtration_lemma_agrees_with_the_scalar_scan(m, q, k):
             report = assert_filtration_reports_agree(table, chain[start:], V)
             verdicts.add(report["hypothesis_holds"])
     assert verdicts == {True, False}
+
+
+def test_filtration_lemma_reports_a_chain_member_that_is_not_normal():
+    # {1 + f(t) E12}, 27 elements, enough for a bulk left product; the
+    # corner generator conjugates it out of itself, so it is not normal
+    sylow = IwahoriSylow(2, F3, 3, DEFAULT_CAP)
+    table, group = sylow.table, sylow.group
+    upper = closure([group.elementary(0, 1, 1, d) for d in range(3)], group.oracle())
+    assert upper.order == 27
+    chain = [upper, closure([], group.oracle())]
+    report = assert_filtration_reports_agree(table, chain, sylow.frattini[0])
+    assert report["normal"] == [False, True]
 
 
 def _reduce(big, small, keys):

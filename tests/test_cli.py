@@ -1,6 +1,8 @@
 """End-to-end exercises of the command-line interface."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -11,6 +13,7 @@ from kmsylow.fields import FqConfig
 A2 = [[2, -1], [-1, 2]]
 AFF = [[2, -2], [-2, 2]]
 IND = [[2, -5], [-1, 2]]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_json(tmp_path, name, payload):
@@ -454,11 +457,11 @@ def test_affine_instance_lists_its_sylow_once_per_run_when_refused(monkeypatch):
         "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
     }
     # the Sylow has order 81 and Phi order 9 and index 9, so theorem 1 fits
-    # the cap; generation refuses on the order alone, and filtration lists
-    # the closure until it passes the cap
+    # the cap; generation refuses on the order alone, and filtration on the
+    # layered order of the closure
     skipped = [
         ("generation", "Sylow order 81 exceeds the cap of 50"),
-        ("filtration", "closure exceeded the cap of 50 elements"),
+        ("filtration", "subgroup order 81 exceeds the cap of 50"),
     ]
     for runs in (1, 2):
         results = run_campaign(campaign, cap=50)["instances"][0]["results"]
@@ -497,7 +500,7 @@ def test_affine_theorem1_refused_once_per_run(monkeypatch):
                 "check": check,
                 "status": "skipped",
                 "reason": "EnumerationCapExceeded",
-                "detail": "closure exceeded the cap of 5 elements",
+                "detail": "normal closure order 9 exceeds the cap of 5",
             }
             for check in checks
         ]
@@ -518,8 +521,69 @@ def test_affine_theorem1_past_the_cap_lists_no_sylow(monkeypatch, m, q, k):
     }
     (result,) = run_campaign(campaign)["instances"][0]["results"]
     assert result["status"] == "pass"
-    assert result["payload"]["h1_blackbox"] == result["payload"]["h1_predicted"] == m
+    payload = result["payload"]
+    assert payload["h1_blackbox"] == payload["h1_layered"] == payload["h1_predicted"] == m
     assert result["payload"]["generators_generate"] is True
+
+
+def test_affine_theorem1_fails_when_the_layered_count_disagrees(monkeypatch):
+    # a layered |Phi| three times too small: h1_layered reads 3 against the
+    # enumeration's 2, and theorem 1 and its cor_linear view both fail
+    real = pgroup.FrattiniCount.frattini_order.func
+    wrong = property(lambda count: real(count) // 3)
+    monkeypatch.setattr(pgroup.FrattiniCount, "frattini_order", wrong)
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": 2, "q": 3, "k": 2, "checks": ["theorem1", "cor_linear"]}
+        ],
+    }
+    theorem1, cor_linear = run_campaign(campaign)["instances"][0]["results"]
+    assert theorem1["status"] == cor_linear["status"] == "fail"
+    payload = theorem1["payload"]
+    assert (payload["h1_blackbox"], payload["h1_layered"]) == (2, 3)
+    assert payload["generators_generate"] is True
+
+
+def test_affine_frattini_seeds_are_formed_once_per_sylow(monkeypatch):
+    # the layered |Phi| and the listed Phi of theorem 1, cor_linear and
+    # filtration share one list of generator commutators and p-th powers
+    formed = []
+    real = pgroup.commutator
+    monkeypatch.setattr(
+        pgroup, "commutator", lambda *args: formed.append(1) or real(*args)
+    )
+    checks = ["theorem1", "cor_linear", "filtration"]
+    campaign = {
+        "instances": [{"model": "affine", "m": 2, "q": 9, "k": 2, "checks": checks}],
+    }
+    results = run_campaign(campaign)["instances"][0]["results"]
+    assert [r["status"] for r in results] == ["pass"] * 3
+    gens = len(affine.sylow_generators(2, FqConfig.from_q(9), 2))
+    assert len(formed) == gens * (gens - 1) // 2
+
+
+def test_filtration_and_tits_verdicts_without_bulk_left_products(monkeypatch):
+    # every filtration and tits instance of the default and matrix stretch
+    # campaigns, run again with matrix oracles that have no mul_pairs, so
+    # that their left products are one scalar product per row
+    with open(os.path.join(ROOT, "bench", "campaigns", "matrix_stretch.json")) as fh:
+        stretch = json.load(fh)
+    instances = [
+        dict(inst, checks=[c for c in inst["checks"] if c in ("filtration", "tits")])
+        for inst in DEFAULT_CAMPAIGN["instances"] + stretch["instances"]
+    ]
+    campaign = {"instances": [inst for inst in instances if inst["checks"]]}
+    assert len(campaign["instances"]) == 7
+    bulk = cli._strip_volatile(run_campaign(campaign))
+    original = affine.AffineMatrixGroup.oracle
+    monkeypatch.setattr(
+        affine.AffineMatrixGroup,
+        "oracle",
+        lambda group: dataclasses.replace(original(group), mul_pairs=None),
+    )
+    assert cli._strip_volatile(run_campaign(campaign)) == bulk
+    results = [r for inst in bulk["instances"] for r in inst["results"]]
+    assert {r["status"] for r in results} == {"pass"}
 
 
 def test_cor_linear_is_a_view_of_theorem1(monkeypatch):

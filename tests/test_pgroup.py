@@ -15,18 +15,21 @@ import pytest
 
 from kmsylow import affine, pgroup, unipotent
 from kmsylow.affine import AffineMatrixGroup, sylow_generators
-from kmsylow.errors import ChainNotNested, EnumerationCapExceeded
+from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAFiltration
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
 from kmsylow.pgroup import (
     BITMAP_CODES,
+    FEW_ROWS,
     SCAN_BLOCK,
     FiniteGroupTable,
+    FrattiniCount,
     GroupOracle,
     PolynomialMap,
     _FIBONACCI,
     _CodeBitmap,
     _CodeHash,
+    _left_rows,
     bulk_hook,
     check_filtration_lemma,
     closure,
@@ -529,13 +532,14 @@ def test_theorem1_leaves_the_frattini_keys_unbuilt(monkeypatch):
     # theorem 1 reads Phi's order and members only, so neither model builds
     # a key for each of its elements
     tables = []
+    index = FrattiniCount.index
 
-    def frattini_kept(*args, **kwargs):
-        phi, index = frattini_index(*args, **kwargs)
+    def frattini_kept(count, cap):
+        phi, n = index(count, cap)
         tables.append(phi)
-        return phi, index
+        return phi, n
 
-    monkeypatch.setattr(unipotent, "frattini_index", frattini_kept)
+    monkeypatch.setattr(FrattiniCount, "index", frattini_kept)
     report = unipotent.verify_theorem1(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4)
     assert report["group_engine"] == "enumeration" and report["h1_blackbox"] == 2
     sylow = affine.IwahoriSylow(2, FqConfig(3), 3, pgroup.DEFAULT_CAP)
@@ -1066,6 +1070,24 @@ def test_row_pairs_of_the_bch_law_equal_its_scalar_products(n):
     _assert_pairs_equal_scalar_products(_bch_oracle(), 5, n, seed=n)
 
 
+@pytest.mark.parametrize("n", [5, FEW_ROWS + 1, SCAN_BLOCK + 1])
+def test_left_products_equal_scalar_products(n):
+    # one bulk product of row pairs past FEW_ROWS rows, one scalar product
+    # per row up to it and for an oracle with no mul_pairs
+    rng = np.random.default_rng(n)
+    oracle = AffineMatrixGroup(2, FqConfig(5), 3).oracle()
+    pairs = []
+    counted = dataclasses.replace(
+        oracle, mul_pairs=lambda a, b: pairs.append(len(a)) or oracle.mul_pairs(a, b)
+    )
+    rows = rng.integers(0, 5, (n, len(oracle.identity)), dtype=np.uint8)
+    key = bytes(rng.integers(0, 5, len(oracle.identity), dtype=np.uint8))
+    want = [oracle.mul(key, x) for x in row_keys(rows)]
+    for each in (counted, dataclasses.replace(oracle, mul_pairs=None)):
+        assert row_keys(_left_rows(each, key, rows)) == want
+    assert pairs == ([n] if n > FEW_ROWS else [])
+
+
 def test_row_pairs_build_their_hook_on_first_use_only(monkeypatch):
     built = []
 
@@ -1226,6 +1248,16 @@ def test_layered_normal_closure_equals_enumeration(n, p):
     # the normal closure of one generator under all of them is more than
     # the group it generates
     assert layered_order(gens[:1], oracle, lead, p, gens) > p
+
+
+def test_layered_order_refuses_a_sequence_too_long():
+    # a new level on every call: each element joins the sequence, and its
+    # conjugate, itself, joins again, so the sequence would grow for ever;
+    # past log_p of the 256 keys, 3.4 elements, it is refused
+    fresh = itertools.count()
+    g = bytes([1])
+    with pytest.raises(NotAFiltration, match="a sequence of more than 3"):
+        layered_order([g], vector_oracle(5, 1), lambda key: (next(fresh), [1]), 5, [g])
 
 
 def test_layered_order_of_heisenberg_group():

@@ -2,7 +2,8 @@
 campaigns as `kmsylow verify --verify-report` compares them: the elapsed
 times stripped, every other field equal.  The three benchmark campaigns
 are run at the default cap and at a cap of 1000, which pins which checks
-refuse and with which message."""
+refuse and with which message; the matrix frontier campaign is refused at
+the default cap on the layered orders its messages name."""
 
 import json
 import os
@@ -18,7 +19,10 @@ STORED = [
     (f"bench/campaigns/{name}.json", cap, f"tests/data/{name}{suffix}.json")
     for name in ("default", "bch_stretch", "matrix_stretch")
     for cap, suffix in ((None, ""), (1000, ".cap1000"))
-] + [("tests/campaigns/lie_heights.json", None, "tests/data/lie_heights.json")]
+] + [
+    (f"tests/campaigns/{name}.json", None, f"tests/data/{name}.json")
+    for name in ("lie_heights", "matrix_frontier")
+]
 
 
 def _load(path):
