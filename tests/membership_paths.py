@@ -1,10 +1,11 @@
 """The enumeration engine run three times on one polynomial-law oracle:
 once as given, so that closures mark their members in a code bitmap; once
-with a bitmap limit of one code, so that they keep a hash table of codes;
-and once with q unset, so that they keep a set of keys.  The three runs must list
-the same elements in the same order and count the same cosets: of the
-Frattini subgroup and, while the index is small, of the first generator's
-closure, which need not be normal."""
+with a bitmap limit of one code, so that they move to a hash table of codes
+at the first column that varies; and once with q unset, so that they keep
+a set of keys.  The three runs must list the same elements in the same
+order and count the same cosets: of the Frattini subgroup and, while the
+index is small, of the first generator's closure, which need not be
+normal."""
 
 import dataclasses
 
@@ -50,11 +51,17 @@ def enumerations(oracle, gens, p, order=None):
         out["line_index"] = subgroup_index(line, gens, oracle)
     return dict(
         out,
-        members=type(line.members).__name__,
+        members=path(line.members),
         normal_closure=normal_closure(seeds, gens, oracle, p=p).elements,
         frattini_subgroup=phi.elements,
         subgroup_index=index,
     )
+
+
+def path(members):
+    """The name of the structure that holds a table's members: the store of
+    its codes, or its set of keys."""
+    return type(getattr(members, "store", members)).__name__
 
 
 def assert_membership_paths_agree(oracle, gens, p, order=None):

@@ -27,8 +27,8 @@ from kmsylow.pgroup import (
     GroupOracle,
     PolynomialMap,
     _FIBONACCI,
-    _CodeBitmap,
     _CodeHash,
+    _Codes,
     _left_rows,
     bulk_hook,
     check_filtration_lemma,
@@ -48,6 +48,7 @@ from breadth_first import breadth_first_closure
 from coset_probe import assert_same_index
 from derived_series import derived_subgroup, is_perfect
 from filtration_scan import assert_filtration_reports_agree
+from membership_paths import path as members_path
 
 
 def vector_oracle(p, d):
@@ -296,7 +297,7 @@ def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
     oracle = dataclasses.replace(vector_oracle(2, width), q=2)
     ones, top = bytes([1]) * width, bytes(width - 1) + bytes([1])
     table = closure([ones], oracle, p=2)
-    assert type(table.members).__name__ == path
+    assert members_path(table.members) == path
     assert table.elements == (bytes(width), ones)
     assert ones in table and top not in table
     assert not table.members.marked(key_rows([top], width)).any()
@@ -304,24 +305,16 @@ def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
 
 
 def test_bitmap_codes_are_exact_at_the_limit():
+    # columns that begin to vary in one block are digits in column order,
+    # the first least significant; 2^26 codes still take the bitmap
     keys = [bytes([1]) * 26, bytes(25) + bytes([1]), bytes([1]) + bytes(25)]
-    # the first coordinate is the most significant
-    codes = key_rows(keys, 26) @ _CodeBitmap(2, 26).weights
-    assert codes.tolist() == [2 ** 26 - 1, 1, 2 ** 25]
-    codes = key_rows([bytes([255]) * 3], 3) @ _CodeBitmap(256, 3).weights
-    assert codes.tolist() == [2 ** 24 - 1]
-
-
-def _code_rows(codes):
-    """Rows of keys over F_2 of width 63 with the given codes."""
-    codes = np.array(codes, dtype=np.int64)
-    bits = codes[:, None] >> np.arange(62, -1, -1, dtype=np.int64) & 1
-    return bits.astype(np.uint8)
-
-
-def _code_keys(codes):
-    """Keys over F_2 of width 63 with the given codes."""
-    return row_keys(_code_rows(codes))
+    members = _Codes(2, bytes(26)).mark(key_rows(keys, 26))
+    assert members_path(members) == "_CodeBitmap" and members.space == 2 ** 26
+    assert members._code(key_rows(keys, 26)).tolist() == [2 ** 26 - 1, 2 ** 25, 1]
+    assert all(k in members for k in keys) and bytes(26) not in members
+    assert np.unpackbits(members.store.bits).sum() == 3
+    members = _Codes(256, bytes(3)).mark(key_rows([bytes([255]) * 3], 3))
+    assert members._code(key_rows([bytes([255]) * 3], 3)).tolist() == [2 ** 24 - 1]
 
 
 def _codes_homed_at(rng, slot, bits, count):
@@ -346,7 +339,7 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
     # probes walk in numpy steps, one code at a time, or both
     monkeypatch.setattr(pgroup, "_FEW", few)
     rng = random.Random(17)
-    table = _CodeHash(2, 63)
+    table = _CodeHash()
     bits = _CodeHash.MIN_BITS
     assert len(table.slots) == 2 ** bits
     blocks = [[0, 2 ** 63 - 1] + _codes_homed_at(rng, 2 ** bits - 1, bits, 40)]
@@ -359,13 +352,14 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
         block = list(dict.fromkeys(block))
         rng.shuffle(block)
         strangers = [rng.getrandbits(63) for _ in range(50)]
-        assert table.marked(_code_rows(strangers)).tolist() == [
+        assert table.marked(np.array(strangers)).tolist() == [
             c in members for c in strangers
         ]
-        assert table.take_new(_code_rows(block)).tolist() == [
-            c not in members for c in block
-        ]
+        # the repeats are probed, and only the fresh codes marked
+        assert table.marked(np.array(block)).tolist() == [c in members for c in block]
+        table.mark(np.array([c for c in block if c not in members], dtype=np.int64))
         members.update(block)
+        assert table.marked(np.array(block)).all()
         slots = table.slots
         assert table.size == len(members) <= 3 * len(slots) // 4
         assert set(slots[slots != -1].tolist()) == members
@@ -374,15 +368,12 @@ def test_code_hash_agrees_with_a_set(monkeypatch, few):
         probes = rng.sample(sorted(members), 30) + strangers
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert [k in table for k in _code_keys(probes)] == [
-                c in members for c in probes
-            ]
+            assert [table.holds(c) for c in probes] == [c in members for c in probes]
         mixed = strangers[:5] + probes[:1]
-        marked = table.marked(_code_rows(mixed))
+        marked = table.marked(np.array(mixed))
         assert marked.any() and marked.tolist() == [c in members for c in mixed]
     assert wrapped and len(table.slots) == 2 ** (bits + 5)
-    assert _code_keys([2 ** 63 - 1])[0] in table
-    assert bytes(63) in table
+    assert table.holds(2 ** 63 - 1) and table.holds(0)
 
 
 def test_closure_is_generator_order_independent():
@@ -457,7 +448,7 @@ def test_marked_agrees_with_in(monkeypatch, path):
     table = closure(gens[:4], oracle, p=p)
     if filtered:
         table = table.subtable(lambda rows: rows[:, 0] == 0)
-    assert type(table.members).__name__ == path
+    assert members_path(table.members) == path
     assert table.order == (27 if filtered else 81)
     rng = random.Random(5)
     keys = list(closure(gens[:4], oracle).elements)
@@ -487,7 +478,7 @@ def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path
     p = p if given_p else None
     order = closure(gens, scalar, p=p).order
     table = closure(gens, rows_oracle, cap=order, p=p)
-    assert type(table.members).__name__ == path
+    assert members_path(table.members) == path
     assert table.rows.shape == (order, len(rows_oracle.identity))
     assert table.elements == closure(gens, scalar, cap=order, p=p).elements
     assert max(sizes, default=SCAN_BLOCK) == SCAN_BLOCK
@@ -521,11 +512,73 @@ def test_a_closure_given_its_order_never_grows_its_hash(monkeypatch, make):
     args = (gens, oracle) if make is closure else (gens, gens, oracle)
     sized = make(*args, p=p, order=3 ** 9)
     assert not grown and not any(merged)
-    assert type(sized.members) is _CodeHash
-    assert sized.members.size == 3 ** 9 <= 3 * len(sized.members.slots) // 4
+    store = sized.members.store
+    assert type(store) is _CodeHash
+    assert store.size == 3 ** 9 <= 3 * len(store.slots) // 4
     unsized = make(*args, p=p)
     assert grown and any(merged)
     assert sized.elements == unsized.elements
+
+
+def test_a_column_that_varies_late_keeps_its_constant_digit():
+    # SL_2(F_3) is listed from its transvections: its upper corner varies
+    # first, and its diagonal, 1 in the identity, only from the second
+    # generator's coset on, so the members held then gain the digit 1 in
+    # the diagonal's places.  Every key of the space is answered as by a
+    # set of the elements, by `in` and by marked
+    group, table = affine.enumerate_special_linear(2, FqConfig(3))
+    members = table.members
+    assert members_path(members) == "_CodeBitmap"
+    assert members.const.tolist() == [1, 0, 0, 1]
+    assert members.weights.tolist() == [3, 1, 9, 27]
+    keys = [bytes(k) for k in itertools.product(range(3), repeat=4)]
+    want = [k in frozenset(table.elements) for k in keys]
+    assert sum(want) == table.order == 24
+    assert [k in members for k in keys] == want
+    assert members.marked(key_rows(keys, 4)).tolist() == want
+    assert np.unpackbits(members.store.bits).sum() == 24
+
+
+def test_a_row_that_differs_in_a_fixed_column_is_no_member():
+    # the members of <e_0> in (Z/3)^3 vary in column 0 only, so (1, 1, 0)
+    # has the code of e_0 and is refused by its fixed column alone
+    oracle = dataclasses.replace(vector_oracle(3, 3), q=3)
+    members = closure([bytes((1, 0, 0))], oracle).members
+    assert members.weights.tolist() == [1, 0, 0]
+    keys = [bytes((1, 0, 0)), bytes((1, 1, 0)), bytes((2, 0, 2)), bytes(3)]
+    assert members._code(key_rows(keys, 3)).tolist() == [1, 1, 2, 0]
+    assert [k in members for k in keys] == [True, False, False, True]
+    assert members.marked(key_rows(keys, 3)).tolist() == [True, False, False, True]
+
+
+@pytest.mark.parametrize(
+    "limit,width,path", [(3 ** 4, 9, "_CodeHash"), (BITMAP_CODES, 64, "_KeySet")]
+)
+def test_members_move_store_in_the_middle_of_a_listing(monkeypatch, limit, width, path):
+    # under a bitmap limit of 3^4 codes, (Z/3)^9 moves from the bitmap to a
+    # hash table at its fifth varying column; over F_2 a last generator of
+    # all ones takes the codes past 2^63, to a key set.  Either lists the
+    # elements of the key-set path, in its order
+    monkeypatch.setattr(pgroup, "BITMAP_CODES", limit)
+    q = 3 if width == 9 else 2
+    oracle = dataclasses.replace(vector_oracle(q, width), q=q)
+    units = [bytes(int(i == j) for j in range(width)) for i in range(width)]
+    gens = units if width == 9 else units[:3] + [bytes([1]) * width]
+    stores = []
+    vary = pgroup._Codes._vary
+
+    def recorded(members, columns):
+        stores.append(members_path(members))
+        return vary(members, columns)
+
+    monkeypatch.setattr(pgroup._Codes, "_vary", recorded)
+    table = closure(gens, oracle, p=q)
+    assert members_path(table.members) == path
+    assert stores[0] == "_CodeBitmap" and "_CodeBitmap" in stores[1:]
+    keys = closure(gens, dataclasses.replace(oracle, q=None), p=q)
+    assert table.elements == keys.elements
+    assert all(k in table for k in keys.elements)
+    assert table.members.marked(keys.rows).all()
 
 
 def test_theorem1_leaves_the_frattini_keys_unbuilt(monkeypatch):
