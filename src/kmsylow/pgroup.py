@@ -40,13 +40,13 @@ stages over the right cosets of a subgroup.
 Every table answers membership through one structure: `in` for a key and
 marked for a block of rows.  A closure keeps the structure it filled
 (_membership): codes over the columns in which its members vary, held in
-a bitmap, a hash table of codes past BITMAP_CODES codes, or a set of keys
-past 2^63.  Each coset of a Dimino stage is new, so its rows are marked
-with no test.  A subtable answers through the table it was filtered from,
-so coset probes and the filtration and Tits checks test a block of bulk
-products at once.  A model that also
-supplies a leading-term map for a central filtration gets exact subgroup
-orders from the layered engine, which lists no elements and so has no cap.
+a bitmap, or a set of keys past BITMAP_CODES codes.  Each coset of a
+Dimino stage is new, so its rows are marked with no test.  A subtable
+answers through the table it was filtered from, so coset probes and the
+filtration and Tits checks test a block of bulk products at once.  A
+model that also supplies a leading-term map for a central filtration gets
+exact subgroup orders from the layered engine, which lists no elements
+and so has no cap.
 """
 
 from dataclasses import dataclass
@@ -62,8 +62,11 @@ DEFAULT_CAP = 2 ** 21
 # rows of one bulk product, in a closure or in the commutator check
 SCAN_BLOCK = 4096
 # most codes, q^(varying columns), that a closure holds in a bitmap, one bit
-# each (8 MiB); past it the codes go to a hash table
-BITMAP_CODES = 2 ** 26
+# each (64 MiB); past it the members go to a set of keys.  The smallest
+# power of two above every code space under DEFAULT_CAP: the largest is
+# 17^7, about 2^28.6, for the Frattini subgroup of the (2, 17, 3) Sylow,
+# which varies in the 7 columns of level 2 and up
+BITMAP_CODES = 2 ** 29
 # lane sums are kept below this, so that each reduces mod p by one gather
 # from a table of residues (4 KiB a lane)
 RESIDUE_SUMS = 2 ** 12
@@ -393,7 +396,7 @@ class FiniteGroupTable:
         self.generators = tuple(generators)
         self.rows = rows
         if members is None:
-            members = _membership(oracle, len(rows)).mark(rows)
+            members = _membership(oracle).mark(rows)
         self.members = members
 
     @property
@@ -450,31 +453,33 @@ class _KeySet:
         return key in self.set
 
 
+# BIT[i] is the byte with bit i set
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
 class _Codes:
     """Membership of keys over F_q by codes over the columns in which the
-    members vary.  const is the identity's row; a column varies once a
-    member differs from const there.  A code has one base-q digit per
-    varying column, in the order the columns began to vary, the first
-    least significant: weights[v] is the place value of varying column v,
-    and 0 for a fixed column.  A row that differs from const in a fixed
-    column is no member, for `in` and for marked.
+    members vary, one bit a code.  const is the identity's row; a column
+    varies once a member differs from const there.  A code has one base-q
+    digit per varying column, in the order the columns began to vary, the
+    first least significant: weights[v] is the place value of varying
+    column v, and 0 for a fixed column.  A row that differs from const in a
+    fixed column is no member, for `in` and for marked.
 
-    The codes, space = q^(varying columns) of them, are held in store: a
-    _CodeBitmap while space is at most BITMAP_CODES, else a _CodeHash sized
-    for the expected members while it is at most 2^63, so that codes stay
-    exact in int64.  A block that varies new columns extends the code, each new
-    column the next most significant digit: the members held gain the
-    digit const[v] and are marked again in a new store, or past 2^63 in a
-    _KeySet, which mark then returns.  A block is coded by one matrix
-    product; one key is coded in plain Python, so a probe of one key makes
-    no numpy call but the lookup."""
+    bits holds the codes, space = q^(varying columns) of them, while space
+    is at most BITMAP_CODES.  A block that varies new columns extends the
+    code, each new column the next most significant digit: the members
+    held gain the digit const[v] and are laid out again in a new bitmap,
+    or past BITMAP_CODES decoded into a _KeySet, which mark then returns.
+    A block is coded by one matrix product; one key is coded in plain
+    Python, so a probe of one key makes no numpy call but the lookup."""
 
-    def __init__(self, q, identity, expected=None):
-        self.q, self.expected = q, expected
+    def __init__(self, q, identity):
+        self.q = q
         self.const = np.frombuffer(identity, dtype=np.uint8)
         self.weights = np.zeros(len(identity), dtype=np.int64)
         self.space = 1
-        self.store = _CodeBitmap(1)
+        self.bits = np.zeros(1, dtype=np.uint8)
         self._recoded()
 
     def _recoded(self):
@@ -493,25 +498,38 @@ class _Codes:
             return self.weights @ rows.T
         return rows @ self.weights
 
+    def _set(self, codes):
+        # the codes are distinct and their bits unset, so adding each bit to
+        # its byte sets it with no carry: np.add.at has a fast path that
+        # np.bitwise_or.at lacks
+        np.add.at(self.bits, codes >> 3, _BIT.take(codes & 7))
+
+    def _held(self):
+        """The codes of the members, from the set bits."""
+        at = np.flatnonzero(self.bits)
+        set_bits = np.flatnonzero(np.unpackbits(self.bits[at], bitorder="little"))
+        return at[set_bits >> 3] * 8 + (set_bits & 7)
+
     def mark(self, rows):
         """Make the rows members and return the structure that holds them:
-        self, or a _KeySet once the codes pass 2^63.  The rows must be
-        distinct and none of them a member, as the rows of a new coset are,
-        so that each code sets its bit or fills its slot with no test."""
+        self, or a _KeySet once the codes pass BITMAP_CODES.  The rows must
+        be distinct and none of them a member, as the rows of a new coset
+        are, so that each code sets its bit with no test."""
         fixed = self._fixed
         new = fixed[(rows[:, fixed] != self.const[fixed]).any(axis=0)]
         if len(new):
             members = self._vary(new.tolist())
             if members is not self:
                 return members.mark(rows)
-        self.store.mark(self._code(rows))
+        self._set(self._code(rows))
         return self
 
     def _vary(self, columns):
-        """Code the new columns too, the members held marked again in a new
-        store; past 2^63 codes, the _KeySet of the members instead."""
-        codes = self.store.codes()
-        if self.space * self.q ** len(columns) > 2 ** 63:
+        """Code the new columns too, the members held set again in a new
+        bitmap; past BITMAP_CODES codes, the _KeySet of the members
+        instead."""
+        codes = self._held()
+        if self.space * self.q ** len(columns) > BITMAP_CODES:
             rows = np.repeat(self.const[None], len(codes), axis=0)
             for v, w in enumerate(self._weights):
                 if w:
@@ -521,11 +539,8 @@ class _Codes:
             codes += int(self.const[v]) * self.space
             self.weights[v] = self.space
             self.space *= self.q
-        if self.space <= BITMAP_CODES:
-            self.store = _CodeBitmap(self.space)
-        else:
-            self.store = _CodeHash(self.expected)
-        self.store.mark(codes)
+        self.bits = np.zeros(-(-self.space // 8), dtype=np.uint8)
+        self._set(codes)
         self._recoded()
         return self
 
@@ -533,163 +548,22 @@ class _Codes:
         """A mask of the rows that are members."""
         fixed = self._fixed
         fits = (rows[:, fixed] == self.const[fixed]).all(axis=1)
-        return self.store.marked(self._code(rows)) & fits
+        codes = self._code(rows)
+        return (self.bits.take(codes >> 3) & _BIT.take(codes & 7) != 0) & fits
 
     def __contains__(self, key):
         if int.from_bytes(key, "big") & self._mask != self._const:
             return False
-        return self.store.holds(sum(map(mul, key, self._weights)))
-
-
-# BIT[i] is the byte with bit i set
-_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
-
-
-class _CodeBitmap:
-    """Codes below size held as one bit each."""
-
-    def __init__(self, size):
-        self.bits = np.zeros(-(-size // 8), dtype=np.uint8)
-
-    def mark(self, codes):
-        # the codes are distinct and their bits unset, so adding each bit to
-        # its byte sets it with no carry: np.add.at has a fast path that
-        # np.bitwise_or.at lacks
-        np.add.at(self.bits, codes >> 3, _BIT.take(codes & 7))
-
-    def marked(self, codes):
-        return self.bits.take(codes >> 3) & _BIT.take(codes & 7) != 0
-
-    def holds(self, code):
+        code = sum(map(mul, key, self._weights))
         return bool(self.bits.item(code >> 3) >> (code & 7) & 1)
 
-    def codes(self):
-        at = np.flatnonzero(self.bits)
-        set_bits = np.flatnonzero(np.unpackbits(self.bits[at], bitorder="little"))
-        return at[set_bits >> 3] * 8 + (set_bits & 7)
 
-
-# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): a code's home slot is the top
-# bits of its product with 2^64 / golden ratio, modulo 2^64
-_FIBONACCI = 0x9E3779B97F4A7C15
-_EMPTY = -1  # a free slot of a _CodeHash; codes are nonnegative
-_FEW = 32  # codes still walking that a _CodeHash probe walks one at a time
-
-
-def _fit(count, bits):
-    """The fewest bits, at least bits, whose _CodeHash of 2^bits slots holds
-    count codes three quarters full."""
-    while count > 3 << (bits - 2):
-        bits += 1
-    return bits
-
-
-class _CodeHash:
-    """Codes below 2^63 held in an open-addressing hash table with linear
-    probing, one int64 slot each, for code spaces too large for a bitmap.
-    The table is kept at most three quarters full, so it costs
-    between 10.7 and 21.3 bytes a member; when a block would fill it past
-    that, it doubles and the members are inserted again.  Given the number
-    of members expected, it is allocated at that size and never grows.
-
-    A block is probed once: each code walks from its home slot until its
-    slot holds the code (a member) or is empty, the codes still walking
-    stepping together.  mark, given codes that are not held, then writes
-    each into the empty slot its probe ended at; where several share a
-    slot one write wins, and the others walk on to the next empty slot and
-    write again, until every code is placed.  No block is sorted."""
-
-    MIN_BITS = 10
-
-    def __init__(self, expected=None):
-        self.size = 0
-        self._allocate(_fit(expected or 0, self.MIN_BITS))
-
-    def _allocate(self, bits):
-        self.slots = np.full(1 << bits, _EMPTY, dtype=np.int64)
-        self._mask = (1 << bits) - 1
-        self._limit = 3 << (bits - 2)
-        self._shift = 64 - bits
-
-    def _home(self, codes):
-        # uint64 operands throughout, so numpy 1.x and 2.x agree
-        hashed = codes.view(np.uint64) * np.uint64(_FIBONACCI)
-        return (hashed >> np.uint64(self._shift)).astype(np.intp)
-
-    def _probe(self, codes, at):
-        """Walk each code on from its slot at (updated in place) to the
-        first slot that holds it or is empty: a step for all walking codes
-        at once while many walk, and the last few, whose clusters can run
-        long, one at a time."""
-        slots, mask = self.slots, self._mask
-        found = slots.take(at)
-        walking = np.flatnonzero((found != codes) & (found != _EMPTY))
-        while len(walking) > _FEW:
-            step = at.take(walking)
-            step += 1
-            step &= mask
-            at[walking] = step
-            found = slots.take(step)
-            walking = walking[(found != codes.take(walking)) & (found != _EMPTY)]
-        for i in walking.tolist():
-            at[i] = self._walk(codes.item(i), at.item(i))
-        return at
-
-    def _walk(self, code, at):
-        """The first slot from at on that holds code or is empty."""
-        slots, mask = self.slots, self._mask
-        found = slots.item(at)
-        while found != code and found != _EMPTY:
-            at = (at + 1) & mask
-            found = slots.item(at)
-        return at
-
-    def _place(self, codes, at):
-        """Write distinct codes, none a member, each at is an empty slot on
-        its path, into the table."""
-        slots = self.slots
-        while len(codes):
-            slots[at] = codes
-            lost = slots.take(at) != codes
-            codes = codes[lost]
-            at = self._probe(codes, at[lost])
-
-    def _grow(self, fresh):
-        """Double the table until the codes held and the fresh codes fit,
-        and insert them all; the old slots are freed before the new ones
-        are made."""
-        codes = np.concatenate([self.codes(), fresh])
-        bits = _fit(len(codes), self._mask.bit_length())
-        self.slots = None
-        self._allocate(bits)
-        # every home slot of an empty table is free
-        self._place(codes, self._home(codes))
-
-    def codes(self):
-        return self.slots[self.slots != _EMPTY]
-
-    def mark(self, codes):
-        self.size += len(codes)
-        if self.size > self._limit:
-            self._grow(codes)
-        else:
-            self._place(codes, self._probe(codes, self._home(codes)))
-
-    def marked(self, codes):
-        return self.slots.take(self._probe(codes, self._home(codes))) == codes
-
-    def holds(self, code):
-        home = (code * _FIBONACCI & 0xFFFFFFFFFFFFFFFF) >> self._shift
-        return self.slots.item(self._walk(code, home)) == code
-
-
-def _membership(oracle, order=None):
+def _membership(oracle):
     """Codes over the varying columns for keys over F_q (the oracle names
-    q), a hash table of them sized for order members when order is given;
-    a set of keys otherwise."""
+    q); a set of keys otherwise."""
     if oracle.q is None:
         return _KeySet()
-    return _Codes(oracle.q, oracle.identity, order)
+    return _Codes(oracle.q, oracle.identity)
 
 
 class _Closure:
@@ -697,10 +571,9 @@ class _Closure:
     elements in the order found, as rows, and their membership structure.
     p, when given, says that the generators generate a p-group.
 
-    order, when given, is the subgroup's order: the rows and the membership
-    structure are then allocated once at their final size.  Rows found
-    past the end of the allocated rows are kept in blocks, merged with the
-    rows once per Dimino stage."""
+    order, when given, is the subgroup's order: the rows are then allocated
+    once at their final size.  Rows found past the end of the allocated
+    rows are kept in blocks, merged with the rows once per Dimino stage."""
 
     def __init__(self, oracle, cap, p=None, order=None):
         self.oracle = oracle
@@ -711,7 +584,7 @@ class _Closure:
         self.filled = 1  # rows written into self.rows
         self.blocks = []  # rows found past the end of self.rows
         self.size = 1
-        self.members = _membership(oracle, order).mark(self.rows[:1])
+        self.members = _membership(oracle).mark(self.rows[:1])
         self.gens = []
         self.inverses = {}  # key -> its inverse, for the keys commuted
 
@@ -834,8 +707,7 @@ def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
 
     order, when known (say from layered_order), is the subgroup's exact
     order; an order over the cap refuses before any multiplication, and
-    one under it sizes the closure's rows, and its hash table of codes
-    should it need one.
+    one under it sizes the closure's rows.
     """
     _refuse_known(order, cap, "subgroup order")
     state = _Closure(oracle, cap, p, order)

@@ -1,11 +1,11 @@
 """The enumeration engine run three times on one polynomial-law oracle:
 once as given, so that closures mark their members in a code bitmap; once
-with a bitmap limit of one code, so that they move to a hash table of codes
-at the first column that varies; and once with q unset, so that they keep
-a set of keys.  The three runs must list the same elements in the same
-order and count the same cosets: of the Frattini subgroup and, while the
-index is small, of the first generator's closure, which need not be
-normal."""
+with a bitmap limit of one code, so that at the first column that varies
+they decode the codes held into a set of keys and move to it; and once
+with q unset, so that they keep a set of keys from the start.  The three
+runs must list the same elements in the same order and count the same
+cosets: of the Frattini subgroup and, while the index is small, of the
+first generator's closure, which need not be normal."""
 
 import dataclasses
 
@@ -59,17 +59,17 @@ def enumerations(oracle, gens, p, order=None):
 
 
 def path(members):
-    """The name of the structure that holds a table's members: the store of
-    its codes, or its set of keys."""
-    return type(getattr(members, "store", members)).__name__
+    """The name of the structure that holds a table's members: its codes,
+    or its set of keys."""
+    return type(members).__name__
 
 
 def assert_membership_paths_agree(oracle, gens, p, order=None):
     bitmap = enumerations(oracle, gens, p, order)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pgroup, "BITMAP_CODES", 1)
-        hashed = enumerations(oracle, gens, p, order)
+        decoded = enumerations(oracle, gens, p, order)
     keyset = enumerations(dataclasses.replace(oracle, q=None), gens, p, order)
-    paths = [run.pop("members") for run in (bitmap, hashed, keyset)]
-    assert paths == ["_CodeBitmap", "_CodeHash", "_KeySet"]
-    assert bitmap == hashed == keyset
+    paths = [run.pop("members") for run in (bitmap, decoded, keyset)]
+    assert paths == ["_Codes", "_KeySet", "_KeySet"]
+    assert bitmap == decoded == keyset

@@ -1,6 +1,7 @@
 """Tests for the truncated-polynomial matrix Sylow model."""
 
 import glob
+import itertools
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from kmsylow.affine import (
     iwahori_level,
     iwahori_sylow_membership,
     monomial_subgroup,
+    special_linear_order,
     sylow_generators,
     sylow_order,
     sylow_table,
@@ -36,6 +38,7 @@ from kmsylow.errors import (
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import check_off_diagonal_hypothesis
 from kmsylow.pgroup import (
+    BITMAP_CODES,
     DEFAULT_CAP,
     SCAN_BLOCK,
     FiniteGroupTable,
@@ -282,6 +285,67 @@ def test_iwahori_sylow_lists_its_table_on_first_use_only():
     # the layered order of the closure refuses it before any product
     with pytest.raises(EnumerationCapExceeded, match="subgroup order 81 exceeds the cap of 80"):
         IwahoriSylow(2, F3, 2, 80).table
+
+
+def _columns_from_level(m, k, least):
+    """The key columns (i, j, d) of level at least least: those in which a
+    closure inside the level-least subgroup can vary."""
+    return sum(
+        iwahori_level(m, i, j, d) >= least
+        for i in range(m)
+        for j in range(m)
+        for d in range(k)
+    )
+
+
+def _prime_powers(top):
+    return [
+        q
+        for q in range(2, top + 1)
+        if len([p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]) == 1
+    ]
+
+
+def test_every_code_space_under_the_default_cap_fits_the_bitmap():
+    # the Sylow (levels >= 1) and I_2 (levels >= 2, Phi) vary in their
+    # columns of those levels, and have q^(k - 1) fewer elements than codes:
+    # one F_q condition on det for each degree d >= 1, whose diagonal
+    # coefficients are of level m d >= 2.  Each of them whose order fits
+    # the default cap, for m = 2..5, q <= 256 and k <= 9, codes its members
+    # in at most BITMAP_CODES codes; the largest is 17^7, Phi of (2, 17, 3).
+    # SL_m(F_q), listed for the Tits check, varies in all m^2 columns: at
+    # most 2^28 codes, for SL_2(F_128)
+    prime_powers = _prime_powers(256)
+    spaces = []
+    for m, k, least in itertools.product(range(2, 6), range(1, 10), (1, 2)):
+        columns = _columns_from_level(m, k, least)
+        spaces += [
+            (q ** columns, (m, q, k, least))
+            for q in prime_powers
+            if q ** (columns - (k - 1)) <= DEFAULT_CAP
+        ]
+    assert max(spaces) == (17 ** 7, (2, 17, 3, 2)) and 17 ** 7 <= BITMAP_CODES
+    special_linear = []
+    for m in range(2, 6):
+        for q in prime_powers:
+            if special_linear_order(m, FqConfig.from_q(q)) > DEFAULT_CAP:
+                break
+            special_linear.append((q ** (m * m), (m, q)))
+    assert max(special_linear) == (2 ** 28, (2, 128)) and 2 ** 28 <= BITMAP_CODES
+
+
+@pytest.mark.parametrize(
+    "m,q,k", [(2, 3, 3), (3, 3, 2), (2, 5, 2), (2, 4, 2), (2, 3, 4)]
+)
+def test_closures_vary_in_the_columns_of_their_levels(m, q, k):
+    # the code spaces of the bound above are those of real closures: the
+    # Sylow's table varies in its columns of level >= 1, and Phi, of order
+    # q^(k - 1) fewer than its codes, in those of level >= 2
+    sylow = IwahoriSylow(m, FqConfig.from_q(q), k, DEFAULT_CAP)
+    phi, _ = sylow.frattini
+    assert sylow.table.members.space == q ** _columns_from_level(m, k, 1)
+    assert phi.members.space == q ** _columns_from_level(m, k, 2)
+    assert phi.order * q ** (k - 1) == phi.members.space
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 1)])

@@ -8,7 +8,6 @@ import gc
 import itertools
 import random
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +25,6 @@ from kmsylow.pgroup import (
     FrattiniCount,
     GroupOracle,
     PolynomialMap,
-    _FIBONACCI,
-    _CodeHash,
     _Codes,
     _left_rows,
     bulk_hook,
@@ -288,12 +285,11 @@ def test_a_generator_already_a_member_costs_no_products():
 
 
 @pytest.mark.parametrize(
-    "width,path",
-    [(26, "_CodeBitmap"), (27, "_CodeHash"), (63, "_CodeHash"), (64, "_KeySet")],
+    "width,path", [(29, "_Codes"), (30, "_KeySet"), (64, "_KeySet")]
 )
-def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
-    # beyond the bitmap, codes below 2^63 are kept in a hash table
-    assert BITMAP_CODES == 2 ** 26
+def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_29_keys(width, path):
+    # beyond the bitmap, the members are kept as a set of keys
+    assert BITMAP_CODES == 2 ** 29
     oracle = dataclasses.replace(vector_oracle(2, width), q=2)
     ones, top = bytes([1]) * width, bytes(width - 1) + bytes([1])
     table = closure([ones], oracle, p=2)
@@ -306,74 +302,17 @@ def test_closures_mark_members_in_a_bitmap_up_to_2_to_the_26_keys(width, path):
 
 def test_bitmap_codes_are_exact_at_the_limit():
     # columns that begin to vary in one block are digits in column order,
-    # the first least significant; 2^26 codes still take the bitmap
-    keys = [bytes([1]) * 26, bytes(25) + bytes([1]), bytes([1]) + bytes(25)]
-    members = _Codes(2, bytes(26)).mark(key_rows(keys, 26))
-    assert members_path(members) == "_CodeBitmap" and members.space == 2 ** 26
-    assert members._code(key_rows(keys, 26)).tolist() == [2 ** 26 - 1, 2 ** 25, 1]
-    assert all(k in members for k in keys) and bytes(26) not in members
-    assert np.unpackbits(members.store.bits).sum() == 3
+    # the first least significant; 2^29 codes still take the bitmap
+    keys = [bytes([1]) * 29, bytes(28) + bytes([1]), bytes([1]) + bytes(28)]
+    members = _Codes(2, bytes(29)).mark(key_rows(keys, 29))
+    assert members_path(members) == "_Codes" and members.space == 2 ** 29
+    assert len(members.bits) == 2 ** 26
+    assert members._code(key_rows(keys, 29)).tolist() == [2 ** 29 - 1, 2 ** 28, 1]
+    assert all(k in members for k in keys) and bytes(29) not in members
+    set_bytes = members.bits[np.flatnonzero(members.bits)]
+    assert np.unpackbits(set_bytes).sum() == 3
     members = _Codes(256, bytes(3)).mark(key_rows([bytes([255]) * 3], 3))
     assert members._code(key_rows([bytes([255]) * 3], 3)).tolist() == [2 ** 24 - 1]
-
-
-def _codes_homed_at(rng, slot, bits, count):
-    """count codes below 2^63 whose home in a table of 2^bits slots is
-    slot: the Fibonacci multiplier is odd, so its inverse mod 2^64 maps a
-    chosen hash back to a code."""
-    inverse = pow(_FIBONACCI, -1, 2 ** 64)
-    codes = []
-    while len(codes) < count:
-        hashed = slot << (64 - bits) | rng.getrandbits(64 - bits)
-        code = hashed * inverse % 2 ** 64
-        if code < 2 ** 63:
-            codes.append(code)
-    return codes
-
-
-@pytest.mark.parametrize("few", [0, pgroup._FEW, 2 ** 20])
-def test_code_hash_agrees_with_a_set(monkeypatch, few):
-    # blocks of random codes grow the table from its smallest size through
-    # five doublings; the first block piles 40 codes onto the last slot, so
-    # their chain wraps round to slot 0, and holds the codes 0 and 2^63 - 1;
-    # probes walk in numpy steps, one code at a time, or both
-    monkeypatch.setattr(pgroup, "_FEW", few)
-    rng = random.Random(17)
-    table = _CodeHash()
-    bits = _CodeHash.MIN_BITS
-    assert len(table.slots) == 2 ** bits
-    blocks = [[0, 2 ** 63 - 1] + _codes_homed_at(rng, 2 ** bits - 1, bits, 40)]
-    for size in (1, 700, 300, 4096, 4096, 4096, 4096):
-        blocks.append([rng.getrandbits(63) for _ in range(size)])
-    members, wrapped = set(), False
-    for block in blocks:
-        # every later block repeats some members, in a shuffled order
-        block += rng.sample(sorted(members), len(members) // 9)
-        block = list(dict.fromkeys(block))
-        rng.shuffle(block)
-        strangers = [rng.getrandbits(63) for _ in range(50)]
-        assert table.marked(np.array(strangers)).tolist() == [
-            c in members for c in strangers
-        ]
-        # the repeats are probed, and only the fresh codes marked
-        assert table.marked(np.array(block)).tolist() == [c in members for c in block]
-        table.mark(np.array([c for c in block if c not in members], dtype=np.int64))
-        members.update(block)
-        assert table.marked(np.array(block)).all()
-        slots = table.slots
-        assert table.size == len(members) <= 3 * len(slots) // 4
-        assert set(slots[slots != -1].tolist()) == members
-        at = np.flatnonzero(slots != -1)
-        wrapped |= bool((at < table._home(slots[at])).any())
-        probes = rng.sample(sorted(members), 30) + strangers
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert [table.holds(c) for c in probes] == [c in members for c in probes]
-        mixed = strangers[:5] + probes[:1]
-        marked = table.marked(np.array(mixed))
-        assert marked.any() and marked.tolist() == [c in members for c in mixed]
-    assert wrapped and len(table.slots) == 2 ** (bits + 5)
-    assert table.holds(2 ** 63 - 1) and table.holds(0)
 
 
 def test_closure_is_generator_order_independent():
@@ -415,12 +354,19 @@ def test_known_order_over_the_cap_refuses_before_multiplying():
 
 def _membership_path(oracle, path, monkeypatch):
     """The oracle, with BITMAP_CODES patched, or q unset, so that closures
-    over it mark their members in a structure of type path."""
-    if path == "_CodeHash":
+    over it mark their members by path: in a code bitmap ("_Codes"), in a
+    set of keys decoded from the codes at the first column that varies
+    ("decoded"), or in a set of keys from the start ("_KeySet")."""
+    if path == "decoded":
         monkeypatch.setattr(pgroup, "BITMAP_CODES", 1)
     if path == "_KeySet":
         return dataclasses.replace(oracle, q=None)
     return oracle
+
+
+def _structure(path):
+    """The type name of the structure that path leaves a closure with."""
+    return "_KeySet" if path == "decoded" else path
 
 
 def _matrix_sylow_case():
@@ -436,7 +382,7 @@ def _vector_case():
     return oracle, [bytes(int(i == j) for j in range(9)) for i in range(9)], 3, sizes
 
 
-@pytest.mark.parametrize("path", ["_CodeBitmap", "_CodeHash", "_KeySet", "_Filtered"])
+@pytest.mark.parametrize("path", ["_Codes", "decoded", "_KeySet", "_Filtered"])
 def test_marked_agrees_with_in(monkeypatch, path):
     # member rows, non-member rows and an empty block, through each
     # structure a table answers from; a subtable answers through the table
@@ -444,11 +390,11 @@ def test_marked_agrees_with_in(monkeypatch, path):
     # 0.  A table built with no structure marks its rows in a new one
     oracle, gens, p, _ = _vector_case()
     filtered = path == "_Filtered"
-    oracle = _membership_path(oracle, "_CodeBitmap" if filtered else path, monkeypatch)
+    oracle = _membership_path(oracle, "_Codes" if filtered else path, monkeypatch)
     table = closure(gens[:4], oracle, p=p)
     if filtered:
         table = table.subtable(lambda rows: rows[:, 0] == 0)
-    assert members_path(table.members) == path
+    assert members_path(table.members) == _structure(path)
     assert table.order == (27 if filtered else 81)
     rng = random.Random(5)
     keys = list(closure(gens[:4], oracle).elements)
@@ -463,7 +409,7 @@ def test_marked_agrees_with_in(monkeypatch, path):
         assert empty.shape == (0,) and empty.dtype == bool
 
 
-@pytest.mark.parametrize("path", ["_CodeBitmap", "_CodeHash", "_KeySet"])
+@pytest.mark.parametrize("path", ["_Codes", "decoded", "_KeySet"])
 @pytest.mark.parametrize("case", [_matrix_sylow_case, _vector_case])
 @pytest.mark.parametrize("given_p", [True, False])
 def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path, given_p):
@@ -478,7 +424,7 @@ def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path
     p = p if given_p else None
     order = closure(gens, scalar, p=p).order
     table = closure(gens, rows_oracle, cap=order, p=p)
-    assert members_path(table.members) == path
+    assert members_path(table.members) == _structure(path)
     assert table.rows.shape == (order, len(rows_oracle.identity))
     assert table.elements == closure(gens, scalar, cap=order, p=p).elements
     assert max(sizes, default=SCAN_BLOCK) == SCAN_BLOCK
@@ -491,32 +437,23 @@ def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path
 
 
 @pytest.mark.parametrize("make", [closure, normal_closure])
-def test_a_closure_given_its_order_never_grows_its_hash(monkeypatch, make):
-    # the hash table and the rows are allocated at their final size, so no
-    # block is kept aside for a merge; with no order both grow
+def test_a_closure_given_its_order_merges_no_blocks(monkeypatch, make):
+    # the rows are allocated at their final size, so no block is kept
+    # aside for a merge; with no order they are
     oracle, gens, p, _ = _vector_case()
-    oracle = _membership_path(oracle, "_CodeHash", monkeypatch)
-    grown, merged = [], []
-    real_grow, real_merged = _CodeHash._grow, pgroup._Closure._merged
-
-    def grow(self, fresh):
-        grown.append(len(fresh))
-        return real_grow(self, fresh)
+    merged = []
+    real_merged = pgroup._Closure._merged
 
     def merged_rows(self):
         merged.append(len(self.blocks))
         return real_merged(self)
 
-    monkeypatch.setattr(_CodeHash, "_grow", grow)
     monkeypatch.setattr(pgroup._Closure, "_merged", merged_rows)
     args = (gens, oracle) if make is closure else (gens, gens, oracle)
     sized = make(*args, p=p, order=3 ** 9)
-    assert not grown and not any(merged)
-    store = sized.members.store
-    assert type(store) is _CodeHash
-    assert store.size == 3 ** 9 <= 3 * len(store.slots) // 4
+    assert not any(merged)
     unsized = make(*args, p=p)
-    assert grown and any(merged)
+    assert any(merged)
     assert sized.elements == unsized.elements
 
 
@@ -528,7 +465,7 @@ def test_a_column_that_varies_late_keeps_its_constant_digit():
     # set of the elements, by `in` and by marked
     group, table = affine.enumerate_special_linear(2, FqConfig(3))
     members = table.members
-    assert members_path(members) == "_CodeBitmap"
+    assert members_path(members) == "_Codes"
     assert members.const.tolist() == [1, 0, 0, 1]
     assert members.weights.tolist() == [3, 1, 9, 27]
     keys = [bytes(k) for k in itertools.product(range(3), repeat=4)]
@@ -536,7 +473,7 @@ def test_a_column_that_varies_late_keeps_its_constant_digit():
     assert sum(want) == table.order == 24
     assert [k in members for k in keys] == want
     assert members.marked(key_rows(keys, 4)).tolist() == want
-    assert np.unpackbits(members.store.bits).sum() == 24
+    assert np.unpackbits(members.bits).sum() == 24
 
 
 def test_a_row_that_differs_in_a_fixed_column_is_no_member():
@@ -552,13 +489,13 @@ def test_a_row_that_differs_in_a_fixed_column_is_no_member():
 
 
 @pytest.mark.parametrize(
-    "limit,width,path", [(3 ** 4, 9, "_CodeHash"), (BITMAP_CODES, 64, "_KeySet")]
+    "limit,width,path", [(3 ** 4, 9, "_KeySet"), (BITMAP_CODES, 64, "_KeySet")]
 )
 def test_members_move_store_in_the_middle_of_a_listing(monkeypatch, limit, width, path):
     # under a bitmap limit of 3^4 codes, (Z/3)^9 moves from the bitmap to a
-    # hash table at its fifth varying column; over F_2 a last generator of
-    # all ones takes the codes past 2^63, to a key set.  Either lists the
-    # elements of the key-set path, in its order
+    # key set at its fifth varying column; over F_2 a last generator of all
+    # ones takes the codes past 2^29 at once.  Either lists the elements of
+    # the key-set path, in its order, after the bitmap was laid out again
     monkeypatch.setattr(pgroup, "BITMAP_CODES", limit)
     q = 3 if width == 9 else 2
     oracle = dataclasses.replace(vector_oracle(q, width), q=q)
@@ -574,7 +511,7 @@ def test_members_move_store_in_the_middle_of_a_listing(monkeypatch, limit, width
     monkeypatch.setattr(pgroup._Codes, "_vary", recorded)
     table = closure(gens, oracle, p=q)
     assert members_path(table.members) == path
-    assert stores[0] == "_CodeBitmap" and "_CodeBitmap" in stores[1:]
+    assert stores[0] == "_Codes" and "_Codes" in stores[1:]
     keys = closure(gens, dataclasses.replace(oracle, q=None), p=q)
     assert table.elements == keys.elements
     assert all(k in table for k in keys.elements)
