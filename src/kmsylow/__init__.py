@@ -43,14 +43,13 @@ from .errors import (
 )
 from .fields import FqConfig, RationalField
 from .gcm import GcmType, GeneralizedCartanMatrix, classify, validate_gcm
+from .law import GroupOracle
 from .lie import GradedLieAlgebra, bracket, build_positive_part
 from .pgroup import (
     FiniteGroupTable,
     FrattiniCount,
-    GroupOracle,
     check_filtration_lemma,
     closure,
-    frattini_index,
     normal_closure,
     subgroup_index,
     verify_tits_axioms,
@@ -118,7 +117,6 @@ __all__ = [
     "congruence_subgroup",
     "enumerate_special_linear",
     "frattini_dimension_linear",
-    "frattini_index",
     "FrattiniCount",
     "iwahori_sylow_membership",
     "monomial_subgroup",

@@ -7,7 +7,7 @@ the corner matrix without that factor fails the mod-t membership test.
 
 Elements are byte keys of entry coefficients.  The product is a fixed
 bilinear map in those coefficients and, determinants being one, the inverse
-is the adjugate, a fixed polynomial map of degree m-1; both are pgroup
+is the adjugate, a fixed polynomial map of degree m-1; both are law
 polynomial maps, which give the group oracle its scalar product, its
 inverse, its bulk right multiplication and its bulk products of row pairs,
 and the oracle is built once per (m, F_q, k).  Subgroup filters read a
@@ -31,17 +31,8 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
-from .pgroup import (
-    DEFAULT_CAP,
-    SCAN_BLOCK,
-    FrattiniCount,
-    PolynomialMap,
-    _log_exact,
-    closure,
-    key_rows,
-    law_oracle,
-    row_keys,
-)
+from .law import PolynomialMap, key_rows, law_oracle, lead_map, row_keys
+from .pgroup import DEFAULT_CAP, SCAN_BLOCK, FrattiniCount, _log_exact, closure
 
 
 class AffineMatrixGroup:
@@ -76,26 +67,14 @@ class AffineMatrixGroup:
         return _matrix_oracle(self.m, self.fq, self.k, self.identity)
 
     def lead_map(self, level):
-        """The leading-term map of the filtration by level, a function of
-        (i, j, d) giving the level of coefficient t^d at position (i, j):
-        a key other than the identity goes to (l, the F_p digits of the
-        coefficients of g - 1 of level l), l the least level of a nonzero
-        coefficient of g - 1, the coefficients in key order."""
-        m, k, fq, identity = self.m, self.k, self.fq, self.identity
+        """The leading-term map (law.lead_map) of the filtration by level,
+        a function of (i, j, d) giving the level of coefficient t^d at
+        position (i, j): a key other than the identity goes to the least
+        level l of a nonzero coefficient of g - 1 and the F_p digits of the
+        coefficients of g - 1 of level l."""
+        m, k = self.m, self.k
         levels = [level(i, j, d) for i in range(m) for j in range(m) for d in range(k)]
-        at_level = {}
-        for at, l in enumerate(levels):
-            at_level.setdefault(l, []).append(at)
-        # minus[e][c] is the F_p digits of c - e; identity bytes are 0 or 1
-        minus = [[fq.decode(fq.sub(c, e)) for c in range(fq.q)] for e in (0, 1)]
-
-        def lead(key):
-            least = min(l for l, a, e in zip(levels, key, identity) if a != e)
-            return least, [
-                x for at in at_level[least] for x in minus[identity[at]][key[at]]
-            ]
-
-        return lead
+        return lead_map(self.fq, self.identity, levels)
 
     def stack(self, table):
         """The matrices of an enumerated table as an (n, m, m, k) stack of
@@ -276,9 +255,6 @@ def verify_theorem1_affine(sylow):
     m, fq, k = sylow.m, sylow.fq, sylow.k
     check_off_diagonal_hypothesis(affine_cartan_matrix(m), fq.p)
     phi, index = sylow.frattini
-    count, identity = sylow.count, sylow.group.identity
-    # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
-    frattini_eq_derived = all(x == identity for x in count.powers)
     return {
         "model": "affine_matrix",
         "gcm": None,
@@ -287,10 +263,10 @@ def verify_theorem1_affine(sylow):
         "q": fq.q,
         "H": None,
         "h1_blackbox": _log_exact(index, fq.p),
-        "h1_layered": _log_exact(count.order // count.frattini_order, fq.p),
+        "h1_layered": sylow.count.h1_layered,
         "h1_linear": None,
         "h1_predicted": predicted_h1(m, fq, k),
-        "frattini_eq_derived": frattini_eq_derived,
+        "frattini_eq_derived": sylow.count.frattini_eq_derived,
         "thm_ii_lhs_order": None,
         "thm_ii_rhs_order": None,
         "generators_generate": phi.order * index == sylow.order,

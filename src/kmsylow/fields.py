@@ -6,7 +6,7 @@ field, F_p being FqConfig(p).  FqConfig encodes field elements as integers
 0..q-1 in the power basis of a deterministically chosen irreducible
 polynomial; nested-list tables drive its scalar arithmetic, and its one
 numpy table, the product table MUL, feeds the bulk evaluator
-pgroup.bulk_hook.  add_scaled is the one sparse-vector sum of the Lie
+law.bulk_hook.  add_scaled is the one sparse-vector sum of the Lie
 build, the BCH series and the BCH law compile.
 """
 

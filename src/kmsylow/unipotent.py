@@ -8,8 +8,8 @@ exact whenever p exceeds the cutoff.
 
 The model runs the series once, over polynomials in the coordinates of both
 factors (dicts summed in place by fields.add_scaled), so its group law and
-its Lie bracket are fixed polynomial maps over F_q (pgroup.PolynomialMap).
-The inverse is negation, so the oracle is pgroup.law_oracle on the law and
+its Lie bracket are fixed polynomial maps over F_q (law.PolynomialMap).
+The inverse is negation, so the oracle is law.law_oracle on the law and
 the negation map: a product is one evaluation of the law, and right
 multiplication by a fixed element is the law specialized at that element,
 which feeds the engine's bulk hook.
@@ -24,16 +24,9 @@ from .errors import (
 )
 from .fields import add_scaled, echelon_insert, rref
 from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
+from .law import PolynomialMap, law_oracle, lead_map
 from .lie import build_positive_part, standard_factorization
-from .pgroup import (
-    DEFAULT_CAP,
-    FrattiniCount,
-    PolynomialMap,
-    _log_exact,
-    closure,
-    law_oracle,
-    layered_order,
-)
+from .pgroup import DEFAULT_CAP, FrattiniCount, _log_exact, closure, layered_order
 from .roots import REAL, positive_real_roots_up_to_height, root_status, simple_root
 
 
@@ -70,10 +63,10 @@ class UnipotentModel:
         self.algebra = build_positive_part(gcm, cutoff, fq)
         self.dim = dim = self.algebra.dimension
         self.heights = tuple(self.algebra.height_of(i) for i in range(dim))
-        # coordinate indices of each height, and the F_p digits of each code
-        self._at_height = {}
-        for i, h in enumerate(self.heights):
-            self._at_height.setdefault(h, []).append(i)
+        # the height filtration is central with elementary abelian layers,
+        # so its leading-term map is the layered engine's
+        self.lead = lead_map(fq, bytes(dim), self.heights)
+        # the F_p digits of each code
         self._digits = [fq.decode(c) for c in range(fq.q)]
         # series terms as (Lyndon word over {left, right}, coefficient code)
         self._terms = tuple(
@@ -139,15 +132,6 @@ class UnipotentModel:
             fq, tuple(((fq.neg(1), (i,), ()),) for i in range(self.dim))
         )
         return law_oracle(fq, bytes(self.dim), self._law, negation)
-
-    def lead(self, key):
-        """(height, F_p digits of the coordinates of that height) for a key
-        other than the identity, with height the least height of a nonzero
-        coordinate: the height filtration is central with elementary abelian
-        layers, so this is the layered engine's leading-term map."""
-        level = min(self.heights[i] for i, c in enumerate(key) if c)
-        digits = self._digits
-        return level, [a for i in self._at_height[level] for a in digits[key[i]]]
 
     def fp_vector(self, key):
         """The F_p digits of every coordinate of a key."""
@@ -293,9 +277,6 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     count = FrattiniCount(gens, oracle, p, model.lead)
     order, frattini_order = count.order, count.frattini_order
     rhs_order = layered_order(rhs_gens, oracle, model.lead, p)
-    h1_layered = _log_exact(order // frattini_order, p)
-    # Phi = [G,G] G^p, and G^p [G,G] / [G,G] is generated by these powers
-    frattini_eq_derived = all(x == oracle.identity for x in count.powers)
 
     try:
         frattini, index = count.index(cap)
@@ -318,10 +299,10 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
         "q": fq.q,
         "H": cutoff,
         "h1_blackbox": h1_blackbox,
-        "h1_layered": h1_layered,
+        "h1_layered": count.h1_layered,
         "h1_linear": frattini_dimension_linear(model),
         "h1_predicted": gcm.size * fq.r,
-        "frattini_eq_derived": frattini_eq_derived,
+        "frattini_eq_derived": count.frattini_eq_derived,
         "thm_ii_lhs_order": lhs_order,
         "thm_ii_rhs_order": rhs_order,
         "generators_generate": generators_generate,

@@ -6,6 +6,7 @@ the bulk entry point, the block size and the cap's message."""
 import pytest
 
 from kmsylow.errors import EnumerationCapExceeded
+from kmsylow.law import key_rows, row_keys
 from kmsylow.pgroup import (
     DEFAULT_CAP,
     SCAN_BLOCK,
@@ -13,9 +14,7 @@ from kmsylow.pgroup import (
     _power,
     closure,
     generator_commutators,
-    key_rows,
     normal_closure,
-    row_keys,
 )
 
 

@@ -9,7 +9,8 @@ only the bulk entry point and the cap's message."""
 import pytest
 
 from kmsylow.errors import EnumerationCapExceeded
-from kmsylow.pgroup import DEFAULT_CAP, _mul_rows, key_rows, subgroup_index
+from kmsylow.law import key_rows
+from kmsylow.pgroup import DEFAULT_CAP, _mul_rows, subgroup_index
 
 PROBE_LIMIT = 625  # the largest index compared: the probe takes about a second
 

@@ -14,9 +14,9 @@ import pytest
 from kmsylow import pgroup
 from kmsylow.pgroup import (
     DEFAULT_CAP,
+    FrattiniCount,
     closure,
     commutator,
-    frattini_index,
     generator_commutators,
     normal_closure,
     subgroup_index,
@@ -35,10 +35,10 @@ def enumerations(oracle, gens, p, order=None):
     generate; order, when given, is the group's order.  A group over the
     default cap is not listed, as in theorem 1: its derived subgroup is the
     normal closure of the generator commutators, and its Frattini subgroup
-    and index come from frattini_index."""
+    and index come from FrattiniCount."""
     comms = generator_commutators(oracle, gens)
     out = {"derived_subgroup": normal_closure(comms, gens, oracle, p=p).elements}
-    phi, index = frattini_index(gens, oracle, p)
+    phi, index = FrattiniCount(gens, oracle, p).index()
     if order is None or order <= DEFAULT_CAP:
         G = closure(gens, oracle, p=p)
         order = G.order

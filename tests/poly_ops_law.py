@@ -58,7 +58,7 @@ class PolyOps:
 
 def poly_ops_law(model):
     """(law terms, bracket terms) of a UnipotentModel, compiled over PolyOps
-    in the format of pgroup.PolynomialMap.terms."""
+    in the format of law.PolynomialMap.terms."""
     fq, dim = model.fq, model.dim
     ops = PolyOps(fq)
     sc = {key: pairs for key, pairs in model.algebra.structure.items() if pairs}

@@ -11,7 +11,7 @@ nested lists, the reference for the polynomial maps of the group oracle.
 
 frattini_quotient_dimension is the slower way to the Frattini quotient: it
 needs the group listed and divides its order by the Frattini subgroup's,
-where pgroup.frattini_index counts cosets instead.  It is the oracle that
+where pgroup.FrattiniCount counts cosets instead.  It is the oracle that
 theorem 1's enumeration is compared with.
 """
 

@@ -37,18 +37,17 @@ from kmsylow.errors import (
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import check_off_diagonal_hypothesis
+from kmsylow.law import key_rows, row_keys
 from kmsylow.pgroup import (
     BITMAP_CODES,
     DEFAULT_CAP,
     SCAN_BLOCK,
     FiniteGroupTable,
+    FrattiniCount,
     check_filtration_lemma,
     closure,
     commutator,
-    frattini_index,
-    key_rows,
     layered_order,
-    row_keys,
 )
 
 from breadth_first import assert_closures_agree
@@ -396,7 +395,7 @@ def test_dimino_and_probe_coset_counts_agree(m, q, k):
     oracle = AffineMatrixGroup(m, fq, k).oracle()
     gens = sylow_generators(m, fq, k)
     G = closure(gens, oracle, p=fq.p)
-    subgroups = [frattini_index(gens, oracle, fq.p)[0], derived_subgroup(G, fq.p)]
+    subgroups = [FrattiniCount(gens, oracle, fq.p).index()[0], derived_subgroup(G, fq.p)]
     subgroups += [closure(gens[:1], oracle), closure(gens[::2], oracle)]
     assert assert_same_indices(subgroups, gens, oracle, G.order) >= 1
 
@@ -423,7 +422,7 @@ def test_layered_orders_equal_the_enumerated_orders(m, q, k):
     sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
     oracle = sylow.group.oracle()
     G = closure(sylow.generators, oracle, p=fq.p)
-    phi, index = frattini_index(sylow.generators, oracle, fq.p)
+    phi, index = FrattiniCount(sylow.generators, oracle, fq.p).index()
     assert sylow.count.order == G.order == phi.order * index
     assert sylow.count.frattini_order == phi.order
 
@@ -433,7 +432,7 @@ def test_layered_orders_past_the_sylow_cap_equal_the_frattini_count(m, q, k):
     # Sylows over the default cap whose Phi and index fit under it
     fq = FqConfig.from_q(q)
     sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
-    phi, index = frattini_index(sylow.generators, sylow.group.oracle(), fq.p)
+    phi, index = FrattiniCount(sylow.generators, sylow.group.oracle(), fq.p).index()
     assert sylow.order > DEFAULT_CAP
     assert sylow.count.order == phi.order * index == sylow.order
     assert sylow.count.frattini_order == phi.order

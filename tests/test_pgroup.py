@@ -12,31 +12,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kmsylow import affine, pgroup, unipotent
+from kmsylow import affine, law, pgroup, unipotent
 from kmsylow.affine import AffineMatrixGroup, sylow_generators
 from kmsylow.errors import ChainNotNested, EnumerationCapExceeded, NotAFiltration
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
+from kmsylow.law import (
+    RESIDUE_SUMS,
+    GroupOracle,
+    PolynomialMap,
+    bulk_hook,
+    key_rows,
+    row_keys,
+)
 from kmsylow.pgroup import (
     BITMAP_CODES,
     FEW_ROWS,
     SCAN_BLOCK,
     FiniteGroupTable,
     FrattiniCount,
-    GroupOracle,
-    PolynomialMap,
     _Codes,
     _left_rows,
-    bulk_hook,
     check_filtration_lemma,
     closure,
     commutator,
-    frattini_index,
     generator_commutators,
-    key_rows,
     layered_order,
     normal_closure,
-    row_keys,
     subgroup_index,
 )
 from kmsylow.unipotent import UnipotentModel, standard_generators
@@ -548,7 +550,7 @@ def test_frattini_listing_peaks_under_32_mib():
     oracle, gens = model.oracle(), standard_generators(model)
     tracemalloc.start()
     try:
-        phi, index = frattini_index(gens, oracle, 7)
+        phi, index = FrattiniCount(gens, oracle, 7).index()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -601,14 +603,16 @@ def test_frattini_dimensions():
     # (|Phi|, [G : Phi]); the index is p to the Frattini quotient dimension
     oracle = vector_oracle(3, 4)
     gens = [bytes([1 if i == j else 0 for j in range(4)]) for i in range(4)]
-    phi, index = frattini_index(gens, oracle, 3)
+    phi, index = FrattiniCount(gens, oracle, 3).index()
     assert (phi.order, index) == (1, 3 ** 4)
 
-    phi, index = frattini_index([bytes([1])], cyclic_oracle(9), 3)
+    count = FrattiniCount([bytes([1])], cyclic_oracle(9), 3)
+    phi, index = count.index()
     assert (phi.order, index) == (3, 3)
+    assert not count.frattini_eq_derived
 
     h = heisenberg_oracle(5)
-    phi, index = frattini_index([bytes((1, 0, 0)), bytes((0, 1, 0))], h, 5)
+    phi, index = FrattiniCount([bytes((1, 0, 0)), bytes((0, 1, 0))], h, 5).index()
     assert (phi.order, index) == (5, 5 ** 2)
 
 
@@ -617,13 +621,15 @@ def test_frattini_subgroup_is_derived_when_generator_powers_vanish():
     # closure of the generator commutators; a lower cap refuses either
     oracle, _, gens = unitriangular_oracle(3, 3)
     G = closure(gens, oracle, p=3)
-    phi, index = frattini_index(gens, oracle, 3)
+    count = FrattiniCount(gens, oracle, 3)
+    phi, index = count.index()
     assert (phi.order, index) == (3, 9)
     assert derived_subgroup(G, 3).elements == phi.elements
+    assert count.frattini_eq_derived
     with pytest.raises(EnumerationCapExceeded):
         derived_subgroup(G, 3, cap=2)
     with pytest.raises(EnumerationCapExceeded):
-        frattini_index(gens, oracle, 3, cap=2)
+        FrattiniCount(gens, oracle, 3).index(cap=2)
 
 
 def test_frattini_dimension_is_minimal_generator_count():
@@ -641,7 +647,7 @@ def test_frattini_dimension_is_minimal_generator_count():
     h3 = heisenberg_oracle(3)
     cases.append(closure([bytes((1, 0, 0)), bytes((0, 1, 0))], h3, p=3))
     for table in cases:
-        _, index = frattini_index(table.generators, table.oracle, 3)
+        _, index = FrattiniCount(table.generators, table.oracle, 3).index()
         assert index == 3 ** minimal_generating_size(table)
 
 
@@ -824,14 +830,14 @@ def test_characteristic_subgroups_under_conjugation():
     table = closure(gens, h, p=5)
     rng = random.Random(17)
     derived_ref = set(derived_subgroup(table, 5).elements)
-    frattini_ref = set(frattini_index(gens, h, 5)[0].elements)
+    frattini_ref = set(FrattiniCount(gens, h, 5).index()[0].elements)
     for _ in range(5):
         c = table.elements[rng.randrange(table.order)]
         conj_gens = [h.mul(h.mul(c, g), h.inv(c)) for g in gens]
         conj_table = closure(conj_gens, h, p=5)
         assert set(conj_table.elements) == set(table.elements)
         assert set(derived_subgroup(conj_table, 5).elements) == derived_ref
-        assert set(frattini_index(conj_gens, h, 5)[0].elements) == frattini_ref
+        assert set(FrattiniCount(conj_gens, h, 5).index()[0].elements) == frattini_ref
 
 
 def test_key_rows_and_row_keys_invert_each_other():
@@ -990,7 +996,7 @@ def test_bulk_hook_folds_lane_sums_before_the_residue_table(q):
     )
     g = bytes((1, 2, 3, 4))
     long, short = map(len, law.at_y(g))
-    assert long * (fq.p - 1) >= pgroup.RESIDUE_SUMS > short * (fq.p - 1)
+    assert long * (fq.p - 1) >= RESIDUE_SUMS > short * (fq.p - 1)
     keys = [bytes((1,) * width)]
     keys += [bytes(rng.randrange(q) for _ in range(width)) for _ in range(99)]
     rows = bulk_hook(fq, law.at_y)(key_rows(keys, width), g)
@@ -1085,7 +1091,7 @@ def test_row_pairs_build_their_hook_on_first_use_only(monkeypatch):
         built.append(right_polys)
         return bulk_hook(fq, right_polys)
 
-    monkeypatch.setattr(pgroup, "bulk_hook", counting_hook)
+    monkeypatch.setattr(law, "bulk_hook", counting_hook)
     # a BCH oracle runs a closure and is never asked for pairs: its one
     # hook is the right multiplication
     model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4)

@@ -13,14 +13,12 @@ from kmsylow.affine import (
 )
 from kmsylow.errors import EnumerationCapExceeded
 from kmsylow.fields import FqConfig
+from kmsylow.law import GroupOracle, key_rows, row_keys
 from kmsylow.pgroup import (
     FiniteGroupTable,
-    GroupOracle,
     _mul_rows,
     closure,
-    key_rows,
     normal_closure,
-    row_keys,
     subgroup_index,
     verify_tits_axioms,
 )

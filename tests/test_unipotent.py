@@ -22,16 +22,15 @@ from kmsylow.errors import (
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
+from kmsylow.law import key_rows, row_keys
 from kmsylow.lie import bracket, standard_factorization
 from kmsylow.pgroup import (
     _power,
     closure,
     commutator,
     generator_commutators,
-    key_rows,
     layered_order,
     normal_closure,
-    row_keys,
 )
 from kmsylow.roots import RootVector
 from kmsylow.unipotent import (
