@@ -7,10 +7,13 @@ so the same engine serves coordinate groups and matrix groups.
 FrattiniCount is theorem 1's one enumeration in both models: it lists the
 Frattini subgroup and counts its cosets, and never lists the group itself.
 
-Enumeration holds its elements as rows of an (n, width) uint8 array end to
-end, through the oracle's bulk right multiplication: a key of 9 bytes held
-in a list costs about 56 bytes, its row 9.  A key is made only where a
-scalar is read, and a table's elements, its keys, are built on first read.
+Enumeration holds its elements as rows of an (n, width) uint8 array,
+through the oracle's bulk right multiplication: a key of 9 bytes held in a
+list costs about 56 bytes, its row 9.  A key is made only where a scalar
+is read, and a table's elements, its keys, are built on first read.  A
+normal closure of known order, as FrattiniCount.index lists Phi, streams
+its last stage: its rows are marked a chunk at a time and dropped, and the
+table decodes rows from its members if they are read.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
@@ -89,19 +92,24 @@ class FiniteGroupTable:
     members.marked(rows), a mask, for a block of rows.  A closure passes the
     structure it filled, and subtable one that answers through this table;
     a table given none, as tests build them, marks its rows, which must be
-    distinct, in a new one."""
+    distinct, in a new one.  A streamed closure passes no rows but its
+    order and members: the rows are then decoded from the members on first
+    read, in the order of their codes or keys."""
 
-    def __init__(self, oracle, generators, rows, members=None):
+    def __init__(self, oracle, generators, rows, members=None, order=None):
         self.oracle = oracle
         self.generators = tuple(generators)
-        self.rows = rows
+        if rows is not None:
+            self.rows = rows
+            order = len(rows)
+        self.order = order
         if members is None:
             members = _membership(oracle).mark(rows)
         self.members = members
 
-    @property
-    def order(self):
-        return len(self.rows)
+    @cached_property
+    def rows(self):
+        return self.members.rows()
 
     @cached_property
     def elements(self):
@@ -149,6 +157,12 @@ class _KeySet:
         """A mask of the rows that are members."""
         return np.fromiter(map(self.set.__contains__, row_keys(rows)), bool, len(rows))
 
+    def rows(self):
+        """The members' rows, the keys in sorted order; a closure's set
+        always holds the identity, so it names the width."""
+        keys = sorted(self.set)
+        return key_rows(keys, len(keys[0]))
+
     def __contains__(self, key):
         return key in self.set
 
@@ -169,8 +183,10 @@ class _Codes:
     bits holds the codes, space = q^(varying columns) of them, while space
     is at most BITMAP_CODES.  A block that varies new columns extends the
     code, each new column the next most significant digit: the members
-    held gain the digit const[v] and are laid out again in a new bitmap,
-    or past BITMAP_CODES decoded into a _KeySet, which mark then returns.
+    held gain the digit const[v].  Where every such digit is 0 their codes
+    stay as they are and the bitmap is padded with zero bytes; otherwise
+    they are laid out again in a new bitmap.  Past BITMAP_CODES they are
+    decoded (rows) into a _KeySet, which mark then returns.
     A block is coded by one matrix product; one key is coded in plain
     Python, so a probe of one key makes no numpy call but the lookup."""
 
@@ -224,23 +240,33 @@ class _Codes:
         self._set(self._code(rows))
         return self
 
-    def _vary(self, columns):
-        """Code the new columns too, the members held set again in a new
-        bitmap; past BITMAP_CODES codes, the _KeySet of the members
-        instead."""
+    def rows(self):
+        """The members' rows, decoded from their codes in code order."""
         codes = self._held()
+        rows = np.repeat(self.const[None], len(codes), axis=0)
+        for v, w in enumerate(self._weights):
+            if w:
+                rows[:, v] = codes // w % self.q
+        return rows
+
+    def _vary(self, columns):
+        """Code the new columns too, the bitmap padded or the members held
+        set again in a new one; past BITMAP_CODES codes, the _KeySet of the
+        members instead."""
         if self.space * self.q ** len(columns) > BITMAP_CODES:
-            rows = np.repeat(self.const[None], len(codes), axis=0)
-            for v, w in enumerate(self._weights):
-                if w:
-                    rows[:, v] = codes // w % self.q
-            return _KeySet().mark(rows)
-        for v in columns:
-            codes += int(self.const[v]) * self.space
+            return _KeySet().mark(self.rows())
+        digits = self.const[columns].tolist()
+        codes = self._held() if any(digits) else None
+        for v, digit in zip(columns, digits):
+            if codes is not None:
+                codes += digit * self.space
             self.weights[v] = self.space
             self.space *= self.q
-        self.bits = np.zeros(-(-self.space // 8), dtype=np.uint8)
-        self._set(codes)
+        held, self.bits = self.bits, np.zeros(-(-self.space // 8), dtype=np.uint8)
+        if codes is None:
+            self.bits[: len(held)] = held
+        else:
+            self._set(codes)
         self._recoded()
         return self
 
@@ -273,12 +299,24 @@ class _Closure:
 
     order, when given, is the subgroup's order: the rows are then allocated
     once at their final size.  Rows found past the end of the allocated
-    rows are kept in blocks, merged with the rows once per Dimino stage."""
+    rows are kept in blocks, merged with the rows once per Dimino stage.
 
-    def __init__(self, oracle, cap, p=None, order=None):
+    stream, with p and order given, says that the caller reads no rows
+    (normal_closure).  The last stage, which has index p from order / p
+    elements, is then streamed when it spans more than one chunk (_stream):
+    the rows are
+    allocated for order / p elements only, and once that stage has run the
+    closure holds none.  A stage that runs after it all the same, as when
+    the order was wrong, first decodes the rows from the members."""
+
+    def __init__(self, oracle, cap, p=None, order=None, stream=False):
         self.oracle = oracle
         self.cap = cap
         self.p = p
+        # the order of H from which the last stage streams
+        self.stream_from = None
+        if stream and p is not None and order is not None and order // p > SCAN_BLOCK:
+            self.stream_from = order = order // p
         self.rows = np.empty((order or 1, len(oracle.identity)), dtype=np.uint8)
         self.rows[0] = np.frombuffer(oracle.identity, dtype=np.uint8)
         self.filled = 1  # rows written into self.rows
@@ -294,24 +332,29 @@ class _Closure:
             got = self.inverses[key] = self.oracle.inv(key)
         return got
 
+    def _mark(self, block):
+        """Mark a block of new elements and count them against the cap.  A
+        block that passes the cap is marked before the refusal, but a
+        closure that refused is never read again."""
+        self.members = self.members.mark(block)
+        self.size += len(block)
+        if self.size > self.cap:
+            raise EnumerationCapExceeded(
+                f"closure exceeded the cap of {self.cap} elements"
+            )
+        return block
+
     def _absorb(self, chunks, g):
         """Add the products k g of the rows k, a coset with no member yet,
         given in chunks of at most SCAN_BLOCK rows, formed and held a chunk
         at a time.  The rows are distinct and right multiplication is
         injective, so the products are distinct too, and each block is
-        marked with no test.  A block that passes the cap is marked before
-        the refusal, but a closure that refused is never read again.
+        marked with no test.
 
         Returns the new rows, chunk by chunk, where they are held."""
         stored = []
         for chunk in chunks:
-            block = _mul_rows(self.oracle, chunk, g)
-            self.members = self.members.mark(block)
-            self.size += len(block)
-            if self.size > self.cap:
-                raise EnumerationCapExceeded(
-                    f"closure exceeded the cap of {self.cap} elements"
-                )
+            block = self._mark(_mul_rows(self.oracle, chunk, g))
             end = self.filled + len(block)
             if self.blocks or end > len(self.rows):
                 self.blocks.append(block)
@@ -323,7 +366,11 @@ class _Closure:
         return stored
 
     def _merged(self):
-        """The members' rows in the order found, the blocks merged in."""
+        """The members' rows in the order found, the blocks merged in; after
+        a streamed stage, decoded from the members."""
+        if self.rows is None:
+            self.rows = self.members.rows()
+            self.filled = len(self.rows)
         if self.blocks:
             self.rows = np.concatenate([self.rows[: self.filled], *self.blocks])
             self.filled = len(self.rows)
@@ -332,10 +379,13 @@ class _Closure:
 
     def table(self, generators):
         """The subgroup found, its elements in the order found, with the
-        closure's membership structure."""
-        rows = self._merged()
+        closure's membership structure; after a streamed stage, no rows but
+        the order, the number of elements marked."""
+        rows = None if self.rows is None else self._merged()
         self.rows = None
-        return FiniteGroupTable(self.oracle, generators, rows, members=self.members)
+        return FiniteGroupTable(
+            self.oracle, generators, rows, members=self.members, order=self.size
+        )
 
     def add(self, g, nesting=0):
         """Add g by one Dimino stage; g already a member costs no product.
@@ -349,7 +399,8 @@ class _Closure:
         group that is no p-group, g is added as it is."""
         if g in self.members:
             return
-        if self.p is not None and nesting < self.cap.bit_length():
+        index_p = self.p is not None and nesting < self.cap.bit_length()
+        if index_p:
             mul = self.oracle.mul
             self.add(_power(self.oracle, g, self.p), nesting + 1)
             for s in self.gens:
@@ -359,7 +410,17 @@ class _Closure:
             if g in self.members:
                 return
         self.gens.append(g)
-        self._dimino(g)
+        if index_p and self.size == self.stream_from:
+            self._stream(g)
+        else:
+            self._dimino(g)
+
+    @staticmethod
+    def _chunks(rows):
+        """The rows as views of at most SCAN_BLOCK rows each."""
+        return [
+            rows[start : start + SCAN_BLOCK] for start in range(0, len(rows), SCAN_BLOCK)
+        ]
 
     def _dimino(self, g):
         """Extend the subgroup H found so far, generated by the earlier
@@ -377,13 +438,10 @@ class _Closure:
         generator, and in an index-p stage it is g for every coset.  H r
         is new in full, so its rows are held whole and in the order of H
         times r, and the rows of H r s come in the order and the chunks of
-        H times r s."""
-        subgroup = self._merged()
-        chunks = [
-            subgroup[start : start + SCAN_BLOCK]
-            for start in range(0, len(subgroup), SCAN_BLOCK)
-        ]
-        cosets = {g: self._absorb(chunks, g)}
+        H times r s.  _stream is its twin for the last index-p stage of a
+        streaming closure: the same chain of H times g and the same closing
+        products, the blocks dropped instead of stored."""
+        cosets = {g: self._absorb(self._chunks(self._merged()), g)}
         reps = [g]
         for r in reps:
             coset = cosets.pop(r)
@@ -392,6 +450,25 @@ class _Closure:
                 if e not in self.members:
                     cosets[e] = self._absorb(coset, s)
                     reps.append(e)
+
+    def _stream(self, g):
+        """The index-p stage of g from H, listed as _dimino lists it but a
+        chunk of H at a time: the chunk times g, times g again, p - 1
+        times, each block marked and then dropped; after it the rows of H
+        are dropped too.  The stage is the subgroup H <g> by the index-p
+        construction of add, and Dimino's closing condition, each power
+        g^i (i < p) times each generator a member, is checked with the
+        scalar products that _dimino forms."""
+        for chunk in self._chunks(self._merged()):
+            for _ in range(self.p - 1):
+                chunk = self._mark(_mul_rows(self.oracle, chunk, g))
+        self.rows = None
+        r = g
+        for _ in range(self.p - 1):
+            products = [self.oracle.mul(r, s) for s in self.gens]
+            if not all(map(self.members.__contains__, products)):
+                raise ValueError(f"a stage of index {self.p} did not close")
+            r = products[-1]
 
 
 def _refuse_known(order, cap, what):
@@ -428,9 +505,13 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
     self-map of a finite set is a bijection.  p, when given, says that the
     seeds and conjugators generate a p-group, as in closure.  A known order
     over the cap refuses before any multiplication, as in closure.
+
+    Given p and the order, the last stage streams (_Closure): the table
+    then holds its order and members, and decodes its rows, in code order,
+    only if they are read.
     """
     _refuse_known(order, cap, "normal closure order")
-    state = _Closure(oracle, cap, p, order)
+    state = _Closure(oracle, cap, p, order, stream=True)
     worklist = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
     for s in worklist:
         state.add(s)
@@ -623,7 +704,9 @@ class FrattiniCount:
     right cosets, log_p of the count being the minimal number of generators
     of G (Burnside basis theorem); it sizes both enumerations from the
     layered orders and refuses an index or a Phi over the cap before any
-    multiplication.
+    multiplication.  The count reads Phi's order, members and generators
+    only, so Phi's last stage streams (normal_closure) and Phi's rows are
+    decoded only if read.
     """
 
     def __init__(self, generators, oracle, p, lead=None):

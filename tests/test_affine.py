@@ -55,6 +55,7 @@ from commutator_scalar import scalar_commutator_identity_check
 from coset_probe import assert_same_indices
 from derived_series import derived_subgroup
 from filtration_scan import assert_filtration_reports_agree
+from frattini_stream import assert_streamed_frattini_agrees
 from membership_paths import assert_membership_paths_agree
 from sylow_enumeration import (
     brute_force_special_linear,
@@ -425,6 +426,15 @@ def test_layered_orders_equal_the_enumerated_orders(m, q, k):
     phi, index = FrattiniCount(sylow.generators, oracle, fq.p).index()
     assert sylow.count.order == G.order == phi.order * index
     assert sylow.count.frattini_order == phi.order
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances() + [(3, 5, 2), (2, 5, 4)])
+def test_streamed_frattini_count_agrees_with_phi_listed_in_full(m, q, k):
+    # every Sylow under the cap, and two past it whose Phi fits
+    fq = FqConfig.from_q(q)
+    sylow = IwahoriSylow(m, fq, k, DEFAULT_CAP)
+    oracle = sylow.group.oracle()
+    assert_streamed_frattini_agrees(sylow.generators, oracle, fq.p, sylow.lead, q)
 
 
 @pytest.mark.parametrize("m,q,k", [(3, 5, 2), (2, 5, 4)])

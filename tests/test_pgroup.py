@@ -47,6 +47,7 @@ from breadth_first import breadth_first_closure
 from coset_probe import assert_same_index
 from derived_series import derived_subgroup, is_perfect
 from filtration_scan import assert_filtration_reports_agree
+from frattini_stream import recorded_streams
 from membership_paths import path as members_path
 
 
@@ -478,6 +479,81 @@ def test_a_column_that_varies_late_keeps_its_constant_digit():
     assert np.unpackbits(members.bits).sum() == 24
 
 
+class _Relaid(_Codes):
+    """The code store as it was before padding: every new column lays the
+    codes held out again in a new bitmap, whatever its identity digit."""
+
+    def _vary(self, columns):
+        codes = self._held()
+        for v in columns:
+            codes += int(self.const[v]) * self.space
+            self.weights[v] = self.space
+            self.space *= self.q
+        self.bits = np.zeros(-(-self.space // 8), dtype=np.uint8)
+        self._set(codes)
+        self._recoded()
+        return self
+
+
+@pytest.mark.parametrize("identity", [bytes(6), bytes((0, 0, 1, 0, 0, 0))])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_padded_store_answers_as_a_relaid_one(monkeypatch, identity, seed):
+    # random blocks over F_5 that vary one to three new columns each: a
+    # store whose new columns all have identity digit 0 pads its bitmap
+    # and decodes nothing; column 2, a diagonal with digit 1, re-lays it
+    q, width = 5, len(identity)
+    rng = random.Random(seed)
+    const = list(identity)
+    order = rng.sample(range(width), width)
+    keys, blocks, varying = {identity}, [], []
+    while order:
+        varying += [order.pop() for _ in range(min(len(order), rng.randint(1, 3)))]
+        block = set()
+        for _ in range(rng.randint(1, 40)):
+            row = const[:]
+            for v in varying:
+                row[v] = rng.randrange(q)
+            block.add(bytes(row))
+        block -= keys
+        keys |= block
+        blocks.append(key_rows(sorted(block), width))
+    relays = []
+    held = _Codes._held
+
+    def counted(store):
+        relays.append(store.space)
+        return held(store)
+
+    padded, relaid = _Codes(q, identity), _Relaid(q, identity)
+    for store in (padded, relaid):
+        store.mark(key_rows([identity], width))
+    reference = pgroup._KeySet().mark(key_rows(sorted(keys), width))
+    monkeypatch.setattr(_Codes, "_held", counted)
+    diagonal_varied = False
+    for rows in blocks:
+        before = len(relays)
+        assert padded.mark(rows) is padded
+        if identity[2] and not diagonal_varied and (rows[:, 2] != 1).any():
+            # the diagonal begins to vary: the one re-lay
+            diagonal_varied = True
+            assert len(relays) == before + 1
+        else:
+            assert len(relays) == before
+    monkeypatch.undo()
+    assert diagonal_varied == bool(identity[2])
+    for rows in blocks:
+        relaid.mark(rows)
+    assert padded.weights.tolist() == relaid.weights.tolist()
+    assert np.array_equal(padded.bits, relaid.bits)
+    assert np.array_equal(padded._held(), relaid._held())
+    probes = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(200)]
+    probes += rng.sample(sorted(keys), 50)
+    want = [k in reference for k in probes]
+    assert [k in padded for k in probes] == [k in relaid for k in probes] == want
+    for store in (padded, relaid):
+        assert store.marked(key_rows(probes, width)).tolist() == want
+
+
 def test_a_row_that_differs_in_a_fixed_column_is_no_member():
     # the members of <e_0> in (Z/3)^3 vary in column 0 only, so (1, 1, 0)
     # has the code of e_0 and is refused by its fixed column alone
@@ -556,6 +632,82 @@ def test_frattini_listing_peaks_under_32_mib():
         tracemalloc.stop()
     assert (phi.order, index) == (7 ** 7, 7 ** 2)
     assert peak < 32 * 2 ** 20
+
+
+def test_a_streamed_frattini_count_holds_under_half_of_phi():
+    # the same Phi given its layered order: the last stage, of index 7,
+    # streams from the 7^6 elements before it, a chunk at a time, so the
+    # listing never holds all 7^7 rows of 9 bytes
+    model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(7), 6)
+    oracle, gens = model.oracle(), standard_generators(model)
+    tracemalloc.start()
+    try:
+        phi, index = FrattiniCount(gens, oracle, 7, model.lead).index()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (phi.order, index) == (7 ** 7, 7 ** 2)
+    assert "rows" not in vars(phi)
+    assert peak < phi.order * len(oracle.identity) / 2
+
+
+def _vector_seeds_case():
+    # (Z/3)^9 as the normal closure of its unit vectors
+    oracle, gens, p, _ = _vector_case()
+    return oracle, gens, gens, p
+
+
+def _key_set_seeds_case():
+    # the same, its members in a set of keys, which decodes in key order
+    oracle, gens, _, p = _vector_seeds_case()
+    return dataclasses.replace(oracle, q=None), gens, gens, p
+
+
+def _frattini_seeds_case():
+    # Phi of A1^(1) over F_5 at height 4, from its seeds
+    model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(5), 4)
+    oracle, gens = model.oracle(), standard_generators(model)
+    return oracle, FrattiniCount(gens, oracle, 5).seeds, gens, 5
+
+
+@pytest.mark.parametrize(
+    "case", [_vector_seeds_case, _key_set_seeds_case, _frattini_seeds_case]
+)
+def test_a_stage_after_a_streamed_one_lists_the_exact_subgroup(monkeypatch, case):
+    # given the order divided by p, the stage before the last looks last
+    # and streams; the last stage then decodes the rows from the members
+    # and the table is the whole subgroup, as listed with no order
+    oracle, seeds, conjugators, p = case()
+    full = normal_closure(seeds, conjugators, oracle, p=p)
+    monkeypatch.setattr(pgroup, "SCAN_BLOCK", 16)
+    streamed = recorded_streams(monkeypatch)
+    table = normal_closure(seeds, conjugators, oracle, p=p, order=full.order // p)
+    assert streamed == [full.order // p ** 2]
+    assert table.order == full.order == len(table.rows)
+    assert set(table.elements) == set(full.elements)
+    assert table.members.marked(full.rows).all()
+    # the true order streams the last stage, and the table decodes its rows
+    streamed.clear()
+    exact = normal_closure(seeds, conjugators, oracle, p=p, order=full.order)
+    assert streamed == [full.order // p] and "rows" not in vars(exact)
+    assert exact.order == full.order
+    assert set(exact.elements) == set(full.elements)
+
+
+def test_a_streamed_stage_that_does_not_close_is_refused(monkeypatch):
+    # a bulk hook that lists (Z/3)^7 + e_8 where the law gives (Z/3)^7 + e_7:
+    # the streamed stage of e_7 marks the wrong cosets, and Dimino's
+    # closing products e_7 + e_i are not members
+    oracle, gens, p, _ = _vector_case()
+    hook = oracle.mul_many
+
+    def wrong(rows, g):
+        return hook(rows, gens[8] if g == gens[7] else g)
+
+    monkeypatch.setattr(pgroup, "SCAN_BLOCK", 64)
+    oracle = dataclasses.replace(oracle, mul_many=wrong)
+    with pytest.raises(ValueError, match="did not close"):
+        normal_closure(gens[:8], (), oracle, p=p, order=3 ** 8)
 
 
 def test_normal_closure_of_transposition_in_s3():

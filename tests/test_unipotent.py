@@ -44,6 +44,7 @@ from kmsylow.unipotent import (
 
 from breadth_first import assert_closures_agree
 from coset_probe import assert_same_indices
+from frattini_stream import assert_streamed_frattini_agrees
 from lie_lookup import generator_index
 from membership_paths import assert_membership_paths_agree
 from poly_ops_law import poly_ops_law
@@ -630,6 +631,14 @@ def test_dimino_and_probe_coset_counts_agree(inst):
         for keys in (gens[:1], [commutator(oracle, gens[0], gens[1])], rhs)
     ]
     assert assert_same_indices(subgroups, gens, oracle, order) >= 1
+
+
+@pytest.mark.parametrize("inst", UNDER_CAP, ids=_ident)
+def test_streamed_frattini_count_agrees_with_phi_listed_in_full(inst):
+    gcm, q, H = inst
+    fq = FqConfig.from_q(q)
+    model, gens, _ = _model_and_generators(gcm, fq, H)
+    assert_streamed_frattini_agrees(gens, model.oracle(), fq.p, model.lead, q)
 
 
 def _refuse_enumeration(monkeypatch):
