@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .law import PolynomialMap, key_rows, law_oracle, lead_map, row_keys
-from .pgroup import DEFAULT_CAP, SCAN_BLOCK, FrattiniCount, _log_exact, closure
+from .pgroup import DEFAULT_CAP, SCAN_BLOCK, FrattiniCount, _blocks, _log_exact, closure
 
 
 class AffineMatrixGroup:
@@ -213,7 +213,8 @@ def sylow_table(sylow):
 def verify_generation(sylow):
     """True iff the standard generators produce exactly the matrices passing
     the membership test: the table has the Sylow's order and every table
-    element passes membership.  An order above the cap is refused before
+    element passes membership, read SCAN_BLOCK matrices at a time up to
+    the first block that fails.  An order above the cap is refused before
     anything is enumerated."""
     if sylow.order > sylow.cap:
         raise EnumerationCapExceeded(
@@ -222,7 +223,9 @@ def verify_generation(sylow):
     table, group = sylow.table, sylow.group
     if table.order != sylow.order:
         return False
-    return bool(iwahori_sylow_membership(group, group.stack(table)).all())
+    return all(
+        iwahori_sylow_membership(group, block).all() for block in _blocks(group.stack(table))
+    )
 
 
 def affine_cartan_matrix(m):

@@ -1220,8 +1220,9 @@ def test_row_pairs_of_the_bch_law_equal_its_scalar_products(n):
 
 @pytest.mark.parametrize("n", [5, FEW_ROWS + 1, SCAN_BLOCK + 1])
 def test_left_products_equal_scalar_products(n):
-    # one bulk product of row pairs past FEW_ROWS rows, one scalar product
-    # per row up to it and for an oracle with no mul_pairs
+    # bulk products of row pairs past FEW_ROWS rows, each of at most
+    # SCAN_BLOCK rows; one scalar product per row up to it and for an oracle
+    # with no mul_pairs
     rng = np.random.default_rng(n)
     oracle = AffineMatrixGroup(2, FqConfig(5), 3).oracle()
     pairs = []
@@ -1233,7 +1234,40 @@ def test_left_products_equal_scalar_products(n):
     want = [oracle.mul(key, x) for x in row_keys(rows)]
     for each in (counted, dataclasses.replace(oracle, mul_pairs=None)):
         assert row_keys(_left_rows(each, key, rows)) == want
-    assert pairs == ([n] if n > FEW_ROWS else [])
+    assert pairs == ([len(b) for b in pgroup._blocks(rows)] if n > FEW_ROWS else [])
+
+
+@pytest.mark.parametrize(
+    "make_oracle",
+    [lambda: AffineMatrixGroup(2, FqConfig(5), 3).oracle(), lambda: _bch_oracle()],
+    ids=["matrix", "bch"],
+)
+def test_bulk_products_past_a_block_equal_one_product(make_oracle):
+    # 2.5 blocks: _mul_rows and _left_rows form a bulk product per block of
+    # at most SCAN_BLOCK rows, written into one output, which equals the one
+    # bulk product of all the rows and the products formed one row at a time
+    oracle = make_oracle()
+    rng = np.random.default_rng(25)
+    n = 5 * SCAN_BLOCK // 2
+    rows = rng.integers(0, 5, (n, len(oracle.identity)), dtype=np.uint8)
+    g = bytes(rng.integers(0, 5, len(oracle.identity), dtype=np.uint8))
+    left = np.broadcast_to(np.frombuffer(g, dtype=np.uint8), rows.shape)
+    sizes = []
+
+    def counted(product):
+        return lambda a, b: sizes.append(len(a)) or product(a, b)
+
+    hooked = dataclasses.replace(
+        oracle, mul_many=counted(oracle.mul_many), mul_pairs=counted(oracle.mul_pairs)
+    )
+    right = pgroup._mul_rows(hooked, rows, g)
+    assert sizes == [SCAN_BLOCK, SCAN_BLOCK, SCAN_BLOCK // 2]
+    assert np.array_equal(right, oracle.mul_many(rows, g))
+    assert np.array_equal(_left_rows(hooked, g, rows), oracle.mul_pairs(left, rows))
+    assert sizes == [SCAN_BLOCK, SCAN_BLOCK, SCAN_BLOCK // 2] * 2
+    scalar = dataclasses.replace(oracle, mul_many=None, mul_pairs=None)
+    assert np.array_equal(pgroup._mul_rows(scalar, rows, g), right)
+    assert row_keys(_left_rows(scalar, g, rows)) == [oracle.mul(g, x) for x in row_keys(rows)]
 
 
 def test_row_pairs_build_their_hook_on_first_use_only(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kmsylow import pgroup
+from kmsylow import affine, pgroup
 from kmsylow.affine import (
     AffineMatrixGroup,
     borel_subgroup,
@@ -11,9 +11,10 @@ from kmsylow.affine import (
     special_linear_order,
     weyl_representatives,
 )
+from kmsylow.cli import run_campaign
 from kmsylow.errors import EnumerationCapExceeded
 from kmsylow.fields import FqConfig
-from kmsylow.law import GroupOracle, key_rows, row_keys
+from kmsylow.law import GroupOracle, PolynomialMap, key_rows, law_oracle, row_keys
 from kmsylow.pgroup import (
     FiniteGroupTable,
     _mul_rows,
@@ -239,6 +240,25 @@ def test_tits_check_lists_each_right_coset_of_b_once(monkeypatch, m, fq, cosets)
     monkeypatch.setattr(pgroup, "_mul_rows", counted)
     assert verify_tits_axioms(G, B, N, s_reps) == _report("11111")
     assert sum(listings) == cosets
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_planted_law_defect_fails_the_tits_check(monkeypatch, q):
+    # entry (0, 0) of the product without its term A[0,1] B[1,0]: some
+    # s n_w then lies in no listed double coset, which fails T3 and raises
+    # nothing
+    real = affine._matrix_oracle
+
+    def defective(m, fq, k, identity):
+        oracle = real(m, fq, k, identity)
+        terms = (oracle.mul.terms[0][:-1],) + oracle.mul.terms[1:]
+        return law_oracle(fq, identity, PolynomialMap(fq, terms), oracle.inv)
+
+    monkeypatch.setattr(affine, "_matrix_oracle", defective)
+    campaign = {"instances": [{"model": "affine", "m": 2, "q": q, "k": 1, "checks": ["tits"]}]}
+    (result,) = run_campaign(campaign)["instances"][0]["results"]
+    assert result["status"] == "fail"
+    assert result["payload"]["T3"] is False
 
 
 def test_trivial_group_edge_case():
