@@ -460,7 +460,8 @@ class _Closure:
             coset = cosets.pop(r)
             for s in self.gens:
                 e = self.oracle.mul(r, s)
-                if e not in self.members:
+                # e in cosets, yet no member, only under a broken law
+                if e not in self.members and e not in cosets:
                     cosets[e] = self._absorb(coset, s)
                     reps.append(e)
 
@@ -836,14 +837,28 @@ def verify_tits_axioms(G, B, N, s_reps, cap=DEFAULT_CAP):
     oracle = G.oracle
     T = N.subtable(B.members.marked)
 
-    gen_union = closure(B.elements + N.elements, oracle, cap=cap)
-    t1 = gen_union.order == G.order and _conjugates_inside(oracle, N.elements, T)
+    def within(gens, group):
+        # a closure past the group's order, as under a broken law, is None
+        try:
+            return closure(gens, oracle, cap=min(cap, group.order))
+        except EnumerationCapExceeded:
+            if group.order > cap:
+                raise
+            return None
+
+    gen_union = within(B.elements + N.elements, G)
+    t1 = (
+        gen_union is not None
+        and gen_union.order == G.order
+        and _conjugates_inside(oracle, N.elements, T)
+    )
 
     # T is normal in N (T1), so the images of s_reps generate W = N/T
     # exactly when T and s_reps generate N
-    generated = closure(T.elements + tuple(s_reps), oracle, cap=cap)
+    generated = within(T.elements + tuple(s_reps), N)
     t2 = (
-        generated.order == N.order
+        generated is not None
+        and generated.order == N.order
         and bool(N.members.marked(generated.rows).all())
         and all(s not in T and oracle.mul(s, s) in T for s in s_reps)
     )

@@ -7,12 +7,11 @@ The series denominators only involve primes up to the cutoff, so the law is
 exact whenever p exceeds the cutoff.
 
 The model runs the series once, over polynomials in the coordinates of both
-factors (dicts summed in place by fields.add_scaled), so its group law and
-its Lie bracket are fixed polynomial maps over F_q (law.PolynomialMap).
-The inverse is negation, so the oracle is law.law_oracle on the law and
-the negation map: a product is one evaluation of the law, and right
-multiplication by a fixed element is the law specialized at that element,
-which feeds the engine's bulk hook.
+factors (dicts summed in place by fields.add_scaled), so its group law is a
+fixed polynomial map over F_q (law.PolynomialMap).  The inverse is negation,
+so the oracle is law.law_oracle on the law and the negation map: a product
+is one evaluation of the law, and right multiplication by a fixed element is
+the law specialized at that element, which feeds the engine's bulk hook.
 """
 
 from .bch import bch_lyndon_terms
@@ -25,7 +24,7 @@ from .errors import (
 from .fields import add_scaled, echelon_insert, rref
 from .gcm import GeneralizedCartanMatrix, check_off_diagonal_hypothesis, validate_gcm
 from .law import PolynomialMap, law_oracle, lead_map
-from .lie import build_positive_part, standard_factorization
+from .lie import bracket, build_positive_part, standard_factorization
 from .pgroup import DEFAULT_CAP, FrattiniCount, _log_exact, closure, layered_order
 from .roots import REAL, positive_real_roots_up_to_height, root_status, simple_root
 
@@ -73,12 +72,10 @@ class UnipotentModel:
             (word, fq.from_fraction(coeff))
             for word, coeff in bch_lyndon_terms(cutoff)
         )
-        # the law and the bracket as polynomials in x = variables 0..dim-1
-        # and y = variables dim..2dim-1
+        # the law as polynomials in x = variables 0..dim-1, y = dim..2dim-1
         x = [{(i,): 1} for i in range(dim)]
         y = [{(dim + i,): 1} for i in range(dim)]
         self._law = PolynomialMap(fq, self._split(self._combine(x, y)))
-        self._bracket = PolynomialMap(fq, self._split(self._bracket_vec(x, y)))
 
     def _bracket_vec(self, a, b):
         fq = self.fq
@@ -138,12 +135,15 @@ class UnipotentModel:
         return [a for c in key for a in self._digits[c]]
 
     def bracket_fp(self, x, y):
-        """The Lie bracket of two F_p digit vectors, as an F_p digit vector."""
+        """The Lie bracket of two F_p digit vectors, as an F_p digit vector,
+        taken on their nonzero coordinates by lie.bracket over the model's F_q."""
         r, encode = self.fq.r, self.fq.encode
         a, b = (
-            [encode(v[i : i + r]) for i in range(0, len(v), r)] for v in (x, y)
+            {i // r: c for i in range(0, len(v), r) if (c := encode(v[i : i + r]))}
+            for v in (x, y)
         )
-        return self.fp_vector(self._bracket(a, b))
+        got = bracket(self.algebra, a, b)
+        return self.fp_vector(got.get(k, 0) for k in range(self.dim))
 
 
 def root_group_element(model, gamma, a):

@@ -832,6 +832,26 @@ def test_generation_outside_the_hypothesis_at_m2_in_characteristic_2():
     assert verify_generation(IwahoriSylow(2, FqConfig(2, 3), 3, DEFAULT_CAP))
 
 
+# (q, k, log_2 of the layered order of the standard generators) at m = 2;
+# the Sylow has 2^(r (3k - 2)) elements.  At q = 2 and at q = 4 past k = 2
+# the generators fall short, and at q = 8 and 16 they generate at each k
+M2_CHARACTERISTIC_2 = (
+    [(2, 2, 3), (2, 3, 4), (2, 4, 4), (2, 5, 5)]
+    + [(4, 2, 8), (4, 3, 12), (4, 4, 18), (4, 5, 24)]
+    + [(q, k, r * (3 * k - 2)) for q, r in ((8, 3), (16, 4)) for k in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("q,k,generated", M2_CHARACTERISTIC_2)
+def test_m2_generation_in_characteristic_2_by_layered_orders(monkeypatch, q, k, generated):
+    # observations outside the hypothesis p > 2, read from the layered
+    # order alone: no element is listed
+    monkeypatch.setattr(pgroup, "_Closure", None)
+    sylow = IwahoriSylow(2, FqConfig.from_q(q), k, DEFAULT_CAP)
+    assert sylow.count.order == 2 ** generated
+    assert sylow.order == 2 ** (sylow.fq.r * (3 * k - 2))
+
+
 def test_congruence_subgroup_validation():
     sylow = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
     with pytest.raises(ValueError):

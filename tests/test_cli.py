@@ -746,41 +746,57 @@ def test_cap_problem_is_listed_with_the_campaign_problems():
     assert run_campaign({"instances": []})["cap"] == cli.DEFAULT_CAP
 
 
-def _theorem1_report(**changes):
-    report = {
+# a passing theorem-1 report of each model, as verify_theorem1 and
+# verify_theorem1_affine return it; the matrix model has no linear way, no
+# Lazard way and no theorem-(ii) orders
+PASSING_REPORTS = {
+    "bch": {
         "h1_blackbox": 2, "h1_layered": 2, "h1_linear": 2, "h1_predicted": 2,
         "frattini_eq_derived": True, "generators_generate": True,
         "generators_generate_linear": True,
         "thm_ii_lhs_order": 5, "thm_ii_lhs_order_linear": 5,
         "thm_ii_rhs_order": 5, "thm_ii_rhs_order_linear": 5,
         "group_engine": "enumeration",
-    }
-    report.update(changes)
-    return report
+    },
+    "affine": {
+        "model": "affine_matrix", "gcm": None, "m": 2, "k": 2, "q": 3, "H": None,
+        "h1_blackbox": 2, "h1_layered": 2, "h1_linear": None, "h1_predicted": 2,
+        "frattini_eq_derived": True, "generators_generate": True,
+        "thm_ii_lhs_order": None, "thm_ii_rhs_order": None,
+    },
+}
+PLANTED_REPORTS = [
+    ("bch", {}, True),
+    ("bch", {"h1_blackbox": None, "group_engine": "layered"}, True),
+    ("bch", {"h1_blackbox": 3}, False),
+    ("bch", {"h1_layered": 3}, False),
+    ("bch", {"h1_blackbox": None, "h1_linear": None}, False),
+    ("bch", {"frattini_eq_derived": False}, False),
+    ("bch", {"generators_generate": False}, False),
+    ("bch", {"thm_ii_lhs_order_linear": 25}, False),
+    ("bch", {"thm_ii_rhs_order_linear": 25}, False),
+    ("bch", {"generators_generate_linear": False}, False),
+    ("bch", {"thm_ii_rhs_order": 25, "thm_ii_rhs_order_linear": 25}, False),
+    ("affine", {}, True),
+    ("affine", {"h1_blackbox": 3}, False),
+    ("affine", {"h1_blackbox": None}, False),
+    ("affine", {"generators_generate": False}, False),
+    ("affine", {"frattini_eq_derived": False}, False),
+]
+PLANTED_INSTANCES = {
+    "bch": {"model": "bch", "gcm": A2, "q": 5, "H": 3, "checks": ["theorem1"]},
+    "affine": {"model": "affine", "m": 2, "q": 3, "k": 2, "checks": ["theorem1", "cor_linear"]},
+}
 
 
-@pytest.mark.parametrize(
-    "changes,ok",
-    [
-        ({}, True),
-        ({"h1_blackbox": None, "group_engine": "layered"}, True),
-        ({"h1_blackbox": 3}, False),
-        ({"h1_layered": 3}, False),
-        ({"h1_blackbox": None, "h1_linear": None}, False),
-        ({"thm_ii_lhs_order_linear": 25}, False),
-        ({"thm_ii_rhs_order_linear": 25}, False),
-        ({"generators_generate_linear": False}, False),
-        ({"thm_ii_rhs_order": 25, "thm_ii_rhs_order_linear": 25}, False),
-    ],
-)
-def test_bch_theorem1_passes_only_when_every_way_agrees(monkeypatch, changes, ok):
-    monkeypatch.setattr(
-        cli, "verify_theorem1", lambda *args, **kwargs: _theorem1_report(**changes)
-    )
-    campaign = {
-        "instances": [
-            {"model": "bch", "gcm": A2, "q": 5, "H": 3, "checks": ["theorem1"]},
-        ],
-    }
-    result = run_campaign(campaign)["instances"][0]["results"][0]
-    assert result["status"] == ("pass" if ok else "fail")
+@pytest.mark.parametrize("model,changes,ok", PLANTED_REPORTS)
+def test_theorem1_passes_only_when_every_way_agrees(monkeypatch, model, changes, ok):
+    # one rule in both models; in the matrix model cor_linear reads it too,
+    # so blackbox against layered, the layered way alone, no generation and
+    # Phi other than [G, G] each fail theorem 1 and cor_linear alike
+    report = dict(PASSING_REPORTS[model], **changes)
+    monkeypatch.setattr(cli, "verify_theorem1", lambda *args, **kwargs: report)
+    monkeypatch.setattr(cli, "verify_theorem1_affine", lambda sylow: report)
+    campaign = {"instances": [PLANTED_INSTANCES[model]]}
+    results = run_campaign(campaign)["instances"][0]["results"]
+    assert [r["status"] for r in results] == ["pass" if ok else "fail"] * len(results)

@@ -22,7 +22,7 @@ from kmsylow.errors import (
 )
 from kmsylow.fields import FqConfig
 from kmsylow.gcm import validate_gcm
-from kmsylow.law import key_rows, row_keys
+from kmsylow.law import PolynomialMap, key_rows, row_keys
 from kmsylow.lie import bracket, standard_factorization
 from kmsylow.pgroup import (
     _power,
@@ -462,12 +462,22 @@ COMPILED.append((validate_gcm([[2, -3], [-3, 2]]), 13, 8))
 
 
 @pytest.mark.parametrize("inst", COMPILED, ids=_ident)
-def test_law_and_bracket_compile_as_the_copying_compile_does(inst):
+def test_law_and_bracket_agree_with_the_copying_compile(inst):
+    # the law term for term; the bracket, which bracket_fp takes with
+    # lie.bracket, as the copying compile's bracket map evaluated on seeded
+    # digit-vector pairs, some with zero coordinates
     gcm, q, H = inst
-    model = UnipotentModel(gcm, FqConfig.from_q(q), H)
+    fq = FqConfig.from_q(q)
+    model = UnipotentModel(gcm, fq, H)
     law, bracket_terms = poly_ops_law(model)
     assert model._law.terms == law
-    assert model._bracket.terms == bracket_terms
+    bracket_map = PolynomialMap(fq, bracket_terms)
+    rng = random.Random(q * H)
+    for n in range(30):
+        x = random_element(model, rng)
+        y = bytes(c if rng.randrange(2) or n < 10 else 0 for c in random_element(model, rng))
+        want = model.fp_vector(bracket_map(x, y))
+        assert model.bracket_fp(model.fp_vector(x), model.fp_vector(y)) == want
 
 
 def test_every_way_refuses_a_characteristic_below_the_cutoff():
