@@ -10,8 +10,8 @@ bilinear map in those coefficients and, determinants being one, the inverse
 is the adjugate, a fixed polynomial map of degree m-1; both are law
 polynomial maps, which give the group oracle its scalar product, its
 inverse, its bulk right multiplication and its bulk products of row pairs,
-and the oracle is built once per (m, F_q, k).  Subgroup filters read a
-table's rows as one (n, m, m, k) coefficient stack.
+and each group builds its oracle once.  Subgroup filters read a table's
+rows as (n, m, m, k) coefficient stacks.
 
 The Sylow carries the level filtration of the Iwahori (Moy and Prasad,
 Invent. Math. 116, 1994): coefficient t^d at position (i, j) has level
@@ -23,7 +23,7 @@ listing them; enumeration is then sized from the one and refused past
 the cap from both before any product.
 """
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import combinations, permutations, product
 from math import prod
 
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EnumerationCapExceeded, TruncationTooShallow
 from .gcm import check_off_diagonal_hypothesis, validate_gcm
 from .law import PolynomialMap, key_rows, law_oracle, lead_map, row_keys
-from .pgroup import DEFAULT_CAP, SCAN_BLOCK, FrattiniCount, _blocks, _log_exact, closure
+from .pgroup import DEFAULT_CAP, SCAN_BLOCK, FrattiniCount, _log_exact, closure
 
 
 class AffineMatrixGroup:
@@ -53,6 +53,7 @@ class AffineMatrixGroup:
         for i in range(m):
             identity[(i * m + i) * k] = 1
         self.identity = bytes(identity)
+        self._oracle = None
 
     def elementary(self, i, j, code, degree=0):
         """identity + code * t^degree * E_{i,j} (zero-based positions), the
@@ -64,7 +65,9 @@ class AffineMatrixGroup:
         return bytes(out)
 
     def oracle(self):
-        return _matrix_oracle(self.m, self.fq, self.k, self.identity)
+        if self._oracle is None:
+            self._oracle = _matrix_oracle(self.m, self.fq, self.k, self.identity)
+        return self._oracle
 
     def lead_map(self, level):
         """The leading-term map (law.lead_map) of the filtration by level,
@@ -76,24 +79,24 @@ class AffineMatrixGroup:
         levels = [level(i, j, d) for i in range(m) for j in range(m) for d in range(k)]
         return lead_map(self.fq, self.identity, levels)
 
-    def stack(self, table):
-        """The matrices of an enumerated table as an (n, m, m, k) stack of
-        coefficients, a view of its rows."""
-        return table.rows.reshape(-1, self.m, self.m, self.k)
-
-    def subtable(self, table, predicate):
+    def subtable(self, table, predicate, rows=None):
         """Members of an enumerated table whose matrices pass predicate, a
         map from an (n, m, m, k) stack to a mask, answering membership
-        through the table (FiniteGroupTable.subtable)."""
+        through the table; rows, if given, stand for the table's
+        (FiniteGroupTable.subtable)."""
         m, k = self.m, self.k
-        return table.subtable(lambda rows: predicate(rows.reshape(-1, m, m, k)))
+        return table.subtable(lambda block: predicate(block.reshape(-1, m, m, k)), rows)
+
+    def congruent(self, i):
+        """A mask of the (n, m, m, k) stack's matrices that are 1 mod t^i."""
+        one = np.frombuffer(self.identity, dtype=np.uint8).reshape(self.m, self.m, self.k)
+        return lambda A: (A[..., :i] == one[..., :i]).all(axis=(1, 2, 3))
 
 
-@lru_cache(maxsize=None)
 def _matrix_oracle(m, fq, k, identity):
-    """The group oracle of SL_m over F_q[t]/(t^k), built once per (m, fq, k)
-    (the identity key follows from m and k): its product and its inverse
-    are polynomial maps in the key coefficients.
+    """The group oracle of SL_m over F_q[t]/(t^k) (the identity key follows
+    from m and k): its product and its inverse are polynomial maps in the
+    key coefficients.
 
     The product is the convolution (AB)[i,j,d] = sum over l and e <= d of
     A[i,l,e] B[l,j,d-e].  Determinants are one, so the inverse is the
@@ -200,32 +203,35 @@ class IwahoriSylow:
 
 def sylow_table(sylow):
     """The closure of the standard generators as a group-engine table,
-    allocated at its layered order and refused by it past the cap."""
-    return closure(
-        sylow.generators,
-        sylow.group.oracle(),
-        cap=sylow.cap,
-        p=sylow.fq.p,
-        order=sylow.count.order,
+    allocated at its layered order and refused by it past the cap, read as
+    it streams: sylow.inside is whether every element passes membership,
+    and sylow.deep holds the rows of K_2."""
+    group, m, k = sylow.group, sylow.m, sylow.k
+    mod_t2 = group.congruent(2)
+    sylow.inside, deep = True, []
+
+    def visit(rows):
+        A = rows.reshape(-1, m, m, k)
+        sylow.inside = sylow.inside and bool(iwahori_sylow_membership(group, A).all())
+        deep.append(rows[mod_t2(A)])
+
+    table = closure(
+        sylow.generators, group.oracle(), sylow.cap, sylow.fq.p, sylow.count.order, visit
     )
+    sylow.deep = np.concatenate(deep)
+    return table
 
 
 def verify_generation(sylow):
     """True iff the standard generators produce exactly the matrices passing
-    the membership test: the table has the Sylow's order and every table
-    element passes membership, read SCAN_BLOCK matrices at a time up to
-    the first block that fails.  An order above the cap is refused before
+    the membership test: the table has the Sylow's order and every element
+    passed it (sylow_table).  An order above the cap is refused before
     anything is enumerated."""
     if sylow.order > sylow.cap:
         raise EnumerationCapExceeded(
             f"Sylow order {sylow.order} exceeds the cap of {sylow.cap}"
         )
-    table, group = sylow.table, sylow.group
-    if table.order != sylow.order:
-        return False
-    return all(
-        iwahori_sylow_membership(group, block).all() for block in _blocks(group.stack(table))
-    )
+    return sylow.table.order == sylow.order and sylow.inside
 
 
 def affine_cartan_matrix(m):
@@ -343,15 +349,13 @@ def _commutator_closed_form(fq, rows, r, s, m, n, K):
 
 
 def congruence_subgroup(sylow, i):
-    """Matrices of the Sylow's table congruent to the identity mod t^i.  The
-    chain K_1 > ... > K_k = 1 refines the Sylow."""
-    m, k, group = sylow.m, sylow.k, sylow.group
-    if not 1 <= i <= k:
+    """Matrices of the Sylow's table congruent to the identity mod t^i, past
+    i = 1 from the rows of K_2.  The chain K_1 > ... > K_k = 1 refines the
+    Sylow."""
+    if not 1 <= i <= sylow.k:
         raise ValueError("congruence level must satisfy 1 <= i <= k")
-    prefix = np.frombuffer(group.identity, dtype=np.uint8).reshape(m, m, k)[..., :i]
-    return group.subtable(
-        sylow.table, lambda A: (A[..., :i] == prefix).all(axis=(1, 2, 3))
-    )
+    table = sylow.table  # listed first: the listing keeps the rows of K_2
+    return sylow.group.subtable(table, sylow.group.congruent(i), sylow.deep if i > 1 else None)
 
 
 def special_linear_order(m, fq):
@@ -362,7 +366,8 @@ def special_linear_order(m, fq):
 def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
     """All of SL_m(F_q) as the closure of the elementary transvections
     1 + v E_{i,j}, v over an F_p-basis of F_q, which generate it.  An order
-    above the cap is refused before anything is enumerated."""
+    above the cap is refused before anything is enumerated, and the closure
+    is capped at the order."""
     order = special_linear_order(m, fq)
     if order > cap:
         raise EnumerationCapExceeded(
@@ -376,7 +381,7 @@ def enumerate_special_linear(m, fq, cap=DEFAULT_CAP):
         if i != j
         for code in fq.basis
     ]
-    return group, closure(gens, group.oracle(), cap=cap)
+    return group, closure(gens, group.oracle(), cap=order)
 
 
 def borel_subgroup(group, table):

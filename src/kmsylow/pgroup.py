@@ -13,9 +13,9 @@ list costs about 56 bytes, its row 9.  A key is made only where a scalar
 is read, and a table's elements, its keys, are built on first read.  A
 pass over a table, a bulk product or a subtable's filter, reads at most
 SCAN_BLOCK rows at a time.  A normal closure of known order, as
-FrattiniCount.index lists Phi, streams its last stage: its rows are marked
-a chunk at a time and dropped, and the table decodes rows from its members
-if they are read.
+FrattiniCount.index lists Phi, streams its last two stages: their rows are
+marked a chunk at a time and dropped, and the table decodes rows from its
+members if they are read; so does a closure given a reader.
 
 Enumeration uses multiplication only: in a finite group the submonoid
 generated by a set is already a subgroup, so inverses never need to be
@@ -135,15 +135,16 @@ class FiniteGroupTable:
     def __contains__(self, key):
         return key in self.members
 
-    def subtable(self, predicate):
+    def subtable(self, predicate, rows=None):
         """The members whose rows pass predicate, a map from (n, width) rows
         to a mask, as a table that lists no generators and answers
-        membership through this one: no new structure is filled."""
-        mask = np.empty(len(self.rows), dtype=bool)
-        for block, into in zip(_blocks(self.rows), _blocks(mask)):
+        membership through this one: no new structure is filled.  rows, if
+        given, hold every member that passes."""
+        rows = self.rows if rows is None else rows
+        mask = np.empty(len(rows), dtype=bool)
+        for block, into in zip(_blocks(rows), _blocks(mask)):
             into[...] = predicate(block)
-        rows = self.rows[mask]
-        return FiniteGroupTable(self.oracle, (), rows, _Filtered(self.members, predicate))
+        return FiniteGroupTable(self.oracle, (), rows[mask], _Filtered(self.members, predicate))
 
 
 class _Filtered:
@@ -322,27 +323,32 @@ class _Closure:
     rows are kept in blocks, merged with the rows once per Dimino stage.
 
     stream, with p and order given, says that the caller reads no rows
-    (normal_closure).  The last stage, which has index p from order / p
-    elements, is then streamed when it spans more than one chunk (_stream):
-    the rows are
-    allocated for order / p elements only, and once that stage has run the
-    closure holds none.  A stage that runs after it all the same, as when
-    the order was wrong, first decodes the rows from the members."""
+    (normal_closure).  Each of the last two stages, of index p from order
+    / p^2 and order / p elements, is then streamed when it starts from more
+    than one chunk (_stream): the rows are allocated for the first streamed
+    stage's H only, and once the last has run the closure holds none.  A
+    stage that runs after them all the same, as when the order was wrong,
+    first decodes the rows from the members.  visit reads every block of
+    new elements."""
 
-    def __init__(self, oracle, cap, p=None, order=None, stream=False):
+    def __init__(self, oracle, cap, p=None, order=None, stream=False, visit=None):
         self.oracle = oracle
         self.cap = cap
         self.p = p
-        # the order of H from which the last stage streams
-        self.stream_from = None
-        if stream and p is not None and order is not None and order // p > SCAN_BLOCK:
-            self.stream_from = order = order // p
+        self.visit = visit or (lambda rows: None)
+        # the orders of H from which the last two stages stream, and the
+        # generators of the stages streamed so far
+        self.stream_at, self.streamed = (), []
+        if stream and p is not None and order is not None:
+            self.stream_at = [h for h in (order // p ** 2, order // p) if h > SCAN_BLOCK]
+            order = self.stream_at[0] if self.stream_at else order
         self.rows = np.empty((order or 1, len(oracle.identity)), dtype=np.uint8)
         self.rows[0] = np.frombuffer(oracle.identity, dtype=np.uint8)
         self.filled = 1  # rows written into self.rows
         self.blocks = []  # rows found past the end of self.rows
         self.size = 1
         self.members = _membership(oracle).mark(self.rows[:1])
+        self.visit(self.rows[:1])
         self.gens = []
         self.inverses = {}  # key -> its inverse, for the keys commuted
 
@@ -362,6 +368,7 @@ class _Closure:
             raise EnumerationCapExceeded(
                 f"closure exceeded the cap of {self.cap} elements"
             )
+        self.visit(block)
         return block
 
     def _absorb(self, chunks, g):
@@ -388,8 +395,8 @@ class _Closure:
     def _merged(self):
         """The members' rows in the order found, the blocks merged in; after
         a streamed stage, decoded from the members."""
-        if self.rows is None:
-            self.rows = self.members.rows()
+        if self.streamed:
+            self.rows, self.streamed = self.members.rows(), []
             self.filled = len(self.rows)
         if self.blocks:
             self.rows = np.concatenate([self.rows[: self.filled], *self.blocks])
@@ -401,7 +408,7 @@ class _Closure:
         """The subgroup found, its elements in the order found, with the
         closure's membership structure; after a streamed stage, no rows but
         the order, the number of elements marked."""
-        rows = None if self.rows is None else self._merged()
+        rows = None if self.streamed else self._merged()
         self.rows = None
         return FiniteGroupTable(
             self.oracle, generators, rows, members=self.members, order=self.size
@@ -430,7 +437,7 @@ class _Closure:
             if g in self.members:
                 return
         self.gens.append(g)
-        if index_p and self.size == self.stream_from:
+        if index_p and self.size in self.stream_at:
             self._stream(g)
         else:
             self._dimino(g)
@@ -451,7 +458,7 @@ class _Closure:
         generator, and in an index-p stage it is g for every coset.  H r
         is new in full, so its rows are held whole and in the order of H
         times r, and the rows of H r s come in the order and the chunks of
-        H times r s.  _stream is its twin for the last index-p stage of a
+        H times r s.  _stream is its twin for the last index-p stages of a
         streaming closure: the same chain of H times g and the same closing
         products, the blocks dropped instead of stored."""
         cosets = {g: self._absorb(_blocks(self._merged()), g)}
@@ -467,22 +474,38 @@ class _Closure:
 
     def _stream(self, g):
         """The index-p stage of g from H, listed as _dimino lists it but a
-        chunk of H at a time: the chunk times g, times g again, p - 1
-        times, each block marked and then dropped; after it the rows of H
-        are dropped too.  The stage is the subgroup H <g> by the index-p
-        construction of add, and Dimino's closing condition, each power
-        g^i (i < p) times each generator a member, is checked with the
-        scalar products that _dimino forms."""
-        for chunk in _blocks(self._merged()):
+        chunk of H at a time (_chunks): the chunk times g, times g again,
+        p - 1 times, each block marked and then dropped.  The stage is the
+        subgroup H <g> by the index-p construction of add, and Dimino's
+        closing condition, each power g^i (i < p) times each generator a
+        member, is checked with the scalar products that _dimino forms."""
+        for chunk in self._chunks():
             for _ in range(self.p - 1):
                 chunk = self._mark(_mul_rows(self.oracle, chunk, g))
-        self.rows = None
+        self.streamed.append(g)
         r = g
         for _ in range(self.p - 1):
             products = [self.oracle.mul(r, s) for s in self.gens]
             if not all(map(self.members.__contains__, products)):
                 raise ValueError(f"a stage of index {self.p} did not close")
             r = products[-1]
+
+    def _chunks(self):
+        """H a chunk at a time: the rows held, times the powers of the
+        generator of each stage streamed before, formed again chunk by
+        chunk; so a second streamed stage holds only the rows of the
+        first's H and forms that H's other elements a second time."""
+        chunks = _blocks(self.rows[: self.filled] if self.streamed else self._merged())
+        for g in self.streamed:
+            chunks = self._powers(chunks, g)
+        return chunks
+
+    def _powers(self, chunks, g):
+        for chunk in chunks:
+            yield chunk
+            for _ in range(self.p - 1):
+                chunk = _mul_rows(self.oracle, chunk, g)
+                yield chunk
 
 
 def _refuse_known(order, cap, what):
@@ -491,17 +514,19 @@ def _refuse_known(order, cap, what):
         raise EnumerationCapExceeded(f"{what} {order} exceeds the cap of {cap}")
 
 
-def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None):
+def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None, visit=None):
     """Subgroup generated by the given keys, listed in a deterministic order,
     coset by coset (_Closure.add).  p, when given, says that the keys
     generate a p-group, whose stages then each have index p.
 
     order, when known (say from layered_order), is the subgroup's exact
     order; an order over the cap refuses before any multiplication, and
-    one under it sizes the closure's rows.
+    one under it sizes the closure's rows.  visit, if given, reads every
+    block of new elements, the identity first, in the order found, and the
+    last two stages stream as in normal_closure.
     """
     _refuse_known(order, cap, "subgroup order")
-    state = _Closure(oracle, cap, p, order)
+    state = _Closure(oracle, cap, p, order, stream=visit is not None, visit=visit)
     gens = tuple(dict.fromkeys(generators))
     for g in gens:
         state.add(g)
@@ -520,7 +545,7 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
     seeds and conjugators generate a p-group, as in closure.  A known order
     over the cap refuses before any multiplication, as in closure.
 
-    Given p and the order, the last stage streams (_Closure): the table
+    Given p and the order, the last two stages stream (_Closure): the table
     then holds its order and members, and decodes its rows, in code order,
     only if they are read.
     """
@@ -719,7 +744,7 @@ class FrattiniCount:
     of G (Burnside basis theorem); it sizes both enumerations from the
     layered orders and refuses an index or a Phi over the cap before any
     multiplication.  The count reads Phi's order, members and generators
-    only, so Phi's last stage streams (normal_closure) and Phi's rows are
+    only, so Phi's last stages stream (normal_closure) and Phi's rows are
     decoded only if read.
     """
 

@@ -7,9 +7,18 @@ shares no bulk product, no row array and no closed-form table with
 kmsylow.affine.commutator_identity_check, only the group's scalar oracle.
 """
 
+from functools import lru_cache
+
 from kmsylow.affine import AffineMatrixGroup
 from kmsylow.errors import TruncationTooShallow
 from kmsylow.pgroup import commutator
+
+
+@lru_cache(maxsize=1)
+def _group(fq, K):
+    """The group of SL_2 over F_q[t]/(t^K), kept for the next case: a group
+    builds its oracle on first use, and the cases of one ring share it."""
+    return AffineMatrixGroup(2, fq, K)
 
 
 def scalar_commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
@@ -20,7 +29,7 @@ def scalar_commutator_identity_check(fq, r_val, s_val, m_exp, n_exp, K):
         raise TruncationTooShallow(
             f"need K > {3 * max(m_exp, n_exp)} to keep every displayed entry"
         )
-    group = AffineMatrixGroup(2, fq, K)
+    group = _group(fq, K)
     x = group.elementary(0, 1, r_val, m_exp)
     y = group.elementary(1, 0, s_val, n_exp)
     rs = fq.mul(r_val, s_val)

@@ -1,8 +1,8 @@
-"""Test oracle: theorem 1's Frattini count, whose last stage streams, against
-the Frattini subgroup listed with its rows kept.  FrattiniCount.index is
-given the layered orders (lead), so its normal closure of Phi streams the
-last stage whenever that stage spans more than one chunk; the block is
-shrunk so that it spans several.  The kept listing is the unsized
+"""Test oracle: theorem 1's Frattini count, whose last two stages stream,
+against the Frattini subgroup listed with its rows kept.  FrattiniCount.index
+is given the layered orders (lead), so its normal closure of Phi streams
+each of the last two stages that starts from more than one chunk; the block
+is shrunk so that they span several.  The kept listing is the unsized
 normal_closure of the same seeds, so it shares no order with the count."""
 
 import numpy as np
@@ -21,6 +21,13 @@ def _sorted(rows):
     rows hold the same elements exactly when these are equal."""
     rows = np.ascontiguousarray(rows)
     return np.sort(rows.view(np.dtype((np.void, rows.shape[1]))).ravel())
+
+
+def streamed_stages(order, p, block):
+    """The orders of H at the stages that a closure of the given order
+    streams under blocks of the given size: the last two, each where H
+    spans more than one block."""
+    return [h for h in (order // p ** 2, order // p) if h > block]
 
 
 def recorded_streams(patch):
@@ -43,16 +50,16 @@ def assert_streamed_frattini_agrees(gens, oracle, p, lead, q):
     non-members, and index."""
     count = FrattiniCount(gens, oracle, p, lead)
     with pytest.MonkeyPatch.context() as patch:
-        # several chunks to a last stage of the smaller instances too
-        block = min(max(FEW_ROWS + 1, count.frattini_order // p // 4), pgroup.SCAN_BLOCK)
+        # several chunks to the last two stages of the smaller instances too
+        block = min(max(FEW_ROWS + 1, count.frattini_order // p ** 2 // 4), pgroup.SCAN_BLOCK)
         patch.setattr(pgroup, "SCAN_BLOCK", block)
         streamed = recorded_streams(patch)
         phi, index = count.index()
     kept = normal_closure(count.seeds, gens, oracle, p=p)
     assert phi.order == kept.order == count.frattini_order
-    # the stage from |Phi| / p elements streams when it spans several chunks
-    last = phi.order // p
-    assert streamed == ([last] if last > block else [])
+    # the stages from |Phi| / p^2 and |Phi| / p elements stream when they
+    # span several chunks
+    assert streamed == streamed_stages(phi.order, p, block)
     assert not streamed or "rows" not in vars(phi)
     assert np.array_equal(_sorted(phi.rows), _sorted(kept.rows))
 

@@ -1,16 +1,18 @@
 """Tests for the truncated-polynomial matrix Sylow model."""
 
+import gc
 import glob
 import itertools
 import json
 import os
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from kmsylow import affine, pgroup
+from kmsylow import affine, cli, pgroup
 from kmsylow.affine import (
     AffineMatrixGroup,
     IwahoriSylow,
@@ -29,7 +31,7 @@ from kmsylow.affine import (
     verify_generation,
     verify_theorem1_affine,
 )
-from kmsylow.cli import DEFAULT_CAMPAIGN
+from kmsylow.cli import DEFAULT_CAMPAIGN, run_campaign
 from kmsylow.errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
@@ -43,7 +45,6 @@ from kmsylow.pgroup import (
     BITMAP_CODES,
     DEFAULT_CAP,
     SCAN_BLOCK,
-    FiniteGroupTable,
     FrattiniCount,
     check_filtration_lemma,
     closure,
@@ -56,8 +57,14 @@ from commutator_scalar import scalar_commutator_identity_check
 from coset_probe import assert_same_indices
 from derived_series import derived_subgroup
 from filtration_scan import assert_filtration_reports_agree
-from frattini_stream import assert_streamed_frattini_agrees
+from frattini_stream import (
+    _sorted,
+    assert_streamed_frattini_agrees,
+    recorded_streams,
+    streamed_stages,
+)
 from membership_paths import assert_membership_paths_agree
+from sylow_scan import assert_streamed_listing_agrees, conjugated_sylow
 from sylow_enumeration import (
     brute_force_special_linear,
     brute_force_sylow,
@@ -145,14 +152,19 @@ def test_law_and_inverse_match_schoolbook_on_all_of_sl(m, fq):
     _assert_matches_reference(group, sorted(brute_force_special_linear(m, fq)))
 
 
-def test_matrix_law_is_built_once_per_ring():
-    # commutator_identity_check makes a group per case; they share one
-    # oracle, bulk hook included
-    first, second = (AffineMatrixGroup(2, F9, 13).oracle() for _ in range(2))
-    assert first is second
-    assert first.mul is second.mul and first.inv is second.inv
-    assert first.mul_many is second.mul_many
-    assert first.mul_pairs is second.mul_pairs
+def test_matrix_law_is_built_once_per_group():
+    # a group builds its oracle, bulk hook included, on first use and keeps
+    # it; another group of the same ring builds its own, and an oracle goes
+    # with the group that built it, so none outlives a campaign instance
+    group = AffineMatrixGroup(2, F9, 13)
+    first = group.oracle()
+    assert group.oracle() is first
+    other = AffineMatrixGroup(2, F9, 13).oracle()
+    assert other.mul is not first.mul and other.mul_many is not first.mul_many
+    gone = weakref.ref(first)
+    del group, first
+    gc.collect()
+    assert gone() is None
 
 
 def test_membership_examples():
@@ -468,7 +480,9 @@ def test_a_closure_sized_by_its_order_lists_the_unsized_rows(m, q, k):
     for order in (sylow.count.order, unsized.order // fq.p, 2 * unsized.order):
         sized = closure(gens, oracle, p=fq.p, order=order)
         assert np.array_equal(sized.rows, unsized.rows)
-    assert np.array_equal(sylow.table.rows, unsized.rows)
+    # the Sylow's own listing is read as it streams, and a streamed table
+    # decodes its rows in code order
+    assert np.array_equal(_sorted(sylow.table.rows), _sorted(unsized.rows))
 
 
 @pytest.mark.parametrize("m,q,k", [(2, 3, 3), (2, 9, 2), (3, 2, 2), (3, 3, 2)])
@@ -691,11 +705,17 @@ def test_commutator_check_refuses_its_first_shallow_case_before_any_product(monk
         commutator_identity_check(F2, 1, 1, 1, [1, 2, 3], 5)
 
 
-def test_congruence_chain():
+def test_congruence_chain(monkeypatch):
+    # with the last stages streamed, K_2 and K_3 are filtered from the rows
+    # of K_2 kept from the listing, and only K_1 decodes the table's rows
+    monkeypatch.setattr(pgroup, "SCAN_BLOCK", 64)
     sylow = IwahoriSylow(2, F3, 3, DEFAULT_CAP)
     table = sylow.table
-    chain = [congruence_subgroup(sylow, i) for i in (1, 2, 3)]
+    chain = [congruence_subgroup(sylow, i) for i in (2, 3)]
+    assert "rows" not in vars(table)
+    chain.insert(0, congruence_subgroup(sylow, 1))
     assert [K.order for K in chain] == [3 ** 6, 3 ** 3, 1]
+    assert len(table.rows) == table.order == 3 ** 7
     oracle = table.oracle
     for K in chain:
         for key in K.elements:
@@ -715,18 +735,18 @@ def test_congruence_chain():
 
 
 def test_scans_across_block_boundaries():
+    # the (2,3,4) listing streams its last two stages, from 3^8 and 3^9
+    # elements, over several blocks: generation and K_2 to K_4 are read
+    # from the blocks as they are formed, and K_1 from the decoded rows
     sylow = IwahoriSylow(2, F3, 4, DEFAULT_CAP)
-    table = sylow.table
-    assert table.order == 3 ** 10 > SCAN_BLOCK
-    chain = [congruence_subgroup(sylow, i) for i in (1, 2, 3, 4)]
-    assert [K.order for K in chain] == [3 ** 9, 3 ** 6, 3 ** 3, 1]
+    assert sylow.order == 3 ** 10 and sylow.order // 3 > SCAN_BLOCK
     assert verify_generation(sylow)
-    # one non-member, the last row, fails the membership scan
-    outsider = sylow.group.elementary(1, 0, 1)
-    forged = IwahoriSylow(2, F3, 4, DEFAULT_CAP)
-    rows = key_rows(table.elements[:-1] + (outsider,), sylow.group.width)
-    forged.table = FiniteGroupTable(table.oracle, (), rows)
-    assert not verify_generation(forged)
+    chain = [congruence_subgroup(sylow, i) for i in (2, 3, 4)]
+    assert "rows" not in vars(sylow.table)
+    chain.insert(0, congruence_subgroup(sylow, 1))
+    assert [K.order for K in chain] == [3 ** 9, 3 ** 6, 3 ** 3, 1]
+    # a listing whose last stage, past 3^9 elements, lies outside the Sylow
+    assert not verify_generation(conjugated_sylow(F3, 4))
     group, table = enumerate_special_linear(3, F3)
     assert table.order == 5616 > SCAN_BLOCK
     assert borel_subgroup(group, table).order == 108
@@ -734,8 +754,10 @@ def test_scans_across_block_boundaries():
 
 
 def test_a_scan_reads_a_block_at_a_time_up_to_the_first_that_fails(monkeypatch):
-    # 81 rows in blocks of 16: the one non-member, in the last block of one
-    # row or in the first, fails the scan, which stops at its block
+    # 81 rows in blocks of at most 16, the identity's first, each read as
+    # the listing forms it; the listing of a conjugate of the Sylow forms
+    # the 27 elements of K_1 first, all inside, and the membership test
+    # stops at the first block of its last stage, 16 rows outside
     monkeypatch.setattr(pgroup, "SCAN_BLOCK", 16)
     sizes = []
 
@@ -745,17 +767,61 @@ def test_a_scan_reads_a_block_at_a_time_up_to_the_first_that_fails(monkeypatch):
 
     monkeypatch.setattr(affine, "iwahori_sylow_membership", counted)
     sylow = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
-    keys = sylow.table.elements
     assert verify_generation(sylow)
-    assert sizes == [16] * 5 + [1]
-    outsider = sylow.group.elementary(1, 0, 1)
-    for forged_keys, read in [(keys[:-1] + (outsider,), 6), ((outsider,) + keys[1:], 1)]:
-        sizes.clear()
-        forged = IwahoriSylow(2, F3, 2, DEFAULT_CAP)
-        rows = key_rows(forged_keys, forged.group.width)
-        forged.table = FiniteGroupTable(sylow.table.oracle, (), rows)
-        assert not verify_generation(forged)
-        assert len(sizes) == read
+    assert sizes[0] == 1 and max(sizes) == 16 and sum(sizes) == 81
+    sizes.clear()
+    forged = conjugated_sylow(F3, 2)
+    assert not verify_generation(forged)
+    assert forged.table.order == 81
+    assert sum(sizes) == 27 + 16 and sizes[-1] == 16
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_non_member_formed_in_the_streamed_stage_fails_generation(monkeypatch, k):
+    # the Sylow's conjugate by 1 + E_21 has the Sylow's order and lists K_1,
+    # inside the Sylow, before its last stage, which streams and lies
+    # outside: generation is false, as the whole-table scan finds it
+    monkeypatch.setattr(pgroup, "SCAN_BLOCK", 16)
+    streamed = recorded_streams(monkeypatch)
+    forged = conjugated_sylow(F3, k)
+    assert not verify_generation(forged)
+    assert streamed == streamed_stages(forged.order, 3, 16)
+    assert streamed[-1] == forged.order // 3
+    assert forged.table.order == forged.order
+    stack = forged.table.rows.reshape(-1, 2, 2, k)
+    assert (~iwahori_sylow_membership(forged.group, stack)).sum() == 2 * forged.order // 3
+
+
+@pytest.mark.parametrize("m,q,k", matrix_sylow_instances())
+def test_the_streamed_listing_agrees_with_the_whole_table_scan(m, q, k):
+    assert_streamed_listing_agrees(m, FqConfig.from_q(q), k)
+
+
+def test_generation_and_filtration_in_a_campaign_hold_no_sylow_rows(monkeypatch):
+    # the two checks share one listing of each Sylow, which streams its
+    # last stages, and neither reads the rows back: K_2 and up come from
+    # the rows kept from the listing
+    made = []
+
+    class Recorded(IwahoriSylow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "IwahoriSylow", Recorded)
+    checks = ["generation", "filtration"]
+    campaign = {
+        "instances": [
+            {"model": "affine", "m": m, "q": q, "k": k, "checks": checks}
+            for m, q, k in [(2, 3, 4), (2, 5, 3)]
+        ]
+    }
+    for inst in run_campaign(campaign)["instances"]:
+        assert [r["status"] for r in inst["results"]] == ["pass", "pass"]
+    assert len(made) == 2
+    for sylow in made:
+        assert sylow.order // sylow.fq.p > SCAN_BLOCK
+        assert "rows" not in vars(sylow.table)
 
 
 def test_a_subtable_equals_the_whole_table_filter(monkeypatch):
@@ -797,16 +863,15 @@ def _peak(make):
         tracemalloc.stop()
 
 
-def test_the_generation_scan_holds_under_half_the_rows_again():
-    # the (3,3,2) Sylow, 3^11 rows of 18 bytes, allocated once at its
-    # layered order; the membership scan reads SCAN_BLOCK matrices at a
-    # time, where the whole stack at once took the peak to 1.71 times the
-    # rows
-    AffineMatrixGroup(3, F3, 2).oracle()
+def test_the_generation_listing_holds_under_three_quarters_of_the_rows():
+    # the (3,3,2) Sylow, 3^11 rows of 18 bytes: the membership test reads
+    # each block as the listing forms it, and the last two stages stream,
+    # so only a ninth of the rows is ever held
     sylow = IwahoriSylow(3, F3, 2, DEFAULT_CAP)
+    sylow.group.oracle()
     generates, peak = _peak(lambda: verify_generation(sylow))
-    assert generates
-    assert peak < 1.5 * sylow.table.rows.nbytes
+    assert generates and "rows" not in vars(sylow.table)
+    assert peak < 0.75 * sylow.order * sylow.group.width
 
 
 def test_a_congruence_subgroup_allocates_under_a_quarter_of_the_table():

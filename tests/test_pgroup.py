@@ -47,7 +47,7 @@ from breadth_first import breadth_first_closure
 from coset_probe import assert_same_index
 from derived_series import derived_subgroup, is_perfect
 from filtration_scan import assert_filtration_reports_agree
-from frattini_stream import recorded_streams
+from frattini_stream import recorded_streams, streamed_stages
 from membership_paths import path as members_path
 
 
@@ -635,9 +635,9 @@ def test_frattini_listing_peaks_under_32_mib():
 
 
 def test_a_streamed_frattini_count_holds_under_half_of_phi():
-    # the same Phi given its layered order: the last stage, of index 7,
-    # streams from the 7^6 elements before it, a chunk at a time, so the
-    # listing never holds all 7^7 rows of 9 bytes
+    # the same Phi given its layered order: the last two stages, of index
+    # 7, stream from the 7^5 elements before them, a chunk at a time, so
+    # the listing never holds all 7^7 rows of 9 bytes
     model = UnipotentModel(validate_gcm([[2, -2], [-2, 2]]), FqConfig(7), 6)
     oracle, gens = model.oracle(), standard_generators(model)
     tracemalloc.start()
@@ -674,22 +674,23 @@ def _frattini_seeds_case():
     "case", [_vector_seeds_case, _key_set_seeds_case, _frattini_seeds_case]
 )
 def test_a_stage_after_a_streamed_one_lists_the_exact_subgroup(monkeypatch, case):
-    # given the order divided by p, the stage before the last looks last
-    # and streams; the last stage then decodes the rows from the members
-    # and the table is the whole subgroup, as listed with no order
+    # given the order divided by p, the two stages before the last look
+    # last and stream; the last stage then decodes the rows from the
+    # members and the table is the whole subgroup, as listed with no order
     oracle, seeds, conjugators, p = case()
     full = normal_closure(seeds, conjugators, oracle, p=p)
     monkeypatch.setattr(pgroup, "SCAN_BLOCK", 16)
     streamed = recorded_streams(monkeypatch)
     table = normal_closure(seeds, conjugators, oracle, p=p, order=full.order // p)
-    assert streamed == [full.order // p ** 2]
+    assert streamed == streamed_stages(full.order // p, p, 16) != []
     assert table.order == full.order == len(table.rows)
     assert set(table.elements) == set(full.elements)
     assert table.members.marked(full.rows).all()
-    # the true order streams the last stage, and the table decodes its rows
+    # the true order streams the last two stages, and the table decodes its
+    # rows
     streamed.clear()
     exact = normal_closure(seeds, conjugators, oracle, p=p, order=full.order)
-    assert streamed == [full.order // p] and "rows" not in vars(exact)
+    assert streamed == streamed_stages(full.order, p, 16) and "rows" not in vars(exact)
     assert exact.order == full.order
     assert set(exact.elements) == set(full.elements)
 
@@ -1284,10 +1285,10 @@ def test_row_pairs_build_their_hook_on_first_use_only(monkeypatch):
     oracle = model.oracle()
     assert closure(standard_generators(model), oracle, p=5).order > 1
     assert len(built) == 1
-    # a matrix oracle, built afresh past the per-ring cache, builds the
-    # joint hook on its first pair product and keeps it for the second
+    # a matrix oracle, built by a new group, builds the joint hook on its
+    # first pair product and keeps it for the second
     group = AffineMatrixGroup(2, FqConfig(5), 3)
-    oracle = affine._matrix_oracle.__wrapped__(2, group.fq, 3, group.identity)
+    oracle = group.oracle()
     assert len(built) == 2
     rows = key_rows([group.elementary(0, 1, 1, 1)] * 9, group.width)
     oracle.mul_pairs(rows, rows)

@@ -247,8 +247,7 @@ def test_tits_check_lists_each_right_coset_of_b_once(monkeypatch, m, fq, cosets)
 def test_a_planted_law_defect_fails_the_tits_check(m, q):
     # under the defect, B and N no longer close to G, nor the torus and the
     # reflections to N, which fails T1 and T2; some s n_w lies in no listed
-    # double coset, which fails T3; and nothing raises.  On SL_3(F_3) the
-    # closure of G itself passes the cap, so that instance is a skip
+    # double coset, which fails T3; and nothing raises
     campaign = {"instances": [{"model": "affine", "m": m, "q": q, "k": 1, "checks": ["tits"]}]}
     with mutants.matrix_product_drops_a_term():
         (result,) = run_campaign(campaign)["instances"][0]["results"]
@@ -256,15 +255,34 @@ def test_a_planted_law_defect_fails_the_tits_check(m, q):
     assert result["payload"] == _report("00010")
 
 
+def test_a_planted_law_defect_fails_the_tits_check_where_g_overruns_its_order():
+    # on SL_3(F_3) the transvections close past |SL_3(F_3)| = 5616 under the
+    # defect: the closure of G is capped at that order, T1 fails there and
+    # the other axioms go unchecked; a cap under the order is still a skip
+    campaign = {"instances": [{"model": "affine", "m": 3, "q": 3, "k": 1, "checks": ["tits"]}]}
+    with mutants.matrix_product_drops_a_term():
+        (result,) = run_campaign(campaign)["instances"][0]["results"]
+        (refused,) = run_campaign(campaign, cap=5615)["instances"][0]["results"]
+        with pytest.raises(EnumerationCapExceeded, match="cap of 5616 elements"):
+            enumerate_special_linear(3, F3)
+    assert result["status"] == "fail"
+    assert result["payload"] == {
+        "T1": False, "T2": None, "T3": None, "T4": None, "bruhat_partition": None
+    }
+    assert refused["status"] == "skipped"
+    assert refused["detail"] == "|SL_3(F_3)| = 5616 exceeds the cap of 5615"
+
+
 @pytest.mark.parametrize("m,fq", [(2, F2), (3, F2)])
 def test_a_closure_under_a_planted_law_defect_refuses_at_its_cap(m, fq):
     # the broken law repeats a row in a coset block, and its bit, added
     # twice, carries into the next: a representative stays unmarked and is
     # found again.  It is listed once, not popped twice, and the closure
-    # runs on to its cap of 1000
-    group, _, B, N, _ = sl_data(m, fq)
+    # runs on to its cap of 1000.  The oracle goes with its group, so a new
+    # group builds the defective one
+    _, _, B, N, _ = sl_data(m, fq)
     with mutants.matrix_product_drops_a_term():
-        oracle = group.oracle()
+        oracle = AffineMatrixGroup(m, fq, 1).oracle()
     with pytest.raises(EnumerationCapExceeded):
         closure(B.elements + N.elements, oracle, cap=1000)
 
