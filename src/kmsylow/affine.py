@@ -171,9 +171,7 @@ class IwahoriSylow:
     generators, whose layered orders on the level filtration, |<gens>| and
     |Phi|, each computed once and only when a check asks for it, size
     enumeration and refuse it before any product.  Checks that share one
-    count it once: Phi's table and the index are kept, and a count that
-    passes the cap is refused again, with the same message, without
-    counting it a second time."""
+    count it once: Phi's table and the index are kept."""
 
     def __init__(self, m, fq, k, cap):
         self.m, self.fq, self.k, self.cap = m, fq, k, cap
@@ -181,7 +179,6 @@ class IwahoriSylow:
         self.order = sylow_order(m, fq, k)
         self.generators = sylow_generators(m, fq, k)
         self.lead = self.group.lead_map(partial(iwahori_level, m))
-        self._refusal = None
 
     @cached_property
     def count(self):
@@ -193,12 +190,7 @@ class IwahoriSylow:
 
     @cached_property
     def frattini(self):
-        if self._refusal is None:
-            try:
-                return self.count.index(self.cap)
-            except EnumerationCapExceeded as refusal:
-                self._refusal = str(refusal)
-        raise EnumerationCapExceeded(self._refusal)
+        return self.count.index(self.cap)
 
 
 def sylow_table(sylow):

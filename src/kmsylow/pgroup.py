@@ -7,12 +7,13 @@ so the same engine serves coordinate groups and matrix groups.
 FrattiniCount is theorem 1's one enumeration in both models: it lists the
 Frattini subgroup and counts its cosets, and never lists the group itself.
 
-Enumeration holds its elements as rows of an (n, width) uint8 array,
-through the oracle's bulk right multiplication: a key of 9 bytes held in a
-list costs about 56 bytes, its row 9.  A key is made only where a scalar
-is read, and a table's elements, its keys, are built on first read.  A
-pass over a table, a bulk product or a subtable's filter, reads at most
-SCAN_BLOCK rows at a time.  A normal closure of known order, as
+Enumeration holds its elements as rows of one (n, width) uint8 array,
+sized by a known order or doubled when full, through the oracle's bulk
+right multiplication: a key of 9 bytes held in a list costs about 56
+bytes, its row 9.  A key is made only where a scalar is read, and a
+table's elements, its keys, are built on first read.  A pass over a
+table, a bulk product or a subtable's filter, reads at most SCAN_BLOCK
+rows at a time.  A normal closure of known order, as
 FrattiniCount.index lists Phi, streams its last two stages: their rows are
 marked a chunk at a time and dropped, and the table decodes rows from its
 members if they are read; so does a closure given a reader.
@@ -24,7 +25,8 @@ stage of Dimino's algorithm, which lists each new coset of the subgroup
 found so far with one bulk right multiplication, SCAN_BLOCK rows at a
 time, from the coset before it times a generator; in a p-group (the
 caller passes p) every stage has index p.  subgroup_index runs the same
-stages over the right cosets of a subgroup.
+stages over the right cosets of a subgroup.  A known order over the cap,
+of a closure or of FrattiniCount's index, is refused before any product.
 
 Every table answers membership through one structure: `in` for a key and
 marked for a block of rows.  A closure keeps the structure it filled
@@ -315,12 +317,12 @@ def _membership(oracle):
 
 class _Closure:
     """Incrementally grown subgroup closure with cap enforcement: the
-    elements in the order found, as rows, and their membership structure.
-    p, when given, says that the generators generate a p-group.
+    elements in the order found, as rows of one array, and their membership
+    structure.  p, when given, says that the generators generate a p-group.
 
-    order, when given, is the subgroup's order: the rows are then allocated
-    once at their final size.  Rows found past the end of the allocated
-    rows are kept in blocks, merged with the rows once per Dimino stage.
+    order, when given, is the subgroup's order, at which the array is
+    allocated; with none, or past it, a full array doubles (_absorb), and
+    table trims it to the rows listed.
 
     stream, with p and order given, says that the caller reads no rows
     (normal_closure).  Each of the last two stages, of index p from order
@@ -345,7 +347,6 @@ class _Closure:
         self.rows = np.empty((order or 1, len(oracle.identity)), dtype=np.uint8)
         self.rows[0] = np.frombuffer(oracle.identity, dtype=np.uint8)
         self.filled = 1  # rows written into self.rows
-        self.blocks = []  # rows found past the end of self.rows
         self.size = 1
         self.members = _membership(oracle).mark(self.rows[:1])
         self.visit(self.rows[:1])
@@ -382,33 +383,31 @@ class _Closure:
         stored = []
         for chunk in chunks:
             block = self._mark(_mul_rows(self.oracle, chunk, g))
-            end = self.filled + len(block)
-            if self.blocks or end > len(self.rows):
-                self.blocks.append(block)
-            else:
-                self.rows[self.filled : end] = block
-                block = self.rows[self.filled : end]
-                self.filled = end
-            stored.append(block)
+            start, end = self.filled, self.filled + len(block)
+            if end > len(self.rows):
+                grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]), np.uint8)
+                grown[:start] = self.rows[:start]
+                self.rows = grown
+            self.rows[start:end] = block
+            self.filled = end
+            stored.append(self.rows[start:end])
         return stored
 
-    def _merged(self):
-        """The members' rows in the order found, the blocks merged in; after
-        a streamed stage, decoded from the members."""
+    def _listed(self):
+        """The members' rows in the order found; after a streamed stage,
+        decoded from the members."""
         if self.streamed:
             self.rows, self.streamed = self.members.rows(), []
             self.filled = len(self.rows)
-        if self.blocks:
-            self.rows = np.concatenate([self.rows[: self.filled], *self.blocks])
-            self.filled = len(self.rows)
-            self.blocks = []
         return self.rows[: self.filled]
 
     def table(self, generators):
         """The subgroup found, its elements in the order found, with the
         closure's membership structure; after a streamed stage, no rows but
         the order, the number of elements marked."""
-        rows = None if self.streamed else self._merged()
+        rows = None if self.streamed else self.rows[: self.filled]
+        if rows is not None and len(rows) < len(self.rows):
+            rows = rows.copy()  # the grown array, trimmed
         self.rows = None
         return FiniteGroupTable(
             self.oracle, generators, rows, members=self.members, order=self.size
@@ -461,7 +460,7 @@ class _Closure:
         H times r s.  _stream is its twin for the last index-p stages of a
         streaming closure: the same chain of H times g and the same closing
         products, the blocks dropped instead of stored."""
-        cosets = {g: self._absorb(_blocks(self._merged()), g)}
+        cosets = {g: self._absorb(_blocks(self._listed()), g)}
         reps = [g]
         for r in reps:
             coset = cosets.pop(r)
@@ -495,7 +494,7 @@ class _Closure:
         generator of each stage streamed before, formed again chunk by
         chunk; so a second streamed stage holds only the rows of the
         first's H and forms that H's other elements a second time."""
-        chunks = _blocks(self.rows[: self.filled] if self.streamed else self._merged())
+        chunks = _blocks(self.rows[: self.filled])
         for g in self.streamed:
             chunks = self._powers(chunks, g)
         return chunks
@@ -514,10 +513,30 @@ def _refuse_known(order, cap, what):
         raise EnumerationCapExceeded(f"{what} {order} exceeds the cap of {cap}")
 
 
+def _listing(seeds, conjugators, oracle, cap, p, order, what, stream, visit=None):
+    """The listing of closure and normal_closure: a known order over the
+    cap, named by what, refused first; the seeds, then the conjugates of
+    every generator held, added; the table lists the generators added."""
+    _refuse_known(order, cap, what)
+    state = _Closure(oracle, cap, p, order, stream, visit)
+    worklist = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
+    for s in worklist:
+        state.add(s)
+    conjs = [(c, oracle.inv(c)) for c in dict.fromkeys(conjugators)]
+    for t in worklist:
+        for c, c_inv in conjs:
+            x = oracle.mul(oracle.mul(c_inv, t), c)
+            if x not in state.members:
+                worklist.append(x)
+                state.add(x)
+    return state.table(tuple(worklist))
+
+
 def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None, visit=None):
-    """Subgroup generated by the given keys, listed in a deterministic order,
-    coset by coset (_Closure.add).  p, when given, says that the keys
-    generate a p-group, whose stages then each have index p.
+    """Subgroup generated by the given keys, its table listing the distinct
+    keys but the identity, in a deterministic order, coset by coset
+    (_Closure.add).  p, when given, says that the keys generate a p-group,
+    whose stages then each have index p.
 
     order, when known (say from layered_order), is the subgroup's exact
     order; an order over the cap refuses before any multiplication, and
@@ -525,12 +544,8 @@ def closure(generators, oracle, cap=DEFAULT_CAP, p=None, order=None, visit=None)
     block of new elements, the identity first, in the order found, and the
     last two stages stream as in normal_closure.
     """
-    _refuse_known(order, cap, "subgroup order")
-    state = _Closure(oracle, cap, p, order, stream=visit is not None, visit=visit)
-    gens = tuple(dict.fromkeys(generators))
-    for g in gens:
-        state.add(g)
-    return state.table(gens)
+    stream = visit is not None
+    return _listing(generators, (), oracle, cap, p, order, "subgroup order", stream, visit)
 
 
 def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=None):
@@ -547,21 +562,9 @@ def normal_closure(seeds, conjugators, oracle, cap=DEFAULT_CAP, p=None, order=No
 
     Given p and the order, the last two stages stream (_Closure): the table
     then holds its order and members, and decodes its rows, in code order,
-    only if they are read.
+    only if they are read.  The listing is closure's (_listing).
     """
-    _refuse_known(order, cap, "normal closure order")
-    state = _Closure(oracle, cap, p, order, stream=True)
-    worklist = [s for s in dict.fromkeys(seeds) if s != oracle.identity]
-    for s in worklist:
-        state.add(s)
-    conjs = [(c, oracle.inv(c)) for c in dict.fromkeys(conjugators)]
-    for t in worklist:
-        for c, c_inv in conjs:
-            x = oracle.mul(oracle.mul(c_inv, t), c)
-            if x not in state.members:
-                worklist.append(x)
-                state.add(x)
-    return state.table(tuple(worklist))
+    return _listing(seeds, conjugators, oracle, cap, p, order, "normal closure order", True)
 
 
 def _power(oracle, key, n):
@@ -742,10 +745,10 @@ class FrattiniCount:
     |G| / |Phi|; without it they are None.  index lists Phi and counts its
     right cosets, log_p of the count being the minimal number of generators
     of G (Burnside basis theorem); it sizes both enumerations from the
-    layered orders and refuses an index or a Phi over the cap before any
-    multiplication.  The count reads Phi's order, members and generators
-    only, so Phi's last stages stream (normal_closure) and Phi's rows are
-    decoded only if read.
+    layered orders, and refuses a Phi over the cap, or an index over it,
+    before Phi is listed.  The count reads Phi's order, members and
+    generators only, so Phi's last stages stream (normal_closure) and Phi's
+    rows are decoded only if read.
     """
 
     def __init__(self, generators, oracle, p, lead=None):
@@ -776,11 +779,13 @@ class FrattiniCount:
         return all(x == self.oracle.identity for x in self.powers)
 
     def index(self, cap=DEFAULT_CAP):
-        """Phi as a table and [G : Phi]."""
-        gens, oracle, p = self.generators, self.oracle, self.p
-        phi = normal_closure(
-            self.seeds, gens, oracle, cap=cap, p=p, order=self.frattini_order
-        )
+        """Phi as a table and [G : Phi].  An index over the cap is refused
+        from the layered orders before Phi is listed, unless normal_closure
+        refuses Phi itself first."""
+        gens, oracle, phi_order = self.generators, self.oracle, self.frattini_order
+        if phi_order is not None and phi_order <= cap:
+            _refuse_known(self.order // phi_order, cap, "index")
+        phi = normal_closure(self.seeds, gens, oracle, cap=cap, p=self.p, order=phi_order)
         return phi, subgroup_index(phi, gens, oracle, cap=cap, order=self.order)
 
 

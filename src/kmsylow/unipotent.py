@@ -259,10 +259,9 @@ def verify_theorem1(gcm, fq, cutoff, cap=DEFAULT_CAP):
     that order is over the cap.  Enumeration lists the Frattini subgroup and
     counts its cosets (pgroup.FrattiniCount, as in the matrix model), so
     the group itself is never listed: h1_blackbox is log_p of the index,
-    and the generators generate when |Phi| times the index is |G|.  Only a
-    coset count over the cap (or a right side larger than the Frattini
-    subgroup) refuses after a table was listed.  On a refusal h1_blackbox
-    is None and the group fields come from the layered engine.
+    and the generators generate when |Phi| times the index is |G|.  On a
+    refusal h1_blackbox is None and the group fields come from the layered
+    engine.
     """
     if not isinstance(gcm, GeneralizedCartanMatrix):
         gcm = validate_gcm(gcm)

@@ -6,6 +6,7 @@ import contextlib
 
 from kmsylow import affine
 from kmsylow.law import PolynomialMap, law_oracle
+from kmsylow.unipotent import UnipotentModel
 
 
 @contextlib.contextmanager
@@ -26,3 +27,28 @@ def matrix_product_drops_a_term():
         yield
     finally:
         affine._matrix_oracle = real
+
+
+@contextlib.contextmanager
+def bch_law_drops_a_term():
+    """The BCH law: its last coordinate, of the top height, loses its last
+    term, the right factor's own coordinate there, so every product forgets
+    the top coordinate of its right factor.  The product is then no group
+    law, and the layered engine meets a sift whose level does not rise: it
+    raises NotAFiltration, which the campaign reports as a failed check."""
+    real = UnipotentModel.oracle
+
+    def defective(model):
+        oracle = real(model)
+        terms = oracle.mul.terms[:-1] + (oracle.mul.terms[-1][:-1],)
+        return law_oracle(model.fq, oracle.identity, PolynomialMap(model.fq, terms), oracle.inv)
+
+    UnipotentModel.oracle = defective
+    try:
+        yield
+    finally:
+        UnipotentModel.oracle = real
+
+
+# every named defect above
+DEFECTS = (matrix_product_drops_a_term, bch_law_drops_a_term)

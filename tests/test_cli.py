@@ -6,9 +6,14 @@ import os
 
 import pytest
 
-from kmsylow import affine, cli, pgroup
+from kmsylow import affine, cli, pgroup, unipotent
+from kmsylow.affine import AffineMatrixGroup
 from kmsylow.cli import DEFAULT_CAMPAIGN, main, run_campaign
+from kmsylow.errors import NotAFiltration
 from kmsylow.fields import FqConfig
+from kmsylow.unipotent import UnipotentModel
+
+import mutants
 
 A2 = [[2, -1], [-1, 2]]
 AFF = [[2, -2], [-2, 2]]
@@ -478,22 +483,43 @@ def test_affine_instance_lists_its_sylow_once_per_run_when_refused(monkeypatch):
         assert calls == [50] * runs
 
 
-def test_affine_theorem1_refused_once_per_run(monkeypatch):
-    # Phi has order 9 above a cap of 5: its normal closure refuses once, and
-    # cor_linear is refused again from the kept message
+def _count_bulk_products(monkeypatch):
+    """Rows of every bulk product that an oracle of either model forms."""
+    rows = []
+    for cls in (AffineMatrixGroup, UnipotentModel):
+        real = cls.oracle
+
+        def oracle(model, real=real):
+            plain = real(model)
+
+            def mul_many(block, g):
+                rows.append(len(block))
+                return plain.mul_many(block, g)
+
+            return dataclasses.replace(plain, mul_many=mul_many)
+
+        monkeypatch.setattr(cls, "oracle", oracle)
+    return rows
+
+
+def _count_normal_closures(monkeypatch):
     calls = []
-    original = pgroup.normal_closure
+    real = pgroup.normal_closure
+    monkeypatch.setattr(
+        pgroup, "normal_closure", lambda *args, **kw: calls.append(1) or real(*args, **kw)
+    )
+    return calls
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(pgroup, "normal_closure", counting)
+def test_affine_theorem1_refused_before_any_bulk_product(monkeypatch):
+    # Phi has order 9 above a cap of 5: each check, in each run, refuses it
+    # from its layered order, before the oracle forms a bulk product
+    products = _count_bulk_products(monkeypatch)
     checks = ["theorem1", "cor_linear"]
     campaign = {
         "instances": [{"model": "affine", "m": 2, "q": 3, "k": 2, "checks": checks}],
     }
-    for runs in (1, 2):
+    for _ in range(2):
         results = run_campaign(campaign, cap=5)["instances"][0]["results"]
         assert cli._strip_volatile(results) == [
             {
@@ -504,7 +530,66 @@ def test_affine_theorem1_refused_once_per_run(monkeypatch):
             }
             for check in checks
         ]
-        assert len(calls) == runs
+    assert products == []
+
+
+def test_an_index_over_the_cap_is_refused_before_phi_is_listed(monkeypatch):
+    # Phi fits under the cap and its index does not: theorem 1 refuses the
+    # index from the layered orders, in the matrix model a skip with the
+    # message of subgroup_index, and in the BCH model a pass read from the
+    # layered engine, and neither lists Phi or forms a bulk product
+    products = _count_bulk_products(monkeypatch)
+    closures = _count_normal_closures(monkeypatch)
+    checks = ["theorem1", "cor_linear"]
+    affine_case = {"instances": [{"model": "affine", "m": 3, "q": 5, "k": 1, "checks": checks}]}
+    assert cli._strip_volatile(
+        run_campaign(affine_case, cap=10)["instances"][0]["results"]
+    ) == [
+        {
+            "check": check,
+            "status": "skipped",
+            "reason": "EnumerationCapExceeded",
+            "detail": "index 25 exceeds the cap of 10",
+        }
+        for check in checks
+    ]
+    bch_case = {"instances": [{"model": "bch", "gcm": A2, "q": 25, "H": 3, "checks": ["theorem1"]}]}
+    (result,) = run_campaign(bch_case, cap=100)["instances"][0]["results"]
+    assert result["status"] == "pass"
+    payload = result["payload"]
+    assert payload["group_engine"] == "layered"
+    assert payload["h1_blackbox"] is None
+    assert payload["h1_layered"] == payload["h1_linear"] == payload["h1_predicted"] == 4
+    assert payload["thm_ii_lhs_order"] == payload["thm_ii_rhs_order"] == 25
+    assert payload["generators_generate"] is True
+    assert closures == [] and products == []
+
+
+@pytest.mark.parametrize("defect", mutants.DEFECTS, ids=lambda d: d.__name__)
+def test_a_planted_defect_ends_the_bundled_campaign_in_a_verdict(capsys, defect):
+    # each named defect fails some check of the bundled campaign; a check
+    # whose leading-term map stops being a filtration's fails by name
+    with defect():
+        assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    if defect is mutants.bch_law_drops_a_term:
+        assert "theorem1 (NotAFiltration)" in out
+
+
+def test_not_a_filtration_is_a_failed_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NotAFiltration("level 2 after level 2 in one sift")
+
+    monkeypatch.setattr(unipotent, "layered_order", refuse)
+    campaign = {"instances": [{"model": "bch", "gcm": A2, "q": 5, "H": 3, "checks": ["theorem1"]}]}
+    (result,) = run_campaign(campaign)["instances"][0]["results"]
+    assert cli._strip_volatile(result) == {
+        "check": "theorem1",
+        "status": "fail",
+        "reason": "NotAFiltration",
+        "detail": "level 2 after level 2 in one sift",
+    }
 
 
 @pytest.mark.parametrize("m,q,k", [(3, 5, 2), (2, 5, 4)])

@@ -440,23 +440,28 @@ def test_row_closures_list_and_refuse_as_the_scalar_path(monkeypatch, case, path
 
 
 @pytest.mark.parametrize("make", [closure, normal_closure])
-def test_a_closure_given_its_order_merges_no_blocks(monkeypatch, make):
-    # the rows are allocated at their final size, so no block is kept
-    # aside for a merge; with no order they are
+def test_a_closure_given_its_order_never_grows_its_rows(monkeypatch, make):
+    # the rows are one array, allocated at the order given, so no coset
+    # grows it; with no order it starts at one row and doubles, and the
+    # table holds it trimmed to the rows listed, in the same order
     oracle, gens, p, _ = _vector_case()
-    merged = []
-    real_merged = pgroup._Closure._merged
+    lengths = []
+    absorb = pgroup._Closure._absorb
 
-    def merged_rows(self):
-        merged.append(len(self.blocks))
-        return real_merged(self)
+    def absorbing(self, chunks, g):
+        stored = absorb(self, chunks, g)
+        lengths.append(len(self.rows))
+        return stored
 
-    monkeypatch.setattr(pgroup._Closure, "_merged", merged_rows)
+    monkeypatch.setattr(pgroup._Closure, "_absorb", absorbing)
     args = (gens, oracle) if make is closure else (gens, gens, oracle)
     sized = make(*args, p=p, order=3 ** 9)
-    assert not any(merged)
+    assert len(set(lengths)) == 1
+    del lengths[:]
     unsized = make(*args, p=p)
-    assert any(merged)
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+    assert lengths[-1] > len(unsized.rows) == unsized.order == 3 ** 9
+    assert unsized.rows.base is None
     assert sized.elements == unsized.elements
 
 
@@ -1318,7 +1323,7 @@ def test_an_index_p_stage_multiplies_by_its_generator_alone():
 def _dimino_from_the_subgroup(self, g):
     """The reference for _Closure._dimino: every new coset H e listed as
     the rows of H times e, SCAN_BLOCK at a time."""
-    subgroup = self._merged()
+    subgroup = self._listed()
     chunks = [
         subgroup[start : start + SCAN_BLOCK]
         for start in range(0, len(subgroup), SCAN_BLOCK)
@@ -1336,7 +1341,7 @@ def _dimino_from_the_subgroup(self, g):
 @pytest.mark.parametrize("given_order", [False, True])
 def test_cosets_listed_from_the_coset_before_as_from_the_subgroup(monkeypatch, given_order):
     # the (2, 5, 3) Sylow has cosets of up to 5^6 rows, about four blocks,
-    # held in blocks without an order and in the allocated rows with one:
+    # held in a growing array without an order and in one allocated at it:
     # listing H r s as (H r) s gives the elements of breadth-first
     # enumeration, and the rows, the order and the bulk rows of listing it
     # as H (r s)
