@@ -600,11 +600,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     out = sys.stdout
-    if args.command == "classify":
-        return _cmd_classify(args, out)
-    if args.command == "roots":
-        return _cmd_roots(args, out)
-    return _cmd_verify(args, out)
+    command = {"classify": _cmd_classify, "roots": _cmd_roots}.get(args.command, _cmd_verify)
+    try:
+        code = command(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed early: send what is left, flushed again at exit,
+        # to devnull, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,15 +9,16 @@ and a right factor key and returns the product rows.
 
 Both models have a polynomial law: their product and inverse are fixed
 polynomial maps over F_q in the key coefficients.  PolynomialMap holds such
-a map and is the one scalar evaluator; law_oracle builds the oracle from
-the law and the inverse, with bulk_hook, the one bulk evaluator, fed by the
-law specialized at each right factor.  The hook specializes once for a run
-of blocks times one factor, and skips the terms that read a column that is
-zero throughout a block.  Products of row pairs, where both factors vary
-per row, go through the same evaluator: the oracle's mul_pairs feeds a
-second hook, built on first use, the unspecialized law over the columns of
-both blocks side by side.  A key times a block of rows is such a product,
-the key repeated as the left block.
+a map and is the one scalar evaluator; law_oracle builds the oracle from the
+law and the inverse, with bulk_hook, the one bulk evaluator, fed by the law
+specialized at each right factor.  The hook specializes once for a run of
+blocks times one factor, and skips the terms that read a column that is zero
+throughout a block.  It holds each column and monomial of a block as uint8
+codes, a byte a row, however many monomials the law has.  Products of row
+pairs, where both factors vary per row, go through the same evaluator: the
+oracle's mul_pairs feeds a second hook, built on first use, the
+unspecialized law over the columns of both blocks side by side.  A key times
+a block of rows is such a product, the key repeated as the left block.
 
 Both models also filter their keys by a level per coordinate, and lead_map
 is the one leading-term map of such a filtration, the map that the layered
@@ -77,24 +78,26 @@ def bulk_hook(fq, right_polys):
     coordinates named in variables (repeats allowed).  The hook evaluates
     these polynomials on all rows at once.
 
-    The hook keeps its last right factor with that factor's polynomials,
-    so consecutive blocks times one factor call right_polys once.  A block
-    is read column by column, and a term naming a column that is zero in
-    every row of the block is dropped: the plan of what is left is kept
-    with the factor, by the columns it was made for, so each set of live
-    columns is planned once per factor.  Each distinct monomial left is
-    formed once per block, as its prefix monomial times one coordinate
-    through the product table of fq.  A term is then one lookup in spread, where spread[c][a] packs
-    the F_p digits of c a into lanes of w = 63 // r bits of an int64, so
-    that adding packed values adds digits lane by lane with no carry
-    between lanes.  Each lane holds lane_terms terms of at most p - 1,
-    so that its sum stays below 2^w and RESIDUE_SUMS; a longer sum is
-    folded (every lane reduced mod p by division) first.  Each lane of a
-    coordinate's sum is then reduced by one gather from a table of
-    residues, which also scales it to its digit's place in the code.  A
-    coordinate left with no term or with one term of degree at most one
-    (a constant c, or c x_v) is written directly: filled with c, a copy of
-    column v, or column v through the row of c in the product table."""
+    The hook keeps its last right factor with that factor's polynomials, so
+    consecutive blocks times one factor call right_polys once.  A block is
+    read column by column, and a term naming a column that is zero in every
+    row of the block is dropped: the plan of what is left is kept with the
+    factor, by the columns it was made for, so each set of live columns is
+    planned once per factor.  The columns are read in place, and each
+    distinct monomial left is formed once per block, as its prefix monomial
+    times one coordinate: for codes a and b, a b is the entry a << 8 | b of
+    one 256 x 256 product table, for every q, so each value of a block stays
+    a uint8 code.  A term is then one lookup in spread, where spread[c][a]
+    packs the F_p digits of c a into lanes of w = 63 // r bits of an int64,
+    so that adding packed values adds digits lane by lane with no carry
+    between lanes.  Each lane holds lane_terms terms of at most p - 1, so
+    that its sum stays below 2^w and RESIDUE_SUMS; a longer sum is folded
+    (every lane reduced mod p by division) first.  Each lane of a
+    coordinate's sum is then reduced by one gather from a table of residues,
+    which also scales it to its digit's place in the code.  A coordinate
+    left with no term or with one term of degree at most one (a constant c,
+    or c x_v) is written directly: filled with c, a copy of column v, or
+    column v through the row of c in the product table."""
     p, q, r = fq.p, fq.q, fq.r
     w = 63 // r
     mask = (1 << w) - 1
@@ -107,8 +110,8 @@ def bulk_hook(fq, right_polys):
     )
     spread = list(packed[fq.MUL])
     packed = packed.tolist()
-    # product[a * q + b] is the code of a b
-    product = fq.MUL.astype(np.intp).ravel()
+    # product[a << 8 | b] is the code of a b, for every q up to 256
+    product = np.pad(fq.MUL, (0, 256 - q)).ravel()
     # residues[i][v] is (v mod p) p^i: the code's part from lane i holding v
     residues = [
         np.resize((np.arange(p) * p ** i).astype(np.uint8), lane_sums)
@@ -135,7 +138,7 @@ def bulk_hook(fq, right_polys):
 
     def plan(polys, live):
         """How to evaluate polys on a block whose column v is zero in every
-        row where live[v] is False: the columns to read as intp, the
+        row where live[v] is False: the columns to read, the
         monomials to form, each as (value of its prefix, value of its last
         column) where the values are the columns read and then the
         monomials formed, the coordinates written directly, each as (its
@@ -197,9 +200,11 @@ def bulk_hook(fq, right_polys):
         # holds one coordinate of a block: arrays above the allocator's
         # mmap threshold would raise it when freed, and later blocks would
         # then fragment the heap
-        values = [by_column[v].astype(np.intp) for v in reads]
+        values = [by_column[v] for v in reads]
         for prefix, last in monomials:
-            values.append(product.take(values[prefix] * q + values[last]))
+            pair = np.left_shift(values[prefix], 8, dtype=np.uint16)
+            pair |= values[last]
+            values.append(product.take(pair))
         out = np.empty((len(polys), len(rows)), dtype=np.uint8)
         for i, c, vs in writes:
             if not vs:
@@ -218,7 +223,7 @@ def bulk_hook(fq, right_polys):
                     acc[:] = fold(acc)
                     continue
                 table, index = summand
-                table.take(values[index], out=term)
+                table.take(values[index], out=term, mode="clip")
                 acc += term
             gather(acc, out[i], term, digit)
         return out.T

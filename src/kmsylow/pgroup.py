@@ -210,8 +210,11 @@ class _Codes:
     stay as they are and the bitmap is padded with zero bytes; otherwise
     they are laid out again in a new bitmap.  Past BITMAP_CODES they are
     decoded (rows) into a _KeySet, which mark then returns.
-    A block is coded by one matrix product; one key is coded in plain
-    Python, so a probe of one key makes no numpy call but the lookup."""
+    A block is coded by np.einsum, which casts its uint8 rows to int64 one
+    buffer at a time: a matrix product would first copy the whole block at
+    8 bytes a cell (576 KiB for SCAN_BLOCK rows of 18 columns), past the
+    allocator's mmap threshold.  One key is coded in plain Python, so a
+    probe of one key makes no numpy call but the lookup."""
 
     def __init__(self, q, identity):
         self.q = q
@@ -231,11 +234,7 @@ class _Codes:
         self._const = int.from_bytes(self.const.tobytes(), "big") & self._mask
 
     def _code(self, rows):
-        # the product that walks the rows in memory order: on 4 096 rows of
-        # 18 columns, 93 us against 138 us the other way round
-        if rows.flags.f_contiguous:
-            return self.weights @ rows.T
-        return rows @ self.weights
+        return np.einsum("ij,j->i", rows, self.weights)
 
     def _set(self, codes):
         # the codes are distinct and their bits unset, so adding each bit to

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -885,3 +887,26 @@ def test_theorem1_passes_only_when_every_way_agrees(monkeypatch, model, changes,
     campaign = {"instances": [PLANTED_INSTANCES[model]]}
     results = run_campaign(campaign)["instances"][0]["results"]
     assert [r["status"] for r in results] == ["pass" if ok else "fail"] * len(results)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_ends_quietly_when_its_reader_has_gone(tmp_path, flags):
+    # stdout is a pipe whose read end is closed before anything is printed:
+    # the first write fails with EPIPE, which ended in a BrokenPipeError
+    # traceback on stderr
+    campaign = {"instances": [{"model": "bch", "gcm": A2, "H": 3, "checks": ["roots"]}]}
+    path = write_json(tmp_path, "roots.json", campaign)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "kmsylow.cli", "verify", path, *flags],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        )
+    finally:
+        os.close(write)
+    assert child.returncode == 1
+    assert child.stderr == ""

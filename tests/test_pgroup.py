@@ -656,6 +656,52 @@ def test_a_streamed_frattini_count_holds_under_half_of_phi():
     assert peak < phi.order * len(oracle.identity) / 2
 
 
+def _traced_peak(call):
+    """call's result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_codes_mark_a_block_of_18_columns_under_128_kib():
+    # SCAN_BLOCK new members over F_3 that vary in all 18 columns: their
+    # codes are formed a buffer at a time, where a matrix product first
+    # copied the block at 8 bytes a cell (a 608 KiB peak)
+    rng = np.random.default_rng(18)
+    codes = rng.choice(3 ** 18, 2 * SCAN_BLOCK, replace=False)
+    rows = (codes[:, None] // 3 ** np.arange(18) % 3).astype(np.uint8)
+    members = _Codes(3, bytes(18)).mark(rows[:SCAN_BLOCK])
+    assert members.space == 3 ** 18
+    members, peak = _traced_peak(lambda: members.mark(rows[SCAN_BLOCK:]))
+    assert members.marked(rows).all()
+    assert peak < 128 * 2 ** 10
+
+
+def test_a_block_of_matrix_products_holds_a_byte_a_row_per_value():
+    # SL_2 over F_9[t]/(t^13), keys of 52 bytes, on random rows: the bulk
+    # evaluator holds each column and monomial of a block as uint8 codes,
+    # where intp values took the peaks of SCAN_BLOCK rows times a key to
+    # 2.14 MiB and of SCAN_BLOCK row pairs to 27.2 MiB (0.51 and 4.06 MiB
+    # as bytes)
+    oracle = AffineMatrixGroup(2, FqConfig(3, 2), 13).oracle()
+    rng = np.random.default_rng(9)
+    a, b = rng.integers(0, 9, (2, SCAN_BLOCK, len(oracle.identity)), dtype=np.uint8)
+    g = row_keys(b[:1])[0]
+    # the law specialized at g and both plans made before the peaks
+    oracle.mul_many(a, g)
+    oracle.mul_pairs(a, b)
+    many, many_peak = _traced_peak(lambda: oracle.mul_many(a, g))
+    pairs, pairs_peak = _traced_peak(lambda: oracle.mul_pairs(a, b))
+    keys, right = row_keys(a), row_keys(b)
+    assert row_keys(many) == [oracle.mul(k, g) for k in keys]
+    assert row_keys(pairs) == [oracle.mul(x, y) for x, y in zip(keys, right)]
+    assert many_peak < 2 ** 20 and pairs_peak < 8 * 2 ** 20
+
+
 def _vector_seeds_case():
     # (Z/3)^9 as the normal closure of its unit vectors
     oracle, gens, p, _ = _vector_case()
